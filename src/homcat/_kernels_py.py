@@ -1,10 +1,9 @@
 """Pure-Python matrix kernels.
 
-Fallback used when the compiled extension is unavailable. Both backends
-implement the same two hot operations on flat row-major tuples of exact
-scalars: dense matrix multiply and Kronecker product. Scalars are either
-rational objects (characteristic 0, modulus None) or plain ints reduced
-into [0, p) when a prime modulus is given.
+The matrix kernels behind LinMap: dense matrix multiply, Kronecker
+product and matrix-vector product on flat row-major tuples of exact
+scalars. Scalars are either rational objects (characteristic 0, modulus
+None) or plain ints reduced into [0, p) when a prime modulus is given.
 """
 
 

@@ -19,7 +19,7 @@ quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 from __future__ import annotations
 
 from .exact_tensor import LinMap, identity, kron
-from .hom_structures import DEFAULT_VIOLATION_CAP, CheckReport, compare_maps
+from .hom_structures import DEFAULT_VIOLATION_CAP, _run
 from .yetter_drinfeld import (
     _cached_inverse, _require_valid, b_yd, quasi_braiding_yd, yd_associator,
 )
@@ -128,9 +128,8 @@ def check_pentagon(b_family, U, V, W, X, cap=DEFAULT_VIOLATION_CAP):
         b_family.assoc(U, (V, W), X)).compose(
         kron(b_family.assoc(U, V, W), identity(dx, field)))
     rhs = b_family.assoc(U, V, (W, X)).compose(b_family.assoc((U, V), W, X))
-    ok, vs = compare_maps("pentagon", lhs, rhs,
-                          (du, dv, dw, dx), (du, dv, dw, dx), cap)
-    return CheckReport({"pentagon": ok}, vs, cap)
+    return _run([("pentagon", lhs, rhs,
+                  (du, dv, dw, dx), (du, dv, dw, dx))], cap)
 
 
 def check_hexagons(b_family, c_family, U, V, W, cap=DEFAULT_VIOLATION_CAP):
@@ -146,27 +145,21 @@ def check_hexagons(b_family, c_family, U, V, W, cap=DEFAULT_VIOLATION_CAP):
     idu = identity(du, field)
     idv = identity(dv, field)
     idw = identity(dw, field)
-    status, violations = {}, []
 
-    lhs1 = b_family.assoc(V, W, U).compose(
-        c_family.braid(U, (V, W))).compose(b_family.assoc(U, V, W))
-    rhs1 = kron(idv, c_family.braid(U, W)).compose(
-        b_family.assoc(V, U, W)).compose(kron(c_family.braid(U, V), idw))
-    ok, vs = compare_maps("hex1", lhs1, rhs1,
-                          (du, dv, dw), (dv, dw, du), cap)
-    status["hex1"] = ok
-    violations.extend(vs)
-
-    lhs2 = b_family.assoc(W, U, V).inverse().compose(
-        c_family.braid((U, V), W)).compose(b_family.assoc(U, V, W).inverse())
-    rhs2 = kron(c_family.braid(U, W), idv).compose(
-        b_family.assoc(U, W, V).inverse()).compose(
-        kron(idu, c_family.braid(V, W)))
-    ok, vs = compare_maps("hex2", lhs2, rhs2,
-                          (du, dv, dw), (dw, du, dv), cap)
-    status["hex2"] = ok
-    violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    def checks():
+        lhs1 = b_family.assoc(V, W, U).compose(
+            c_family.braid(U, (V, W))).compose(b_family.assoc(U, V, W))
+        rhs1 = kron(idv, c_family.braid(U, W)).compose(
+            b_family.assoc(V, U, W)).compose(kron(c_family.braid(U, V), idw))
+        yield ("hex1", lhs1, rhs1, (du, dv, dw), (dv, dw, du))
+        lhs2 = b_family.assoc(W, U, V).inverse().compose(
+            c_family.braid((U, V), W)).compose(
+            b_family.assoc(U, V, W).inverse())
+        rhs2 = kron(c_family.braid(U, W), idv).compose(
+            b_family.assoc(U, W, V).inverse()).compose(
+            kron(idu, c_family.braid(V, W)))
+        yield ("hex2", lhs2, rhs2, (du, dv, dw), (dw, du, dv))
+    return _run(checks(), cap)
 
 
 def cross_check_yd(H, M, N, P=None, cap=DEFAULT_VIOLATION_CAP):
@@ -185,17 +178,11 @@ def cross_check_yd(H, M, N, P=None, cap=DEFAULT_VIOLATION_CAP):
         if not mod.alpha.is_invertible():
             raise ValueError(f"cross_check_yd needs invertible structure "
                              f"map on {lab}")
-    status, violations = {}, []
-    lhs = build_b(M.alpha, P.alpha, (M.dim, N.dim, P.dim))
-    rhs = yd_associator(M, N, P)
-    ok, vs = compare_maps("eq3333c", lhs, rhs,
-                          (M.dim, N.dim, P.dim), (M.dim, N.dim, P.dim), cap)
-    status["eq3333c"] = ok
-    violations.extend(vs)
-    lhs = build_c(M.alpha, N.alpha, b_yd(H, M, N))
-    rhs = quasi_braiding_yd(H, M, N)
-    ok, vs = compare_maps("eq9999d", lhs, rhs,
-                          (M.dim, N.dim), (N.dim, M.dim), cap)
-    status["eq9999d"] = ok
-    violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    dims = (M.dim, N.dim, P.dim)
+
+    def checks():
+        yield ("eq3333c", build_b(M.alpha, P.alpha, dims),
+               yd_associator(M, N, P), dims, dims)
+        yield ("eq9999d", build_c(M.alpha, N.alpha, b_yd(H, M, N)),
+               quasi_braiding_yd(H, M, N), (M.dim, N.dim), (N.dim, M.dim))
+    return _run(checks(), cap)

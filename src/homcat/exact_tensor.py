@@ -12,20 +12,17 @@ never tolerance based.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
+
+from . import _kernels_py as _K
 
 try:
     from gmpy2 import mpq as _RAT
 except ImportError:  # pragma: no cover
     _RAT = Fraction
 
-try:
-    from . import _kernels as _K
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from . import _kernels_py as _K
-    KERNEL_BACKEND = "python"
+# the one kernel backend, reported in benchmark and environment labels
+KERNEL_BACKEND = "python"
 
 
 def _is_prime(n):
@@ -55,9 +52,10 @@ def _is_prime(n):
 class Field:
     """Scalar field descriptor: characteristic 0 (exact rationals) or p.
 
-    Rational scalars are gmpy2.mpq when available, fractions.Fraction
-    otherwise; both keep lowest terms with positive denominator. Prime
-    field scalars are plain ints canonicalized into [0, p).
+    Rational scalars are gmpy2.mpq if the optional gmpy2 package is
+    installed and fractions.Fraction if it is not; both keep lowest terms
+    with positive denominator. Prime field scalars are plain ints
+    canonicalized into [0, p).
     """
 
     __slots__ = ("char", "zero", "one")

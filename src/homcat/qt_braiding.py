@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .exact_tensor import LinMap, flip_map, identity, kron, permute_tensor, zero_map
 from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, Violation, check_hom_bialgebra,
+    DEFAULT_VIOLATION_CAP, CheckReport, _run, check_hom_bialgebra,
     compare_maps, tensor_square_mul,
 )
 from .rep_theory import check_module, tensor_module, twist_module
@@ -70,19 +70,6 @@ class BraidMap(NamedTuple):
     map: LinMap
     src_u: object
     src_v: object
-
-
-def _vec_sparse(col, dims):
-    from .exact_tensor import unflatten_index
-    return tuple((unflatten_index(i, dims), v) for i, v in enumerate(col) if v)
-
-
-def _element_check(axiom, lhs_vec, rhs_vec, dims, cap):
-    # compare two explicit coefficient lists for a single tensor element
-    if lhs_vec == rhs_vec:
-        return True, []
-    return False, [Violation(axiom, (), _vec_sparse(lhs_vec, dims),
-                             _vec_sparse(rhs_vec, dims))]
 
 
 def _contract_eq38(H, R):
@@ -227,63 +214,64 @@ def check_r_conditions(H, R, cap=DEFAULT_VIOLATION_CAP):
         raise ValueError("field mismatch in check_r_conditions")
     if R.dim != H.dim:
         raise ValueError("R lives on the wrong tensor square")
+    qt = _run(_r_condition_checks(H, R), cap)
+    if not qt.axiom_status["r-psi-invariance"]:
+        return qt
+    rem = _run(_rem_qt_checks(H, R), cap)
+    s, r = qt.axiom_status, rem.axiom_status
+    consistent = r["remQT-a"] == s["eq30"] and r["remQT-b"] == s["eq31"]
+    return CheckReport.merge(
+        qt, rem, CheckReport({"remQT-consistency": consistent}, ()), cap=cap)
+
+
+def _element(H, coeffs):
+    # one tensor element of H^(x)3 as a one-column map
+    n = H.dim
+    return LinMap._wrap(H.field, n ** 3, 1, tuple(coeffs))
+
+
+def _r_condition_checks(H, R):
     field = H.field
     n = H.dim
     rv = R.as_vector()
-    status = {}
-    violations = []
-
-    def run(axiom, lhs, rhs, src_dims, dst_dims):
-        ok, vs = compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-
-    def run_vec(axiom, lhs_vec, rhs_vec, dims):
-        ok, vs = _element_check(axiom, tuple(lhs_vec), tuple(rhs_vec), dims, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-
     al, ps = H.alpha, H.psi
-    run("r-alpha-invariance", kron(al, al).compose(rv), rv, (), (n, n))
-    run("r-psi-invariance", kron(ps, ps).compose(rv), rv, (), (n, n))
+    yield ("r-alpha-invariance", kron(al, al).compose(rv), rv, (), (n, n))
+    yield ("r-psi-invariance", kron(ps, ps).compose(rv), rv, (), (n, n))
 
     # exchange law, matrix route: multiply inside the tensor square
     M2 = tensor_square_mul(field, H.mul)
     D = H.comul_linmap
     d_cop = flip_map(n, n, field).compose(D)
-    run("eq29", M2.compose(kron(rv, D)), M2.compose(kron(d_cop, rv)),
-        (n,), (n, n))
+    yield ("eq29", M2.compose(kron(rv, D)), M2.compose(kron(d_cop, rv)),
+           (n,), (n, n))
     # exchange law, contraction route
     lhs38, rhs38 = _contract_eq38(H, R)
-    ok38, vs38 = compare_maps("eq38", lhs38, rhs38, (n,), (n, n), cap)
-    status["eq38"] = ok38
-    violations.extend(vs38)
+    yield ("eq38", lhs38, rhs38, (n,), (n, n))
 
     # coproduct-splitting laws, matrix route
     rr = kron(rv, rv)
     swap_mid = permute_tensor((n, n, n, n), (0, 2, 1, 3), field)
     rhs30 = kron(kron(ps, ps), H.mul_linmap).compose(swap_mid).compose(rr)
-    run("eq30", kron(D, al).compose(rv), rhs30, (), (n, n, n))
+    yield ("eq30", kron(D, al).compose(rv), rhs30, (), (n, n, n))
     to_xzwy = permute_tensor((n, n, n, n), (0, 2, 3, 1), field)
     rhs31 = kron(H.mul_linmap, kron(ps, ps)).compose(to_xzwy).compose(rr)
-    run("eq31", kron(al, D).compose(rv), rhs31, (), (n, n, n))
+    yield ("eq31", kron(al, D).compose(rv), rhs31, (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
-    run_vec("eq39", _contract_coproduct_side(H, R, True, al),
-            _contract_rr_side(H, R, "eq39"), (n, n, n))
-    run_vec("eq60", _contract_coproduct_side(H, R, False, al),
-            _contract_rr_side(H, R, "eq60"), (n, n, n))
+    yield ("eq39", _element(H, _contract_coproduct_side(H, R, True, al)),
+           _element(H, _contract_rr_side(H, R, "eq39")), (), (n, n, n))
+    yield ("eq60", _element(H, _contract_coproduct_side(H, R, False, al)),
+           _element(H, _contract_rr_side(H, R, "eq60")), (), (n, n, n))
 
-    if status["r-psi-invariance"]:
-        alps = al.compose(ps)
-        run_vec("remQT-a", _contract_coproduct_side(H, R, True, alps),
-                _contract_rr_side(H, R, "plain-left"), (n, n, n))
-        run_vec("remQT-b", _contract_coproduct_side(H, R, False, alps),
-                _contract_rr_side(H, R, "plain-right"), (n, n, n))
-        status["remQT-consistency"] = (
-            status["remQT-a"] == status["eq30"]
-            and status["remQT-b"] == status["eq31"])
-    return CheckReport(status, violations, cap)
+
+def _rem_qt_checks(H, R):
+    # the simplified splitting laws, valid once R is psi-invariant
+    n = H.dim
+    alps = H.alpha.compose(H.psi)
+    yield ("remQT-a", _element(H, _contract_coproduct_side(H, R, True, alps)),
+           _element(H, _contract_rr_side(H, R, "plain-left")), (), (n, n, n))
+    yield ("remQT-b", _element(H, _contract_coproduct_side(H, R, False, alps)),
+           _element(H, _contract_rr_side(H, R, "plain-right")), (), (n, n, n))
 
 
 def _left_mult_maps(M):
@@ -378,44 +366,31 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None, cap=DEFAULT_VIOLATION_CA
     braiding-g-compat: the braiding built on the twisted modules has the
       same matrix (needs alpha-invariance of R to hold).
     """
-    c = braiding_from_r(H, R, U, V)
-    dU, dV, n = U.dim, V.dim, H.dim
-    field = H.field
-    status = {}
-    violations = []
-
-    def run(axiom, lhs, rhs, src_dims, dst_dims):
-        ok, vs = compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-
-    run("eq27", c.map, _braiding_elementwise(H, R, U, V), (dU, dV), (dV, dU))
-    run("braiding-intertwine",
-        kron(V.alpha, U.alpha).compose(c.map),
-        c.map.compose(kron(U.alpha, V.alpha)), (dU, dV), (dV, dU))
-    gu = twist_module(H, U, "G")
-    gv = twist_module(H, V, "G")
-    src_t = tensor_module(H, U, V)
-    dst_t = tensor_module(H, gv, gu)
-    run("braiding-h-linear",
-        c.map.compose(src_t.action),
-        dst_t.action.compose(kron(identity(n, field), c.map)),
-        (n, dU, dV), (dV, dU))
-    if f is None:
-        f, U2 = U.alpha, gu
-    else:
-        f, U2 = f
-    if g is None:
-        g, V2 = V.alpha, gv
-    else:
-        g, V2 = g
-    c2 = braiding_from_r(H, R, U2, V2)
-    run("braiding-natural",
-        c2.map.compose(kron(f, g)),
-        kron(g, f).compose(c.map), (dU, dV), (V2.dim, U2.dim))
-    cg = braiding_from_r(H, R, gu, gv)
-    run("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
-    return CheckReport(status, violations, cap)
+    def checks():
+        c = braiding_from_r(H, R, U, V)
+        dU, dV, n = U.dim, V.dim, H.dim
+        yield ("eq27", c.map, _braiding_elementwise(H, R, U, V),
+               (dU, dV), (dV, dU))
+        yield ("braiding-intertwine",
+               kron(V.alpha, U.alpha).compose(c.map),
+               c.map.compose(kron(U.alpha, V.alpha)), (dU, dV), (dV, dU))
+        gu = twist_module(H, U, "G")
+        gv = twist_module(H, V, "G")
+        src_t = tensor_module(H, U, V)
+        dst_t = tensor_module(H, gv, gu)
+        yield ("braiding-h-linear",
+               c.map.compose(src_t.action),
+               dst_t.action.compose(kron(identity(n, H.field), c.map)),
+               (n, dU, dV), (dV, dU))
+        fm, U2 = (U.alpha, gu) if f is None else f
+        gm, V2 = (V.alpha, gv) if g is None else g
+        c2 = braiding_from_r(H, R, U2, V2)
+        yield ("braiding-natural",
+               c2.map.compose(kron(fm, gm)),
+               kron(gm, fm).compose(c.map), (dU, dV), (V2.dim, U2.dim))
+        cg = braiding_from_r(H, R, gu, gv)
+        yield ("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
+    return _run(checks(), cap)
 
 
 def check_hexagon_instances(H, R, U, V, W, cap=DEFAULT_VIOLATION_CAP):
@@ -433,27 +408,21 @@ def check_hexagon_instances(H, R, U, V, W, cap=DEFAULT_VIOLATION_CAP):
     gw = twist_module(H, W, "G")
     vw = tensor_module(H, V, W)
     uv = tensor_module(H, U, V)
-    status = {}
-    violations = []
 
-    lhs45 = kron(identity(dV * dW, field), U.alpha).compose(
-        braiding_from_r(H, R, fu, vw).map)
-    rhs45 = kron(identity(dV, field),
-                 braiding_from_r(H, R, gu, W).map).compose(
-        kron(braiding_from_r(H, R, U, V).map, identity(dW, field)))
-    ok, vs = compare_maps("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU), cap)
-    status["eq45"] = ok
-    violations.extend(vs)
-
-    lhs50 = kron(W.alpha, identity(dU * dV, field)).compose(
-        braiding_from_r(H, R, uv, fw).map)
-    rhs50 = kron(braiding_from_r(H, R, U, gw).map,
-                 identity(dV, field)).compose(
-        kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
-    ok, vs = compare_maps("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV), cap)
-    status["eq50"] = ok
-    violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    def checks():
+        lhs45 = kron(identity(dV * dW, field), U.alpha).compose(
+            braiding_from_r(H, R, fu, vw).map)
+        rhs45 = kron(identity(dV, field),
+                     braiding_from_r(H, R, gu, W).map).compose(
+            kron(braiding_from_r(H, R, U, V).map, identity(dW, field)))
+        yield ("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU))
+        lhs50 = kron(W.alpha, identity(dU * dV, field)).compose(
+            braiding_from_r(H, R, uv, fw).map)
+        rhs50 = kron(braiding_from_r(H, R, U, gw).map,
+                     identity(dV, field)).compose(
+            kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
+        yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
+    return _run(checks(), cap)
 
 
 def check_hom_ybe(B, alpha, cap=DEFAULT_VIOLATION_CAP):
@@ -467,19 +436,13 @@ def check_hom_ybe(B, alpha, cap=DEFAULT_VIOLATION_CAP):
         raise ValueError("field mismatch in check_hom_ybe")
     ba = kron(B, alpha)
     ab = kron(alpha, B)
-    status = {}
-    violations = []
-    ok, vs = compare_maps("ybe-compat",
-                          kron(alpha, alpha).compose(B),
-                          B.compose(kron(alpha, alpha)), (d, d), (d, d), cap)
-    status["ybe-compat"] = ok
-    violations.extend(vs)
-    ok, vs = compare_maps("eq145",
-                          ba.compose(ab).compose(ba),
-                          ab.compose(ba).compose(ab), (d, d, d), (d, d, d), cap)
-    status["eq145"] = ok
-    violations.extend(vs)
-    return CheckReport(status, violations, cap)
+
+    def checks():
+        yield ("ybe-compat", kron(alpha, alpha).compose(B),
+               B.compose(kron(alpha, alpha)), (d, d), (d, d))
+        yield ("eq145", ba.compose(ab).compose(ba),
+               ab.compose(ba).compose(ab), (d, d, d), (d, d, d))
+    return _run(checks(), cap)
 
 
 def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w,
@@ -500,8 +463,7 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w,
         raise ValueError("b_vw shape mismatch")
     lhs = kron(a_w, b_uv).compose(kron(b_uw, a_v)).compose(kron(a_u, b_vw))
     rhs = kron(b_vw, a_u).compose(kron(a_v, b_uw)).compose(kron(b_uv, a_w))
-    ok, vs = compare_maps("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU), cap)
-    return CheckReport({"hYBeB": ok}, vs, cap)
+    return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))], cap)
 
 
 def b_from_qt(H, R, M):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .exact_tensor import LinMap, identity, kron, zero_map
 from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, HomBialgebra, compare_maps,
+    DEFAULT_VIOLATION_CAP, CheckReport, HomBialgebra, _run,
 )
 
 
@@ -187,13 +187,7 @@ def check_module(H, M, cap=DEFAULT_VIOLATION_CAP):
         ("eq9", act.compose(kron(H.alpha, act)),
          act.compose(kron(H.mul_linmap, M.alpha)), (n, n, dm), (dm,)),
     ]
-    status = {}
-    violations = []
-    for axiom, lhs, rhs, s, d in checks:
-        ok, vs = compare_maps(axiom, lhs, rhs, s, d, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    return _run(checks, cap)
 
 
 def check_comodule(C, M, cap=DEFAULT_VIOLATION_CAP):
@@ -209,13 +203,7 @@ def check_comodule(C, M, cap=DEFAULT_VIOLATION_CAP):
         ("comodul2", kron(C.comul_linmap, M.psi).compose(co),
          kron(C.psi, co).compose(co), (dm,), (n, n, dm)),
     ]
-    status = {}
-    violations = []
-    for axiom, lhs, rhs, s, d in checks:
-        ok, vs = compare_maps(axiom, lhs, rhs, s, d, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    return _run(checks, cap)
 
 
 def tensor_module(H, M, N):
@@ -282,13 +270,7 @@ def check_module_morphism(f, H, M, N, cap=DEFAULT_VIOLATION_CAP):
         ("module-morphism-action", f.compose(M.action),
          N.action.compose(kron(identity(n, M.field), f)), (n, dm), (dn,)),
     ]
-    status = {}
-    violations = []
-    for axiom, lhs, rhs, s, d in checks:
-        ok, vs = compare_maps(axiom, lhs, rhs, s, d, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    return _run(checks, cap)
 
 
 def check_comodule_morphism(f, C, M, N, cap=DEFAULT_VIOLATION_CAP):
@@ -305,13 +287,7 @@ def check_comodule_morphism(f, C, M, N, cap=DEFAULT_VIOLATION_CAP):
          kron(identity(n, M.field), f).compose(M.coaction),
          N.coaction.compose(f), (dm,), (n, dn)),
     ]
-    status = {}
-    violations = []
-    for axiom, lhs, rhs, s, d in checks:
-        ok, vs = compare_maps(axiom, lhs, rhs, s, d, cap)
-        status[axiom] = ok
-        violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    return _run(checks, cap)
 
 
 def phi_check(H, M, f=None, N=None, cap=DEFAULT_VIOLATION_CAP):
@@ -326,10 +302,9 @@ def phi_check(H, M, f=None, N=None, cap=DEFAULT_VIOLATION_CAP):
         return rep
     if N is None:
         N = M
-    ok, vs = compare_maps("phi-natural", f.compose(M.alpha),
-                          N.alpha.compose(f), (M.dim,), (N.dim,), cap)
-    extra = CheckReport({"phi-natural": ok}, vs, cap)
-    return CheckReport.merge(rep, extra, cap=cap)
+    natural = _run([("phi-natural", f.compose(M.alpha), N.alpha.compose(f),
+                     (M.dim,), (N.dim,))], cap)
+    return CheckReport.merge(rep, natural, cap=cap)
 
 
 def check_associator_instance(H, U, V, W, cap=DEFAULT_VIOLATION_CAP):
@@ -344,9 +319,8 @@ def check_associator_instance(H, U, V, W, cap=DEFAULT_VIOLATION_CAP):
     right = tensor_module(H, twist_module(H, U, "F"), tensor_module(H, V, W))
     n = H.dim
     dims = (U.dim, V.dim, W.dim)
-    ok, vs = compare_maps("associator-instance", left.action, right.action,
-                          (n,) + dims, dims, cap)
-    return CheckReport({"associator-instance": ok}, vs, cap)
+    return _run([("associator-instance", left.action, right.action,
+                  (n,) + dims, dims)], cap)
 
 
 def check_module_hom_algebra(H, A, act_module, cap=DEFAULT_VIOLATION_CAP):
@@ -366,5 +340,4 @@ def check_module_hom_algebra(H, A, act_module, cap=DEFAULT_VIOLATION_CAP):
         kron(H.alpha.compose(H.psi), A.mul_linmap))
     tens = tensor_module(H, act_module, act_module)
     rhs = A.mul_linmap.compose(tens.action)
-    ok, vs = compare_maps("compmodulealgebra", lhs, rhs, (n, da, da), (da,), cap)
-    return CheckReport({"compmodulealgebra": ok}, vs, cap)
+    return _run([("compmodulealgebra", lhs, rhs, (n, da, da), (da,))], cap)

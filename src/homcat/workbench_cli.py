@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -55,15 +56,20 @@ def field_from_json(obj):
         return QQ
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
         p = obj["Fp"]
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ValueError("Fp must carry an integer prime")
         return GF(p)
     raise ValueError(f"unknown field descriptor: {obj!r}")
 
 
+# "a" or "a/b" with b != 0, as docs/formats.md specifies
+_SCALAR = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def _scalar_in(field, s):
-    if not isinstance(s, (str, int)):
-        raise ValueError(f"scalar entries must be strings, got {s!r}")
+    if type(s) is not int and not (isinstance(s, str) and _SCALAR.fullmatch(s)):
+        raise ValueError(f"scalars must be integers or strings 'a' or 'a/b' "
+                         f"with b != 0, got {s!r}")
     return field.coerce(s)
 
 
@@ -146,7 +152,7 @@ def parse_structure(d):
 
     def dim(key="dim"):
         v = _get(d, key)
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise ValueError(f"{key} must be a positive integer")
         return v
 
@@ -179,7 +185,8 @@ def parse_structure(d):
     if kind == "comodule":
         dm = dim()
         co = d.get("coaction")
-        if not isinstance(co, list) or len(co) != dm or not co[0]:
+        if not isinstance(co, list) or len(co) != dm or \
+                not isinstance(co[0], list) or not co[0]:
             raise ValueError("comodule file needs a coaction cube of the "
                              "declared dim")
         cdim = len(co[0])
@@ -192,7 +199,8 @@ def parse_structure(d):
         co = d.get("coaction")
         if not isinstance(act, list) or not act:
             raise ValueError("yd file needs a non-empty action cube")
-        if not isinstance(co, list) or len(co) != dm or not co[0]:
+        if not isinstance(co, list) or len(co) != dm or \
+                not isinstance(co[0], list) or not co[0]:
             raise ValueError("yd file needs a coaction cube of the declared dim")
         hdim = len(act)
         if len(co[0]) != hdim:
@@ -684,14 +692,18 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         report, artifacts = _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # constructive commands may carry their artifact in --out; checks
+        # reuse --out for a report copy, handled inside _emit
+        out = args.out if not artifacts else None
+        return _emit(argv, report, time.perf_counter() - start, artifacts, out)
+    except Exception as exc:
+        # bad input or a rejected precondition; any other exception is named
+        # by its type and exits 2 as well, so a crash never reads as exit 1
+        msg = str(exc)
+        if not isinstance(exc, (ValueError, OSError, KeyError)):
+            msg = f"{type(exc).__name__}: {msg}"
+        print("error: " + " ".join(msg.splitlines()), file=sys.stderr)
         return 2
-    # constructive commands may carry their artifact in --out; checks reuse
-    # --out for a report copy, handled inside _emit
-    out = args.out if not artifacts else None
-    code = _emit(argv, report, time.perf_counter() - start, artifacts, out)
-    return code
 
 
 if __name__ == "__main__":

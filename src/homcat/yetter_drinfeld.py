@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .exact_tensor import LinMap, flip_map, identity, kron
 from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, compare_maps,
+    DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps,
 )
 from .rep_theory import (
     HComodule, HModule, check_comodule, check_module, comodule_from_cube,
@@ -86,8 +86,12 @@ def check_yd(H, M, cap=DEFAULT_VIOLATION_CAP):
     if M.hdim != H.dim:
         raise ValueError("module algebra slot does not match H.dim")
     mrep = check_module(H, M.module, cap)
-    crep = check_comodule(H.coalgebra, M.comodule, cap)
+    crep = check_comodule(H, M.comodule, cap)
+    return CheckReport.merge(mrep, crep, _run(_yd_checks(H, M), cap), cap=cap)
 
+
+def _yd_checks(H, M):
+    # homYD: both sides assembled as maps on H (x) M
     n, dm = H.dim, M.dim
     field = H.field
     act, coact = M.action, M.coaction
@@ -109,9 +113,7 @@ def check_yd(H, M, cap=DEFAULT_VIOLATION_CAP):
         kron(a2, kron(a, kron(a, idm)))).compose(
         kron(idn, kron(flip_map(n, n, field), idm))).compose(
         kron(identity(n * n, field), coact)).compose(start)
-    ok, vs = compare_maps("homYD", lhs, rhs, (n, dm), (n, dm), cap)
-    yd = CheckReport({"homYD": ok}, vs, cap)
-    return CheckReport.merge(mrep, crep, yd, cap=cap)
+    yield ("homYD", lhs, rhs, (n, dm), (n, dm))
 
 
 def _require_valid(H, M, name):

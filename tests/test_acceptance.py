@@ -13,6 +13,7 @@ mirrors).
 import json
 import os
 import random
+import re
 from itertools import product
 
 import pytest
@@ -26,7 +27,8 @@ from homcat.exact_tensor import (
     GF, QQ, LinMap, diag, flip_map, identity, kron,
 )
 from homcat.hom_structures import (
-    CheckReport, check_hom_bialgebra, compare_maps, yau_twist_bialgebra,
+    CheckReport, check_hom_bialgebra, check_structure_morphism, compare_maps,
+    yau_twist_bialgebra,
 )
 from homcat.qt_braiding import (
     RMatrix, b_from_qt, check_braiding_morphism, check_hexagon_instances,
@@ -48,6 +50,7 @@ from homcat.yetter_drinfeld import (
 from homcat.dehomify import ConstraintFamily, check_hexagons, check_pentagon, cross_check_yd
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
 
 IN_SCOPE_IDS = {
     "eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9",
@@ -418,11 +421,40 @@ def _criterion_7(tmpdir):
     alg = H.algebra
     collect(check_module_hom_algebra(H, alg, triv_act))
     collect(cross_check_yd(H, pool["A"], pool["B"]))
+    # the remaining emitters, so that every id a report can carry is seen
+    idm = identity(2)
+    for kind in ("algebra", "coalgebra"):
+        collect(check_structure_morphism(idm, H, H, kind))
+    collect(check_module_morphism(idm, H, M, M))
+    C = regular_comodule(H.coalgebra)
+    collect(check_comodule_morphism(idm, H.coalgebra, C, C))
+    collect(phi_check(H, M, idm))
+    collect(check_associator_instance(H, M, M, M))
+    U, V = pool["A"], pool["B"]
+    fam = ConstraintFamily(QQ)
+    fam.add_module("U", U.alpha).add_module("V", V.alpha)
+    collect(check_pentagon(fam, "U", "V", "U", "V"))
+    fam.add_pair_map("U", "V", b_yd(H, U, V))
+    fam.add_pair_map("U", "U", b_yd(H, U, U))
+    fam.add_pair_map("V", "U", b_yd(H, V, U))
+    fam.add_pair_map("U", ("V", "U"), b_yd(H, U, yd_tensor(H, V, U)))
+    fam.add_pair_map(("U", "V"), "U", b_yd(H, yd_tensor(H, U, V), U))
+    collect(check_hexagons(fam, fam, "U", "V", "U"))
 
     missing = IN_SCOPE_IDS - set(seen)
     assert not missing, missing
     failed = sorted(a for a in IN_SCOPE_IDS if not seen[a])
     assert not failed, failed
+    undocumented = set(seen) - _documented_ids()
+    assert not undocumented, sorted(undocumented)
+
+
+def _documented_ids():
+    # first-column ids of the tables under "Axiom identifiers"
+    with open(DOCS, encoding="utf-8") as fh:
+        text = fh.read().split("## Axiom identifiers", 1)[1]
+    return {m for line in text.splitlines() if line.startswith("| `")
+            for m in re.findall(r"`([^`]+)`", line.split("|")[1])}
 
 
 def test_acceptance_7_cli_contract(capsys, tmp_path):

@@ -359,6 +359,58 @@ def test_malformed_inputs_exit_2(ws):
     code, _, _ = run(["check", "algebra", path("missing.json")])
     assert code == 2
 
+    # each file below once crashed with a traceback or parsed although
+    # docs/formats.md rules it out
+    def algebra(mul="1", dim=1, field="Q"):
+        return {"kind": "algebra", "field": field, "dim": dim,
+                "mul": [[[mul]]], "alpha": [["1"]]}
+
+    bad = {
+        "zero_denominator.json": algebra(mul="1/0"),
+        "decimal.json": algebra(mul="1.5"),
+        "exponent.json": algebra(mul="1e400"),
+        "bool_scalar.json": algebra(mul=True),
+        "bool_dim.json": algebra(dim=True),
+        "bool_prime.json": algebra(field={"Fp": True}),
+        "bool_rows.json": {"kind": "linmap", "field": "Q", "rows": True,
+                           "cols": 1, "matrix": [["1"]]},
+        "yd_int_coaction.json": {"kind": "yd", "field": "Q", "dim": 1,
+                                 "action": [[["1"]]], "coaction": [1],
+                                 "alpha": [["1"]]},
+        "comodule_int_coaction.json": {"kind": "comodule", "field": "Q",
+                                       "dim": 1, "coaction": [1],
+                                       "psi": [["1"]]},
+    }
+    for name, doc in bad.items():
+        kind = doc["kind"] if doc["kind"] != "linmap" else "algebra"
+        code, out, err = run(["check", kind, write(name, doc)])
+        assert code == 2, name
+        assert out == "" and err.startswith("error:"), name
+        assert err.count("\n") == 1 and "Traceback" not in err, name
+    with pytest.raises(ValueError):
+        parse_structure(bad["bool_rows.json"])
+    # canonical and integer scalars still parse
+    for mul in ("-3/4", "7", 2):
+        assert parse_structure(algebra(mul=mul)).obj.dim == 1
+
+
+def test_unexpected_error_exits_2(ws, monkeypatch):
+    path, _ = ws
+    run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
+         "--out", path("H.json")])
+
+    def boom(*args):
+        raise ZeroDivisionError("inverse of zero scalar")
+
+    monkeypatch.setattr("homcat.workbench_cli.check_hom_bialgebra", boom)
+    code, out, err = run(["check", "bialgebra", path("H.json")])
+    assert code == 2 and out == ""
+    assert err == "error: ZeroDivisionError: inverse of zero scalar\n"
+    monkeypatch.undo()
+    code, _, err = run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
+                        "--out", path("missing-dir/H.json")])
+    assert code == 2 and err.startswith("error:")
+
 
 def test_wrong_parent_kind_exits_2(ws):
     path, write = ws

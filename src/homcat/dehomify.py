@@ -18,7 +18,7 @@ quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 
 from __future__ import annotations
 
-from .exact_tensor import LinMap, identity, kron
+from .exact_tensor import identity, kron
 from .hom_structures import DEFAULT_VIOLATION_CAP, _run
 from .yetter_drinfeld import (
     _cached_inverse, _require_valid, b_yd, quasi_braiding_yd, yd_associator,

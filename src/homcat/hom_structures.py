@@ -49,6 +49,12 @@ class Violation(NamedTuple):
     lhs: tuple
     rhs: tuple
 
+    def counterexample(self):
+        """JSON form of the basis input and both sides, axiom id left out."""
+        return {"index": list(self.index),
+                "lhs": [[list(ix), str(c)] for ix, c in self.lhs],
+                "rhs": [[list(ix), str(c)] for ix, c in self.rhs]}
+
 
 class CheckReport:
     """Outcome of one or more identity checks.
@@ -95,15 +101,8 @@ class CheckReport:
             "pass": self.ok,
             "checked": self.checked,
             "failed": self.failed_axioms,
-            "violations": [
-                {
-                    "axiom": v.axiom,
-                    "index": list(v.index),
-                    "lhs": [[list(ix), str(c)] for ix, c in v.lhs],
-                    "rhs": [[list(ix), str(c)] for ix, c in v.rhs],
-                }
-                for v in self.violations
-            ],
+            "violations": [{"axiom": v.axiom, **v.counterexample()}
+                           for v in self.violations],
         }
 
     def __repr__(self):
@@ -421,36 +420,25 @@ def check_structure_morphism(f, src, dst, kind, cap=DEFAULT_VIOLATION_CAP):
     algebra:   f alpha_src = alpha_dst f   and   f mul_src = mul_dst (f (x) f)
     coalgebra: f psi_src = psi_dst f       and   (f (x) f) comul_src = comul_dst f
     """
+    if kind not in ("algebra", "coalgebra"):
+        raise ValueError(f"kind must be 'algebra' or 'coalgebra', got {kind!r}")
+    if f.cols != src.dim or f.rows != dst.dim:
+        raise ValueError("morphism shape does not match structures")
+    n, m = src.dim, dst.dim
     if kind == "algebra":
-        if isinstance(src, HomBialgebra):
-            src = src.algebra
-        if isinstance(dst, HomBialgebra):
-            dst = dst.algebra
-        if f.cols != src.dim or f.rows != dst.dim:
-            raise ValueError("morphism shape does not match structures")
-        n, m = src.dim, dst.dim
         checks = [
             ("morphism-twist", f.compose(src.alpha), dst.alpha.compose(f),
              (n,), (m,)),
             ("morphism-mul", f.compose(src.mul_linmap),
              dst.mul_linmap.compose(kron(f, f)), (n, n), (m,)),
         ]
-    elif kind == "coalgebra":
-        if isinstance(src, HomBialgebra):
-            src = src.coalgebra
-        if isinstance(dst, HomBialgebra):
-            dst = dst.coalgebra
-        if f.cols != src.dim or f.rows != dst.dim:
-            raise ValueError("morphism shape does not match structures")
-        n, m = src.dim, dst.dim
+    else:
         checks = [
             ("morphism-twist", f.compose(src.psi), dst.psi.compose(f),
              (n,), (m,)),
             ("morphism-comul", kron(f, f).compose(src.comul_linmap),
              dst.comul_linmap.compose(f), (n,), (m, m)),
         ]
-    else:
-        raise ValueError(f"kind must be 'algebra' or 'coalgebra', got {kind!r}")
     return _run(checks, cap)
 
 

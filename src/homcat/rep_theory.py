@@ -134,9 +134,13 @@ def action_cube(M):
 
 
 def coaction_cube(M):
-    """Inverse of comodule_from_cube: nested lists c[m][j][k]."""
+    """Inverse of comodule_from_cube: nested lists c[m][j][k].
+
+    M is anything with a coaction and a dim (a comodule or a YD module).
+    """
+    cdim = M.coaction.rows // M.dim
     return [[[M.coaction.entry(j * M.dim + k, m) for k in range(M.dim)]
-             for j in range(M.cdim)] for m in range(M.dim)]
+             for j in range(cdim)] for m in range(M.dim)]
 
 
 def regular_module(A):

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import time
+from math import isqrt
 
 from .exact_tensor import GF, QQ, LinMap, identity
 from .hom_structures import (
@@ -30,16 +31,15 @@ from .hom_structures import (
     check_hom_bialgebra, check_hom_coalgebra,
 )
 from .rep_theory import (
-    HComodule, HModule, action_cube, check_comodule, check_module,
-    check_module_hom_algebra, coaction_cube, comodule_from_cube,
-    module_from_cube, tensor_module,
+    action_cube, check_comodule, check_module, check_module_hom_algebra,
+    coaction_cube, comodule_from_cube, module_from_cube, tensor_module,
 )
 from .qt_braiding import (
     RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
     check_hexagon_instances, check_hom_ybe, check_mixed_hom_ybe,
     check_r_conditions,
 )
-from .yetter_drinfeld import YDModule, b_yd, check_yd, yd_tensor
+from .yetter_drinfeld import b_yd, check_yd, yd_from_cubes, yd_tensor
 from .dehomify import ConstraintFamily, check_hexagons, check_pentagon, \
     cross_check_yd
 from . import hom_structures
@@ -118,8 +118,60 @@ def canonical_dumps(obj):
 
 # ------------------------------------------------------ structure file codec
 
-KINDS = ("algebra", "coalgebra", "bialgebra", "module", "comodule", "yd",
-         "rmatrix", "linmap")
+def _cube_in(field, data, n):
+    return cube_from_json(field, data, (n, n, n))
+
+
+def _square_in(field, data, n):
+    return matrix_from_json(field, data, n, n)
+
+
+def _action_in(field, act, dm):
+    if not isinstance(act, list) or not act:
+        raise ValueError("action must be a non-empty cube")
+    return cube_from_json(field, act, (len(act), dm, dm))
+
+
+def _coaction_in(field, co, dm):
+    if not isinstance(co, list) or len(co) != dm or \
+            not isinstance(co[0], list) or not co[0]:
+        raise ValueError("coaction must be a cube of the declared dim")
+    return cube_from_json(field, co, (dm, len(co[0]), dm))
+
+
+def _coeffs_in(field, coeffs, n):
+    if not isinstance(coeffs, list) or len(coeffs) != n * n:
+        raise ValueError("rmatrix needs exactly dim*dim coeffs")
+    return [_scalar_in(field, v) for v in coeffs]
+
+
+# key -> (decoder(field, value, dim), encoder(obj))
+_KEYS = {
+    "mul": (_cube_in, lambda o: cube_to_json(o.field, o.mul)),
+    "comul": (_cube_in, lambda o: cube_to_json(o.field, o.comul)),
+    "alpha": (_square_in, lambda o: matrix_to_json(o.alpha)),
+    "psi": (_square_in, lambda o: matrix_to_json(o.psi)),
+    "action": (_action_in, lambda o: cube_to_json(o.field, action_cube(o))),
+    "coaction": (_coaction_in,
+                 lambda o: cube_to_json(o.field, coaction_cube(o))),
+    "coeffs": (_coeffs_in,
+               lambda o: [o.field.scalar_to_str(v) for v in o.coeffs]),
+}
+
+# kind -> (constructor(field, *decoded keys), keys in file order, keeps
+# parent); mirrors the "Structure files" table of docs/formats.md. linmap
+# (rows, cols, matrix; no dim) is the one kind outside the table.
+_KINDS = {
+    "algebra": (HomAlgebra, ("mul", "alpha"), False),
+    "coalgebra": (HomCoalgebra, ("comul", "psi"), False),
+    "bialgebra": (HomBialgebra, ("mul", "comul", "alpha", "psi"), False),
+    "module": (module_from_cube, ("action", "alpha"), True),
+    "comodule": (comodule_from_cube, ("coaction", "psi"), True),
+    "yd": (yd_from_cubes, ("action", "coaction", "alpha"), True),
+    "rmatrix": (lambda field, coeffs: RMatrix(field, isqrt(len(coeffs)),
+                                              coeffs), ("coeffs",), True),
+}
+KINDS = (*_KINDS, "linmap")
 
 
 class Parsed:
@@ -139,6 +191,13 @@ def _get(d, key):
     return d[key]
 
 
+def _dim(d, key):
+    v = _get(d, key)
+    if type(v) is not int or v < 1:
+        raise ValueError(f"{key} must be a positive integer")
+    return v
+
+
 def parse_structure(d):
     if not isinstance(d, dict):
         raise ValueError("structure file must be a JSON object")
@@ -149,123 +208,28 @@ def parse_structure(d):
     parent = d.get("parent")
     if parent is not None and not isinstance(parent, str):
         raise ValueError("parent must be a file name string")
-
-    def dim(key="dim"):
-        v = _get(d, key)
-        if type(v) is not int or v < 1:
-            raise ValueError(f"{key} must be a positive integer")
-        return v
-
-    if kind == "algebra":
-        n = dim()
-        return Parsed(kind, HomAlgebra(
-            field, cube_from_json(field, _get(d, "mul"), (n, n, n)),
-            matrix_from_json(field, _get(d, "alpha"), n, n)))
-    if kind == "coalgebra":
-        n = dim()
-        return Parsed(kind, HomCoalgebra(
-            field, cube_from_json(field, _get(d, "comul"), (n, n, n)),
-            matrix_from_json(field, _get(d, "psi"), n, n)))
-    if kind == "bialgebra":
-        n = dim()
-        return Parsed(kind, HomBialgebra(
-            field, cube_from_json(field, _get(d, "mul"), (n, n, n)),
-            cube_from_json(field, _get(d, "comul"), (n, n, n)),
-            matrix_from_json(field, _get(d, "alpha"), n, n),
-            matrix_from_json(field, _get(d, "psi"), n, n)))
-    if kind == "module":
-        dm = dim()
-        act = d.get("action")
-        if not isinstance(act, list) or not act:
-            raise ValueError("module file needs a non-empty action cube")
-        hdim = len(act)
-        cube = cube_from_json(field, act, (hdim, dm, dm))
-        return Parsed(kind, module_from_cube(
-            field, cube, matrix_from_json(field, _get(d, "alpha"), dm, dm)), parent)
-    if kind == "comodule":
-        dm = dim()
-        co = d.get("coaction")
-        if not isinstance(co, list) or len(co) != dm or \
-                not isinstance(co[0], list) or not co[0]:
-            raise ValueError("comodule file needs a coaction cube of the "
-                             "declared dim")
-        cdim = len(co[0])
-        cube = cube_from_json(field, co, (dm, cdim, dm))
-        return Parsed(kind, comodule_from_cube(
-            field, cube, matrix_from_json(field, _get(d, "psi"), dm, dm)), parent)
-    if kind == "yd":
-        dm = dim()
-        act = d.get("action")
-        co = d.get("coaction")
-        if not isinstance(act, list) or not act:
-            raise ValueError("yd file needs a non-empty action cube")
-        if not isinstance(co, list) or len(co) != dm or \
-                not isinstance(co[0], list) or not co[0]:
-            raise ValueError("yd file needs a coaction cube of the declared dim")
-        hdim = len(act)
-        if len(co[0]) != hdim:
-            raise ValueError("yd action and coaction disagree on the parent dim")
-        alpha = matrix_from_json(field, _get(d, "alpha"), dm, dm)
-        mod = module_from_cube(field, cube_from_json(field, act, (hdim, dm, dm)),
-                               alpha)
-        com = comodule_from_cube(field, cube_from_json(field, co, (dm, hdim, dm)),
-                                 alpha)
-        return Parsed(kind, YDModule(field, mod.action, com.coaction, alpha),
-                      parent)
-    if kind == "rmatrix":
-        n = dim()
-        coeffs = d.get("coeffs")
-        if not isinstance(coeffs, list) or len(coeffs) != n * n:
-            raise ValueError("rmatrix needs exactly dim*dim coeffs")
-        return Parsed(kind, RMatrix(field, n,
-                                    [_scalar_in(field, v) for v in coeffs]),
-                      parent)
-    # linmap
-    r, c = dim("rows"), dim("cols")
-    return Parsed(kind, matrix_from_json(field, _get(d, "matrix"), r, c))
+    if kind == "linmap":
+        r, c = _dim(d, "rows"), _dim(d, "cols")
+        return Parsed(kind, matrix_from_json(field, _get(d, "matrix"), r, c))
+    make, keys, keeps_parent = _KINDS[kind]
+    n = _dim(d, "dim")
+    obj = make(field, *(_KEYS[k][0](field, _get(d, k), n) for k in keys))
+    return Parsed(kind, obj, parent if keeps_parent else None)
 
 
 def structure_to_dict(kind, obj, parent=None):
     """Inverse of parse_structure for every supported kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
-    out = {"kind": kind}
+    out = {"kind": kind, "field": field_to_json(obj.field)}
     if parent is not None:
         out["parent"] = parent
-    if kind == "algebra":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   mul=cube_to_json(obj.field, obj.mul),
-                   alpha=matrix_to_json(obj.alpha))
-    elif kind == "coalgebra":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   comul=cube_to_json(obj.field, obj.comul),
-                   psi=matrix_to_json(obj.psi))
-    elif kind == "bialgebra":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   mul=cube_to_json(obj.field, obj.mul),
-                   comul=cube_to_json(obj.field, obj.comul),
-                   alpha=matrix_to_json(obj.alpha),
-                   psi=matrix_to_json(obj.psi))
-    elif kind == "module":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   action=cube_to_json(obj.field, action_cube(obj)),
-                   alpha=matrix_to_json(obj.alpha))
-    elif kind == "comodule":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   coaction=cube_to_json(obj.field, coaction_cube(obj)),
-                   psi=matrix_to_json(obj.psi))
-    elif kind == "yd":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   action=cube_to_json(obj.field, action_cube(obj.module)),
-                   coaction=cube_to_json(obj.field,
-                                         coaction_cube(obj.comodule)),
-                   alpha=matrix_to_json(obj.alpha))
-    elif kind == "rmatrix":
-        out.update(field=field_to_json(obj.field), dim=obj.dim,
-                   coeffs=[obj.field.scalar_to_str(v) for v in obj.coeffs])
-    else:
-        out.update(field=field_to_json(obj.field), rows=obj.rows,
-                   cols=obj.cols, matrix=matrix_to_json(obj))
+    if kind == "linmap":
+        out.update(rows=obj.rows, cols=obj.cols, matrix=matrix_to_json(obj))
+        return out
+    out["dim"] = obj.dim
+    for k in _KINDS[kind][1]:
+        out[k] = _KEYS[k][1](obj)
     return out
 
 
@@ -276,11 +240,14 @@ def _load_json(path):
         return json.load(fh)
 
 
-def load_structure(path, *kinds):
-    parsed = parse_structure(_load_json(path))
+def _of_kind(path, parsed, kinds):
     if kinds and parsed.kind not in kinds:
         raise ValueError(f"{path}: expected kind in {kinds}, got {parsed.kind}")
     return parsed
+
+
+def load_structure(path, *kinds):
+    return _of_kind(path, parse_structure(_load_json(path)), kinds)
 
 
 def _resolve_parent(path, parsed, explicit):
@@ -294,16 +261,6 @@ def _resolve_parent(path, parsed, explicit):
     if H.field != parsed.obj.field:
         raise ValueError(f"{path}: field differs from its parent bialgebra")
     return H
-
-
-def load_module(path, parent=None):
-    parsed = load_structure(path, "module")
-    return parsed.obj, _resolve_parent(path, parsed, parent)
-
-
-def load_yd(path, parent=None):
-    parsed = load_structure(path, "yd")
-    return parsed.obj, _resolve_parent(path, parsed, parent)
 
 
 # ---------------------------------------------------------------- generators
@@ -365,11 +322,7 @@ def report_to_dict(argv, report, seconds):
         entry = {"axiom": a, "pass": report.axiom_status[a]}
         v = first.get(a)
         if v is not None:
-            entry["counterexample"] = {
-                "index": list(v.index),
-                "lhs": [[list(ix), str(c)] for ix, c in v.lhs],
-                "rhs": [[list(ix), str(c)] for ix, c in v.rhs],
-            }
+            entry["counterexample"] = v.counterexample()
         axioms.append(entry)
     return {"command": list(argv), "axioms": axioms, "pass": report.ok,
             "time_seconds": round(seconds, 6)}
@@ -405,16 +358,12 @@ def _cmd_check(args):
         fn = {"algebra": check_hom_algebra, "coalgebra": check_hom_coalgebra,
               "bialgebra": check_hom_bialgebra}[what]
         return fn(obj), []
-    if what == "module":
-        M, H = load_module(args.file, args.parent)
-        return check_module(H, M), []
-    if what == "comodule":
-        parsed = load_structure(args.file, "comodule")
+    if what in ("module", "comodule", "yd"):
+        parsed = load_structure(args.file, what)
         H = _resolve_parent(args.file, parsed, args.parent)
-        return check_comodule(H.coalgebra, parsed.obj), []
-    if what == "yd":
-        M, H = load_yd(args.file, args.parent)
-        return check_yd(H, M), []
+        fn = {"module": check_module, "comodule": check_comodule,
+              "yd": check_yd}[what]
+        return fn(H, parsed.obj), []
     if what == "qt":
         H = load_structure(args.bialgebra, "bialgebra").obj
         R = load_structure(args.r, "rmatrix").obj
@@ -447,20 +396,16 @@ def _cmd_twist(args):
 def _cmd_tensor(args):
     if len(args.module) != 2:
         raise ValueError("tensor needs exactly two --module files")
-    kinds = {load_structure(p).kind for p in args.module}
+    parsed = [load_structure(p) for p in args.module]
     H = load_structure(args.bialgebra, "bialgebra").obj
-    if kinds == {"yd"}:
-        M = load_structure(args.module[0], "yd").obj
-        N = load_structure(args.module[1], "yd").obj
+    kind = "yd" if {q.kind for q in parsed} == {"yd"} else "module"
+    M, N = (_of_kind(p, q, (kind,)).obj for p, q in zip(args.module, parsed))
+    if kind == "yd":
         T = yd_tensor(H, M, N)
         report = check_yd(H, T)
-        kind = "yd"
     else:
-        M = load_structure(args.module[0], "module").obj
-        N = load_structure(args.module[1], "module").obj
         T = tensor_module(H, M, N)
         report = check_module(H, T)
-        kind = "module"
     artifacts = []
     if args.out:
         artifacts.append((args.out,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_tensor import LinMap, flip_map, identity, kron
+from .exact_tensor import flip_map, identity, kron
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps,
 )

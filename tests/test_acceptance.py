@@ -16,8 +16,6 @@ import random
 import re
 from itertools import product
 
-import pytest
-
 from conftest import (
     FROZEN, cube, group_alpha_map, group_comul_cube, group_mul_cube,
     z2_bialgebra,

@@ -1,12 +1,15 @@
 """Workbench CLI: file formats, subcommands, reports, exit codes."""
 
+import copy
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from homcat.exact_tensor import GF, QQ, flip_map, identity
 from homcat.qt_braiding import check_r_conditions
@@ -111,6 +114,98 @@ def test_golden_qt_pair_checks_clean():
                         "--bialgebra", os.path.join(GOLDEN, "bialgebra.json"),
                         "--r", os.path.join(GOLDEN, "rmatrix.json")])
     assert code == 0
+
+
+# ------------------------------------------------------ mutated golden files
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 7),
+    st.sampled_from(["0", "1", "-1", "1/2", "2/0", "1.5", "x", "Q", "yd",
+                     "bialgebra.json"]))
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["Fp", "kind"]), _SCALARS, max_size=1))
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for k in sorted(node):
+            yield from _paths(node[k], prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+def _mutate(doc, data):
+    """Drop a key, replace a value, or truncate or extend a list."""
+    key = data.draw(st.sampled_from(sorted(doc) + ["extra"]))
+    path = (key,)
+    if key in doc:
+        # shallow nodes first: hypothesis draws the first choices most often
+        path += data.draw(st.sampled_from(sorted(_paths(doc[key]), key=len)))
+    owner = doc
+    for p in path[:-1]:
+        owner = owner[p]
+    last = path[-1]
+    node = owner.get(last) if isinstance(owner, dict) else owner[last]
+    ops = ["replace"]
+    if isinstance(owner, dict) and last in owner:
+        ops.append("drop")
+    if isinstance(node, list) and node:
+        ops += ["truncate", "extend"]
+    op = data.draw(st.sampled_from(ops))
+    if op == "drop":
+        del owner[last]
+    elif op == "truncate":
+        del node[data.draw(st.integers(0, len(node) - 1)):]
+    elif op == "extend":
+        node.append(data.draw(st.one_of(
+            st.sampled_from([copy.deepcopy(v) for v in node]), _VALUES)))
+    else:
+        owner[last] = data.draw(_VALUES)
+
+
+@pytest.fixture(scope="module")
+def golden_copy(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name in golden_names():
+        shutil.copy(os.path.join(GOLDEN, name), d / name)
+    return d
+
+
+@pytest.mark.parametrize("name", golden_names())
+@given(data=st.data())
+def test_mutated_golden_files_parse_or_raise_value_error(golden_copy, name,
+                                                         data):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        doc = json.load(fh)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        parsed = parse_structure(doc)
+    except ValueError:
+        pass
+    else:
+        blob = canonical_dumps(structure_to_dict(parsed.kind, parsed.obj,
+                                                 parsed.parent))
+        again = parse_structure(json.loads(blob))
+        assert canonical_dumps(structure_to_dict(
+            again.kind, again.obj, again.parent)) == blob
+
+    mutant = str(golden_copy / "mutant.json")
+    with open(mutant, "w") as fh:
+        json.dump(doc, fh)
+    kind = name[:-len(".json")]
+    argv = {"rmatrix": ["check", "qt", "--bialgebra",
+                        str(golden_copy / "bialgebra.json"), "--r", mutant],
+            "linmap": ["ybe", "--map", mutant, "--alpha", mutant]}.get(
+                kind, ["check", kind, mutant])
+    code, out, err = run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------- round trips
@@ -250,6 +345,13 @@ def test_tensor_command_plain_and_yd(ws):
     code, _, _ = run(["check", "yd", path("T.json"),
                       "--parent", path("H.json")])
     assert code == 0
+    # a mixed pair is tensored as two modules, so the yd file is refused
+    code, out, err = run(["tensor", "--bialgebra", path("H.json"),
+                          "--module", path("YD.json"),
+                          "--module", path("M.json")])
+    assert code == 2 and out == ""
+    assert err == (f"error: {path('YD.json')}: expected kind in "
+                   "('module',), got yd\n")
 
 
 def test_braiding_bmap_ybe_hexagons(ws):

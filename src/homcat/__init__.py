@@ -42,8 +42,16 @@ from .dehomify import (
     ConstraintFamily, build_b, build_c, check_hexagons, check_pentagon,
     cross_check_yd,
 )
-from .workbench_cli import (
-    gen_group_bialgebra, gen_kz2_qt, parse_structure, structure_to_dict,
-)
-
 __version__ = "0.1.0"
+
+# loaded on first use (PEP 562), so that `python -m homcat.workbench_cli`
+# does not find its own module already imported by the package
+_CLI_NAMES = ("gen_group_bialgebra", "gen_kz2_qt", "parse_structure",
+              "structure_to_dict")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import workbench_cli
+        return getattr(workbench_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,9 +19,9 @@ quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 from __future__ import annotations
 
 from .exact_tensor import identity, kron
-from .hom_structures import DEFAULT_VIOLATION_CAP, _run
+from .hom_structures import DEFAULT_VIOLATION_CAP, _run, require
 from .yetter_drinfeld import (
-    _cached_inverse, _require_valid, b_yd, quasi_braiding_yd, yd_associator,
+    _cached_inverse, b_yd, check_yd, quasi_braiding_yd, yd_associator,
 )
 
 
@@ -171,9 +171,8 @@ def cross_check_yd(H, M, N, P=None, cap=DEFAULT_VIOLATION_CAP):
     """
     if P is None:
         P = N
-    _require_valid(H, M, "cross_check_yd")
-    _require_valid(H, N, "cross_check_yd")
-    _require_valid(H, P, "cross_check_yd")
+    for X in (M, N, P):
+        require(check_yd, H, X, what="cross_check_yd precondition fails:")
     for lab, mod in (("M", M), ("N", N), ("P", P)):
         if not mod.alpha.is_invertible():
             raise ValueError(f"cross_check_yd needs invertible structure "

@@ -24,6 +24,37 @@ except ImportError:  # pragma: no cover
 # the one kernel backend, reported in benchmark and environment labels
 KERNEL_BACKEND = "python"
 
+# the most entries one map may have (about 1 GiB of pointers); compose and
+# kron refuse a larger output before the kernel allocates it
+MAX_MAP_ENTRIES = 1 << 27
+
+
+def check_size(rows, cols, what):
+    """Refuse a rows x cols map above MAX_MAP_ENTRIES with a ValueError."""
+    if rows * cols > MAX_MAP_ENTRIES:
+        raise ValueError(f"{what} output {rows}x{cols} exceeds the cap of "
+                         f"{MAX_MAP_ENTRIES} entries per map")
+
+
+class Frozen:
+    """Slotted base of the value classes: fields are set once, by _init.
+
+    Setting or deleting an attribute afterwards raises AttributeError, so
+    an instance can key a cache by identity for its whole life.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
 
 def _is_prime(n):
     # deterministic Miller-Rabin, valid far beyond any modulus used here
@@ -49,7 +80,7 @@ def _is_prime(n):
     return True
 
 
-class Field:
+class Field(Frozen):
     """Scalar field descriptor: characteristic 0 (exact rationals) or p.
 
     Rational scalars are gmpy2.mpq if the optional gmpy2 package is
@@ -64,16 +95,8 @@ class Field:
         if char != 0:
             if not _is_prime(char):
                 raise ValueError(f"field characteristic must be 0 or prime, got {char}")
-        object.__setattr__(self, "char", char)
-        if char == 0:
-            object.__setattr__(self, "zero", _RAT(0))
-            object.__setattr__(self, "one", _RAT(1))
-        else:
-            object.__setattr__(self, "zero", 0)
-            object.__setattr__(self, "one", 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
+        zero, one = (_RAT(0), _RAT(1)) if char == 0 else (0, 1)
+        self._init(char=char, zero=zero, one=one)
 
     def coerce(self, value):
         """Normalize ints, 'a/b' strings, Fractions or scalars into this field."""
@@ -147,7 +170,7 @@ def flatten_index(i, j, dim_j):
     return i * dim_j + j
 
 
-class LinMap:
+class LinMap(Frozen):
     """Immutable dense linear map, stored row major over an exact field.
 
     Columns index the source basis, rows the target basis: column j is the
@@ -162,13 +185,7 @@ class LinMap:
         flat = tuple(field.coerce(v) for v in entries)
         if len(flat) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", flat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinMap is immutable")
+        self._init(field=field, rows=rows, cols=cols, data=flat)
 
     @classmethod
     def _wrap(cls, field, rows, cols, flat):
@@ -219,6 +236,7 @@ class LinMap:
             raise ValueError(
                 f"dimension mismatch in compose: {self.rows}x{self.cols} after "
                 f"{other.rows}x{other.cols}")
+        check_size(self.rows, other.cols, "compose")
         flat = _K.mat_mul(self.data, self.rows, self.cols,
                           other.data, other.rows, other.cols,
                           self.field.zero, self.field.modulus)
@@ -227,6 +245,7 @@ class LinMap:
     def kron(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch in kron")
+        check_size(self.rows * other.rows, self.cols * other.cols, "kron")
         flat = _K.kron(self.data, self.rows, self.cols,
                        other.data, other.rows, other.cols,
                        self.field.zero, self.field.modulus)

@@ -24,11 +24,12 @@ Identity vocabulary used here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
 from .exact_tensor import (
-    LinMap, QQ, flip_map, identity, kron, unflatten_index,
+    Frozen, LinMap, QQ, flip_map, identity, kron, unflatten_index,
 )
 
 DEFAULT_VIOLATION_CAP = 16
@@ -56,7 +57,7 @@ class Violation(NamedTuple):
                 "rhs": [[list(ix), str(c)] for ix, c in self.rhs]}
 
 
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of one or more identity checks.
 
     axiom_status maps each evaluated identity id to whether it held
@@ -67,12 +68,8 @@ class CheckReport:
     __slots__ = ("axiom_status", "violations")
 
     def __init__(self, axiom_status, violations, cap=DEFAULT_VIOLATION_CAP):
-        object.__setattr__(self, "axiom_status", dict(axiom_status))
         vs = sorted(violations, key=lambda v: (v.axiom, v.index))
-        object.__setattr__(self, "violations", tuple(vs[:cap]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckReport is immutable")
+        self._init(axiom_status=dict(axiom_status), violations=tuple(vs[:cap]))
 
     @property
     def ok(self):
@@ -155,6 +152,24 @@ def _run(checks, cap=DEFAULT_VIOLATION_CAP):
     return CheckReport(status, violations, cap)
 
 
+def require(check, *args, what):
+    """The one precondition gate: raise ValueError unless check(*args) holds.
+
+    The message is what followed by the failed identity ids. Verdicts are
+    memoized on (check, *args) alone, so callers wording what differently
+    share one entry; this is sound because structures are immutable and
+    hash by identity, and LinMap arguments hash by value.
+    """
+    failed = _failed_axioms(check, *args)
+    if failed:
+        raise ValueError(f"{what} {list(failed)}")
+
+
+@lru_cache(maxsize=128)
+def _failed_axioms(check, *args):
+    return tuple(check(*args).failed_axioms)
+
+
 def coerce_cube(field, cube):
     """Coerce a dim^3 nested sequence of scalars; returns nested tuples."""
     n = len(cube)
@@ -207,7 +222,7 @@ def _check_square(field, m, dim, what):
         raise ValueError(f"{what} must be {dim}x{dim}, got {m.rows}x{m.cols}")
 
 
-class HomAlgebra:
+class HomAlgebra(Frozen):
     """(A, mul, alpha): mul cube m[i][j][k] means e_i e_j = sum_k m[i][j][k] e_k."""
 
     __slots__ = ("field", "dim", "mul", "alpha", "mul_linmap")
@@ -215,17 +230,11 @@ class HomAlgebra:
     def __init__(self, field, mul, alpha):
         cube = coerce_cube(field, mul)
         _check_square(field, alpha, len(cube), "alpha")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(cube))
-        object.__setattr__(self, "mul", cube)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mul_linmap", mul_map(field, cube))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomAlgebra is immutable")
+        self._init(field=field, dim=len(cube), mul=cube, alpha=alpha,
+                   mul_linmap=mul_map(field, cube))
 
 
-class HomCoalgebra:
+class HomCoalgebra(Frozen):
     """(C, comul, psi): cube d[k][i][j] means comul(e_k) = sum d[k][i][j] e_i (x) e_j."""
 
     __slots__ = ("field", "dim", "comul", "psi", "comul_linmap")
@@ -233,17 +242,11 @@ class HomCoalgebra:
     def __init__(self, field, comul, psi):
         cube = coerce_cube(field, comul)
         _check_square(field, psi, len(cube), "psi")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(cube))
-        object.__setattr__(self, "comul", cube)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "comul_linmap", comul_map(field, cube))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomCoalgebra is immutable")
+        self._init(field=field, dim=len(cube), comul=cube, psi=psi,
+                   comul_linmap=comul_map(field, cube))
 
 
-class HomBialgebra:
+class HomBialgebra(Frozen):
     """(H, mul, comul, alpha, psi); validity means check_hom_bialgebra passes."""
 
     __slots__ = ("field", "dim", "mul", "comul", "alpha", "psi",
@@ -256,17 +259,9 @@ class HomBialgebra:
             raise ValueError("mul and comul cube dimensions differ")
         _check_square(field, alpha, len(mcube), "alpha")
         _check_square(field, psi, len(mcube), "psi")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", len(mcube))
-        object.__setattr__(self, "mul", mcube)
-        object.__setattr__(self, "comul", dcube)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "mul_linmap", mul_map(field, mcube))
-        object.__setattr__(self, "comul_linmap", comul_map(field, dcube))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomBialgebra is immutable")
+        self._init(field=field, dim=len(mcube), mul=mcube, comul=dcube,
+                   alpha=alpha, psi=psi, mul_linmap=mul_map(field, mcube),
+                   comul_linmap=comul_map(field, dcube))
 
     @property
     def algebra(self):
@@ -277,7 +272,7 @@ class HomBialgebra:
         return HomCoalgebra(self.field, self.comul, self.psi)
 
 
-class HomSemigroup:
+class HomSemigroup(Frozen):
     """Set-level twisted-associative structure on {0..n-1}.
 
     table[x][y] is the product and alpha_table[x] the image of x; validity
@@ -298,12 +293,7 @@ class HomSemigroup:
             raise ValueError("table entries out of range")
         if any(not 0 <= v < n for v in alpha_table):
             raise ValueError("alpha table entries out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "alpha_table", alpha_table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomSemigroup is immutable")
+        self._init(n=n, table=table, alpha_table=alpha_table)
 
 
 def _algebra_checks(A):
@@ -491,13 +481,11 @@ def yau_twist_bialgebra(mul, comul, endo):
     n = endo.rows
     classical = HomBialgebra(field, mul, comul, identity(n, field),
                              identity(n, field))
-    rep = check_hom_bialgebra(classical)
-    if not rep.ok:
-        raise ValueError(f"not-bialgebra: classical laws fail {rep.failed_axioms}")
+    require(check_hom_bialgebra, classical,
+            what="not-bialgebra: classical laws fail")
     for kind in ("algebra", "coalgebra"):
-        mrep = check_structure_morphism(endo, classical, classical, kind)
-        if not mrep.ok:
-            raise ValueError(f"not-endomorphism: endo fails {mrep.failed_axioms}")
+        require(check_structure_morphism, endo, classical, classical, kind,
+                what="not-endomorphism: endo fails")
     alg = yau_twist_algebra(mul, endo)
     # twisted coproduct cube: comul applied after endo
     D = classical.comul_linmap.compose(endo)

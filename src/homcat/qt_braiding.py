@@ -28,15 +28,17 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_tensor import LinMap, flip_map, identity, kron, permute_tensor, zero_map
+from .exact_tensor import (
+    Frozen, LinMap, flip_map, identity, kron, permute_tensor, zero_map,
+)
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, _run, check_hom_bialgebra,
-    compare_maps, tensor_square_mul,
+    compare_maps, require, tensor_square_mul,
 )
 from .rep_theory import check_module, tensor_module, twist_module
 
 
-class RMatrix:
+class RMatrix(Frozen):
     """Element of the tensor square: coeffs[flat(i,j)] on e_i (x) e_j."""
 
     __slots__ = ("field", "dim", "coeffs")
@@ -45,12 +47,7 @@ class RMatrix:
         flat = tuple(field.coerce(v) for v in coeffs)
         if len(flat) != dim * dim:
             raise ValueError(f"expected {dim * dim} coefficients, got {len(flat)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", flat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RMatrix is immutable")
+        self._init(field=field, dim=dim, coeffs=flat)
 
     def entry(self, i, j):
         return self.coeffs[i * self.dim + j]
@@ -474,15 +471,9 @@ def b_from_qt(H, R, M):
     quasitriangularity battery, M the module laws; the failing identity is
     named in the raised error.
     """
-    rep = check_hom_bialgebra(H)
-    if not rep.ok:
-        raise ValueError(f"bialgebra laws fail: {rep.failed_axioms}")
-    rep = check_r_conditions(H, R)
-    if not rep.ok:
-        raise ValueError(f"quasitriangularity fails: {rep.failed_axioms}")
-    rep = check_module(H, M)
-    if not rep.ok:
-        raise ValueError(f"module laws fail: {rep.failed_axioms}")
+    require(check_hom_bialgebra, H, what="bialgebra laws fail:")
+    require(check_r_conditions, H, R, what="quasitriangularity fails:")
+    require(check_module, H, M, what="module laws fail:")
     lm = _left_mult_maps(M)
     acc = zero_map(M.dim * M.dim, M.dim * M.dim, M.field)
     for i, j, r in R.nonzero():

@@ -20,13 +20,13 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
-from .exact_tensor import LinMap, identity, kron, zero_map
+from .exact_tensor import Frozen, LinMap, identity, kron, zero_map
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, HomBialgebra, _run,
 )
 
 
-class HModule:
+class HModule(Frozen):
     """dim-dimensional space with action (h (x) m -> h.m) and structure map."""
 
     __slots__ = ("field", "dim", "hdim", "action", "alpha")
@@ -41,14 +41,8 @@ class HModule:
             raise ValueError("action rows must equal module dim")
         if dim == 0 or action.cols % dim:
             raise ValueError("action cols must be dimH * dim")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "hdim", action.cols // dim)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HModule is immutable")
+        self._init(field=field, dim=dim, hdim=action.cols // dim,
+                   action=action, alpha=alpha)
 
     def action_columns(self):
         """Sparse action columns: cols[h][m] = [(target index, coeff), ...]."""
@@ -62,7 +56,7 @@ class HModule:
         return out
 
 
-class HComodule:
+class HComodule(Frozen):
     """dim-dimensional space with coaction (m -> sum m_(-1) (x) m_(0))."""
 
     __slots__ = ("field", "dim", "cdim", "coaction", "psi")
@@ -77,14 +71,8 @@ class HComodule:
             raise ValueError("coaction cols must equal comodule dim")
         if dim == 0 or coaction.rows % dim:
             raise ValueError("coaction rows must be dimC * dim")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cdim", coaction.rows // dim)
-        object.__setattr__(self, "coaction", coaction)
-        object.__setattr__(self, "psi", psi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HComodule is immutable")
+        self._init(field=field, dim=dim, cdim=coaction.rows // dim,
+                   coaction=coaction, psi=psi)
 
 
 def module_from_cube(field, cube, alpha):

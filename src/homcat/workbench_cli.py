@@ -25,10 +25,10 @@ import sys
 import time
 from math import isqrt
 
-from .exact_tensor import GF, QQ, LinMap, identity
+from .exact_tensor import GF, QQ, LinMap, check_size, identity
 from .hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
-    check_hom_bialgebra, check_hom_coalgebra,
+    check_hom_bialgebra, check_hom_coalgebra, require,
 )
 from .rep_theory import (
     action_cube, check_comodule, check_module, check_module_hom_algebra,
@@ -277,6 +277,7 @@ def gen_group_bialgebra(n, k):
         raise ValueError("n must be a positive integer")
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a non-negative integer")
+    check_size(n, n * n, "group-bialgebra cube")
     field = QQ
     z, o = field.zero, field.one
     mul = [[[o if t == ((i + j) * k) % n else z for t in range(n)]
@@ -408,8 +409,10 @@ def _cmd_tensor(args):
         report = check_module(H, T)
     artifacts = []
     if args.out:
-        artifacts.append((args.out,
-                          structure_to_dict(kind, T, parent=args.bialgebra)))
+        # parent is resolved relative to the file that names it
+        parent = os.path.relpath(args.bialgebra,
+                                 os.path.dirname(os.path.abspath(args.out)))
+        artifacts.append((args.out, structure_to_dict(kind, T, parent)))
     return report, artifacts
 
 
@@ -482,10 +485,7 @@ def _cmd_dehomify(args):
         if len(mods) != 3:
             raise ValueError("dehomify hexagons needs three --module files")
         for M in mods:
-            rep = check_yd(H, M)
-            if not rep.ok:
-                raise ValueError(f"module is not Yetter-Drinfeld: "
-                                 f"{rep.failed_axioms}")
+            require(check_yd, H, M, what="module is not Yetter-Drinfeld:")
         fam = _yd_family(H, mods)
         U, V, W = mods
         fam.add_pair_map("0", "1", b_yd(H, U, V))

@@ -8,15 +8,20 @@ by the compatibility law homYD (formula in docs/formats.md):
 
   sum (h1.m)_(-1) alpha^2(h2) (x) (h1.m)_(0)
     = sum alpha^2(h1) alpha(m_(-1)) (x) alpha(h2).m_(0)
+
+Every operation on Yetter-Drinfeld modules requires valid inputs. Through
+hom_structures.require the check_yd verdict is formed once per (bialgebra,
+module) pair and reused by later operations on the same objects (for the
+most recent 128 gate inputs); check_yd itself always runs its checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_tensor import flip_map, identity, kron
+from .exact_tensor import Frozen, flip_map, identity, kron
 from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps,
+    DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps, require,
 )
 from .rep_theory import (
     HComodule, HModule, check_comodule, check_module, comodule_from_cube,
@@ -29,7 +34,7 @@ def _cached_inverse(m):
     return m.inverse()
 
 
-class YDModule:
+class YDModule(Frozen):
     """Carrier with one structure map, an action and a coaction."""
 
     __slots__ = ("field", "dim", "hdim", "action", "coaction", "alpha")
@@ -39,15 +44,8 @@ class YDModule:
         comod = HComodule(field, coaction, alpha)
         if mod.hdim != comod.cdim:
             raise ValueError("action and coaction reference different algebra dims")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", mod.dim)
-        object.__setattr__(self, "hdim", mod.hdim)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "coaction", coaction)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YDModule is immutable")
+        self._init(field=field, dim=mod.dim, hdim=mod.hdim, action=action,
+                   coaction=coaction, alpha=alpha)
 
     @property
     def module(self):
@@ -116,12 +114,6 @@ def _yd_checks(H, M):
     yield ("homYD", lhs, rhs, (n, dm), (n, dm))
 
 
-def _require_valid(H, M, name):
-    rep = check_yd(H, M)
-    if not rep.ok:
-        raise ValueError(f"{name} precondition fails: {rep.failed_axioms}")
-
-
 def _yd_tensor_coaction(H, M, N):
     """Coaction m (x) n -> sum alpha^-2(m_(-1) n_(-1)) (x) (m_(0) (x) n_(0))."""
     _, ai2 = _yd_base(H)
@@ -140,8 +132,8 @@ def yd_tensor(H, M, N):
     Action through the coproduct as for plain modules; coaction as in
     _yd_tensor_coaction; structure map the tensor of the two maps.
     """
-    _require_valid(H, M, "yd_tensor")
-    _require_valid(H, N, "yd_tensor")
+    for X in (M, N):
+        require(check_yd, H, X, what="yd_tensor precondition fails:")
     act = tensor_module(H, M.module, N.module).action
     co = _yd_tensor_coaction(H, M, N)
     return YDModule(H.field, act, co, kron(M.alpha, N.alpha))
@@ -164,8 +156,8 @@ def b_yd(H, M, N):
     Also verifies the built map intertwines the pair structure maps
     ((alphaN (x) alphaM) B = B (alphaM (x) alphaN)).
     """
-    _require_valid(H, M, "b_yd")
-    _require_valid(H, N, "b_yd")
+    for X in (M, N):
+        require(check_yd, H, X, what="b_yd precondition fails:")
     b = _b_yd_map(H, M, N)
     ok, _ = compare_maps("defB", kron(N.alpha, M.alpha).compose(b),
                          b.compose(kron(M.alpha, N.alpha)),
@@ -203,7 +195,7 @@ def f_twist_yd(H, M):
     morphisms: the underlying matrix of a twisted morphism is unchanged.
     """
     ai, _ = _yd_base(H)
-    _require_valid(H, M, "f_twist_yd")
+    require(check_yd, H, M, what="f_twist_yd precondition fails:")
     act = twist_module(H, M.module, "F").action
     co = kron(ai, identity(M.dim, M.field)).compose(M.coaction)
     return YDModule(M.field, act, co, M.alpha)

@@ -354,6 +354,35 @@ def test_tensor_command_plain_and_yd(ws):
                    "('module',), got yd\n")
 
 
+def test_tensor_out_in_subdirectory_names_parent_relative_to_it(
+        ws, monkeypatch):
+    path, write = ws
+    monkeypatch.chdir(os.path.dirname(path("H.json")))
+    run(["gen", "group-bialgebra", "--n", "2", "--k", "1", "--out", "H.json"])
+    H, _ = gen_group_bialgebra(2, 1)
+    write("M.json", structure_to_dict("module", regular_module(H.algebra),
+                                      parent="H.json"))
+    os.mkdir("sub")
+    out = os.path.join("sub", "T.json")
+    code, _, _ = run(["tensor", "--bialgebra", "H.json", "--module", "M.json",
+                      "--module", "M.json", "--out", out])
+    assert code == 0
+    assert json.loads(open(out).read())["parent"] == \
+        os.path.join(os.pardir, "H.json")
+    code, _, err = run(["check", "module", out])
+    assert code == 0, err
+
+
+def test_oversized_group_bialgebra_refused(ws):
+    path, _ = ws
+    code, out, err = run(["gen", "group-bialgebra", "--n", "100000", "--k",
+                          "1", "--out", path("H.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: group-bialgebra cube output 100000x")
+    assert err.count("\n") == 1
+    assert not os.path.exists(path("H.json"))
+
+
 def test_braiding_bmap_ybe_hexagons(ws):
     path, write = ws
     run(["gen", "kz2-qt", "--out", path("Hq.json"), "--out-r", path("R.json")])
@@ -551,4 +580,5 @@ def test_console_entry_point(ws):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     json.loads(proc.stdout)

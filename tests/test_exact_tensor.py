@@ -9,10 +9,16 @@ from conftest import FROZEN, freeze_matrix
 
 from homcat import _kernels_py
 from homcat.exact_tensor import (
-    GF, KERNEL_BACKEND, QQ, LinMap, compose, compose_all, diag, flatten_index,
-    flip_map, identity, kron, kron_all, permute_tensor, unflatten_index,
-    zero_map,
+    GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, LinMap, compose, compose_all,
+    diag, flatten_index, flip_map, identity, kron, kron_all, permute_tensor,
+    unflatten_index, zero_map,
 )
+from homcat.hom_structures import (
+    CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, HomSemigroup,
+)
+from homcat.qt_braiding import RMatrix
+from homcat.rep_theory import HComodule, HModule
+from homcat.yetter_drinfeld import YDModule
 
 
 # ---------------------------------------------------------------- fields
@@ -100,6 +106,51 @@ def test_linmap_immutable_and_hashable():
     assert m == identity(2, QQ)
     assert hash(m) == hash(identity(2))
     assert m != identity(3)
+
+
+IMMUTABLE = {
+    "Field": lambda: QQ,
+    "LinMap": lambda: identity(2),
+    "CheckReport": lambda: CheckReport({"eq1": True}, ()),
+    "HomAlgebra": lambda: HomAlgebra(QQ, [[[0]]], identity(1)),
+    "HomCoalgebra": lambda: HomCoalgebra(QQ, [[[0]]], identity(1)),
+    "HomBialgebra": lambda: HomBialgebra(QQ, [[[0]]], [[[0]]], identity(1),
+                                         identity(1)),
+    "HomSemigroup": lambda: HomSemigroup(1, [[0]], [0]),
+    "HModule": lambda: HModule(QQ, zero_map(1, 1), identity(1)),
+    "HComodule": lambda: HComodule(QQ, zero_map(1, 1), identity(1)),
+    "YDModule": lambda: YDModule(QQ, zero_map(1, 1), zero_map(1, 1),
+                                 identity(1)),
+    "RMatrix": lambda: RMatrix(QQ, 1, [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE))
+def test_value_classes_refuse_setattr_and_delattr(name):
+    obj = IMMUTABLE[name]()
+    assert type(obj).__name__ == name
+    assert not hasattr(obj, "__dict__")
+    field = type(obj).__slots__[0]
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        obj.extra = 1
+    assert getattr(obj, field) is before
+
+
+def test_oversized_products_refused_before_allocation():
+    # both outputs have 2**28 entries; the inputs are tiny
+    row = zero_map(1, 2 ** 14)
+    assert 2 ** 28 > MAX_MAP_ENTRIES
+    with pytest.raises(ValueError, match="kron output 1x268435456 exceeds"):
+        row.kron(row)
+    with pytest.raises(ValueError, match="compose output 16384x16384 exceeds"):
+        zero_map(2 ** 14, 1).compose(zero_map(1, 2 ** 14))
+    # the largest map of the n=10 bialgebra check is admitted
+    assert 10 ** 8 <= MAX_MAP_ENTRIES
 
 
 def test_from_rows_and_from_cols_agree():

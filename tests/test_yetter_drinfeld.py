@@ -6,6 +6,8 @@ import pytest
 
 from conftest import FROZEN, cube, sparse_columns, z2_bialgebra
 
+from homcat import dehomify, yetter_drinfeld
+from homcat.dehomify import cross_check_yd
 from homcat.exact_tensor import QQ, LinMap, diag, identity
 from homcat.hom_structures import HomBialgebra
 from homcat.qt_braiding import check_hom_ybe, check_mixed_hom_ybe
@@ -116,6 +118,36 @@ def test_tensor_closure(H, pool):
 def test_tensor_gates_on_invalid_input(H, yd_regular):
     with pytest.raises(ValueError, match="precondition fails"):
         yd_tensor(H, yd_regular, yd_regular)
+
+
+def test_invalid_input_refused_the_same_way_on_repeat_calls(H, yd_regular):
+    # the second call reads the memoized verdict; the message is unchanged
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            yd_tensor(H, yd_regular, yd_regular)
+        assert str(exc.value) == "yd_tensor precondition fails: ['homYD']"
+        with pytest.raises(ValueError) as exc:
+            cross_check_yd(H, yd_regular, yd_regular)
+        assert str(exc.value) == \
+            "cross_check_yd precondition fails: ['homYD']"
+
+
+def test_cross_check_validates_each_input_once(H, pool, monkeypatch):
+    # fresh copies, so no verdict is memoized yet
+    M, N = (YDModule(QQ, X.action, X.coaction, X.alpha)
+            for X in (pool["A"], pool["B"]))
+    seen = []
+
+    def counting(H_, X, *rest):
+        seen.append(X)
+        return check_yd(H_, X, *rest)
+
+    # every module namespace that holds check_yd sees one wrapper, as the
+    # checkers look it up at call time
+    for mod in (yetter_drinfeld, dehomify):
+        monkeypatch.setattr(mod, "check_yd", counting)
+    assert cross_check_yd(H, M, N).ok
+    assert len(seen) == 2 and seen.count(M) == 1 and seen.count(N) == 1
 
 
 # ------------------------------------------------------------------ B map

@@ -6,6 +6,10 @@ basis vector e_i (x) e_j with the flat basis vector e_{i*dimJ + j}. Nested
 products flatten left to right, so (U (x) V) (x) W and U (x) (V (x) W) share
 flat indices and associativity constraints become literal matrix equalities.
 
+Permutations of tensor factors, the flip u (x) v -> v (x) u among them,
+act on a map by reindexing its rows or columns (LinMap.permute_rows and
+permute_cols), never through a product with a permutation matrix.
+
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
 never tolerance based.
 """
@@ -13,6 +17,8 @@ never tolerance based.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import prod
 
 from . import _kernels_py as _K
 
@@ -24,8 +30,9 @@ except ImportError:  # pragma: no cover
 # the one kernel backend, reported in benchmark and environment labels
 KERNEL_BACKEND = "python"
 
-# the most entries one map may have (about 1 GiB of pointers); compose and
-# kron refuse a larger output before the kernel allocates it
+# the most entries one map may have (about 1 GiB of pointers); compose,
+# kron, identity, zero_map, diag and permute_tensor refuse a larger output
+# before allocating it
 MAX_MAP_ENTRIES = 1 << 27
 
 
@@ -242,6 +249,22 @@ class LinMap(Frozen):
                           self.field.zero, self.field.modulus)
         return LinMap._wrap(self.field, self.rows, other.cols, flat)
 
+    def permute_rows(self, dims, perm):
+        """permute_tensor(dims, perm) after self, by moving whole rows."""
+        c = self.cols
+        out = [None] * self.rows
+        for src, dst in enumerate(_perm_targets(dims, perm, self.rows)):
+            out[dst] = self.data[src * c:(src + 1) * c]
+        flat = tuple(chain.from_iterable(out))
+        return LinMap._wrap(self.field, self.rows, c, flat)
+
+    def permute_cols(self, dims, perm):
+        """self after permute_tensor(dims, perm), by picking columns."""
+        c, data = self.cols, self.data
+        targets = _perm_targets(dims, perm, c)
+        flat = tuple(data[i * c + t] for i in range(self.rows) for t in targets)
+        return LinMap._wrap(self.field, self.rows, c, flat)
+
     def kron(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch in kron")
@@ -360,17 +383,20 @@ class LinMap(Frozen):
 
 
 def identity(n, field=QQ):
+    check_size(n, n, "identity")
     one, zero = field.one, field.zero
     flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
     return LinMap._wrap(field, n, n, flat)
 
 
 def zero_map(rows, cols, field=QQ):
+    check_size(rows, cols, "zero_map")
     return LinMap._wrap(field, rows, cols, (field.zero,) * (rows * cols))
 
 
 def diag(scalars, field=QQ):
     n = len(scalars)
+    check_size(n, n, "diag")
     flat = [field.zero] * (n * n)
     for i, s in enumerate(scalars):
         flat[i * n + i] = field.coerce(s)
@@ -413,28 +439,21 @@ def permute_tensor(dims, perm, field=QQ):
     whose factor lands in target slot s, so the map sends
     e_{(i_0,...,i_{k-1})} to e_{(i_{perm[0]},...,i_{perm[k-1]})}.
     """
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
+    return identity(prod(dims), field).permute_rows(dims, perm)
+
+
+def _perm_targets(dims, perm, size):
+    # target flat index of each source flat index under permute_tensor
+    if sorted(perm) != list(range(len(dims))):
         raise ValueError("perm must be a permutation of the factor slots")
-    total = 1
-    for d in dims:
-        total *= d
-    out_dims = [dims[s] for s in perm]
-    flat = [field.zero] * (total * total)
-    one = field.one
-    for src in range(total):
-        # unflatten src into factor indices, left factor most significant
-        idx = []
-        rem = src
-        for d in reversed(dims):
-            idx.append(rem % d)
-            rem //= d
-        idx.reverse()
-        dst = 0
-        for s in range(k):
-            dst = dst * out_dims[s] + idx[perm[s]]
-        flat[dst * total + src] = one
-    return LinMap._wrap(field, total, total, tuple(flat))
+    if prod(dims) != size:
+        raise ValueError(f"factor dims {tuple(dims)} do not match size {size}")
+    # weight[t]: the stride of source slot t in the target flattening
+    weight = [0] * len(dims)
+    for s, t in enumerate(perm):
+        weight[t] = prod(dims[u] for u in perm[s + 1:])
+    return [sum(i * w for i, w in zip(unflatten_index(src, dims), weight))
+            for src in range(size)]
 
 
 def flip_map(d_u, d_v, field=QQ):

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .exact_tensor import (
-    Frozen, LinMap, QQ, flip_map, identity, kron, unflatten_index,
+    Frozen, LinMap, QQ, identity, kron, unflatten_index,
 )
 
 DEFAULT_VIOLATION_CAP = 16
@@ -378,9 +378,8 @@ def tensor_square_mul(field, mul):
     """Componentwise product map of H (x) H as a dim^2 x dim^4 matrix."""
     n = len(mul)
     M = mul_map(field, mul)
-    idn = identity(n, field)
-    mid = kron(idn, kron(flip_map(n, n, field), idn))
-    return kron(M, M).compose(mid)
+    # (mul (x) mul) after the swap of the two middle factors
+    return kron(M, M).permute_cols((n, n, n, n), (0, 2, 1, 3))
 
 
 def _bialgebra_extra_checks(H):
@@ -463,9 +462,7 @@ def yau_twist_algebra(mul, alpha):
                 for k in range(n):
                     a = alpha.entry(k, t)
                     if a:
-                        acc = twisted[i][j][k] + v * a
-                        twisted[i][j][k] = (acc % field.modulus
-                                            if field.modulus else acc)
+                        twisted[i][j][k] += v * a
     return HomAlgebra(field, twisted, alpha)
 
 
@@ -505,7 +502,6 @@ def tensor_hom_algebra(A, B):
     field = A.field
     na, nb = A.dim, B.dim
     n = na * nb
-    p = field.modulus
     cube = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(na):
         for ip in range(na):
@@ -523,8 +519,7 @@ def tensor_hom_algebra(A, B):
                         for l in range(nb):
                             bv = brow[l]
                             if bv:
-                                v = av * bv
-                                dst[k * nb + l] = v % p if p is not None else v
+                                dst[k * nb + l] = av * bv
     return HomAlgebra(field, cube, kron(A.alpha, B.alpha))
 
 
@@ -591,9 +586,7 @@ def nondegenerate_via_regular(A, strong=False):
                     for k in range(n):
                         v = A.mul[h][t][k]
                         if v:
-                            acc = col[a * n + k] + w * v
-                            col[a * n + k] = (acc % field.modulus
-                                              if field.modulus else acc)
+                            col[a * n + k] += w * v
             else:
                 for k in range(n):
                     v = A.mul[h][a][k]

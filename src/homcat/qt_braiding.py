@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact_tensor import (
-    Frozen, LinMap, flip_map, identity, kron, permute_tensor, zero_map,
+    Frozen, LinMap, identity, kron, zero_map,
 )
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, _run, check_hom_bialgebra,
@@ -238,7 +238,7 @@ def _r_condition_checks(H, R):
     # exchange law, matrix route: multiply inside the tensor square
     M2 = tensor_square_mul(field, H.mul)
     D = H.comul_linmap
-    d_cop = flip_map(n, n, field).compose(D)
+    d_cop = D.permute_rows((n, n), (1, 0))
     yield ("eq29", M2.compose(kron(rv, D)), M2.compose(kron(d_cop, rv)),
            (n,), (n, n))
     # exchange law, contraction route
@@ -247,11 +247,11 @@ def _r_condition_checks(H, R):
 
     # coproduct-splitting laws, matrix route
     rr = kron(rv, rv)
-    swap_mid = permute_tensor((n, n, n, n), (0, 2, 1, 3), field)
-    rhs30 = kron(kron(ps, ps), H.mul_linmap).compose(swap_mid).compose(rr)
+    swap_mid = rr.permute_rows((n, n, n, n), (0, 2, 1, 3))
+    rhs30 = kron(kron(ps, ps), H.mul_linmap).compose(swap_mid)
     yield ("eq30", kron(D, al).compose(rv), rhs30, (), (n, n, n))
-    to_xzwy = permute_tensor((n, n, n, n), (0, 2, 3, 1), field)
-    rhs31 = kron(H.mul_linmap, kron(ps, ps)).compose(to_xzwy).compose(rr)
+    to_xzwy = rr.permute_rows((n, n, n, n), (0, 2, 3, 1))
+    rhs31 = kron(H.mul_linmap, kron(ps, ps)).compose(to_xzwy)
     yield ("eq31", kron(al, D).compose(rv), rhs31, (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
@@ -282,18 +282,13 @@ def _left_mult_maps(M):
     return out
 
 
-def _twisted_left_mults(H, M):
-    # action by alpha(e_i) for each i
-    base = _left_mult_maps(M)
-    out = []
-    for i in range(H.dim):
-        acc = zero_map(M.dim, M.dim, M.field)
-        for t in range(H.dim):
-            a = H.alpha.entry(t, i)
-            if a:
-                acc = acc.add(base[t].scale(a))
-        out.append(acc)
-    return out
+def _swapped_r_action(R, U, V):
+    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip
+    lu, lv = _left_mult_maps(U), _left_mult_maps(V)
+    acc = zero_map(U.dim * V.dim, U.dim * V.dim, R.field)
+    for i, j, r in R.nonzero():
+        acc = acc.add(kron(lu[i], lv[j]).scale(r))
+    return acc.permute_rows((U.dim, V.dim), (1, 0))
 
 
 def braiding_from_r(H, R, U, V):
@@ -306,12 +301,9 @@ def braiding_from_r(H, R, U, V):
         raise ValueError("field mismatch in braiding_from_r")
     if R.dim != H.dim or U.hdim != H.dim or V.hdim != H.dim:
         raise ValueError("dimension mismatch in braiding_from_r")
-    lu = _twisted_left_mults(H, U)
-    lv = _twisted_left_mults(H, V)
-    acc = zero_map(U.dim * V.dim, U.dim * V.dim, H.field)
-    for i, j, r in R.nonzero():
-        acc = acc.add(kron(lu[i], lv[j]).scale(r))
-    return BraidMap(flip_map(U.dim, V.dim, H.field).compose(acc), U, V)
+    # e_i acts on the twisted module G(U) as alpha(e_i) acts on U
+    return BraidMap(_swapped_r_action(R, twist_module(H, U, "G"),
+                                      twist_module(H, V, "G")), U, V)
 
 
 def _braiding_elementwise(H, R, U, V):
@@ -474,11 +466,7 @@ def b_from_qt(H, R, M):
     require(check_hom_bialgebra, H, what="bialgebra laws fail:")
     require(check_r_conditions, H, R, what="quasitriangularity fails:")
     require(check_module, H, M, what="module laws fail:")
-    lm = _left_mult_maps(M)
-    acc = zero_map(M.dim * M.dim, M.dim * M.dim, M.field)
-    for i, j, r in R.nonzero():
-        acc = acc.add(kron(lm[i], lm[j]).scale(r))
-    return flip_map(M.dim, M.dim, M.field).compose(acc)
+    return _swapped_r_action(R, M, M)
 
 
 def ybe_yau_twist(B, alpha):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_tensor import Frozen, flip_map, identity, kron
+from .exact_tensor import Frozen, identity, kron
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps, require,
 )
@@ -101,15 +101,13 @@ def _yd_checks(H, M):
     idm = identity(dm, field)
 
     start = kron(D, idm)
-    lhs = kron(Mm, idm).compose(
-        kron(idn, flip_map(dm, n, field))).compose(
+    lhs = kron(Mm, idm).permute_cols((n, dm, n), (0, 2, 1)).compose(
         kron(coact, idn)).compose(
-        kron(act, idn)).compose(
-        kron(idn, flip_map(n, dm, field))).compose(
+        kron(act, idn)).permute_cols((n, n, dm), (0, 2, 1)).compose(
         kron(idn, kron(a2, idm))).compose(start)
     rhs = kron(Mm, act).compose(
-        kron(a2, kron(a, kron(a, idm)))).compose(
-        kron(idn, kron(flip_map(n, n, field), idm))).compose(
+        kron(a2, kron(a, kron(a, idm)))).permute_cols(
+        (n, n, n, dm), (0, 2, 1, 3)).compose(
         kron(identity(n * n, field), coact)).compose(start)
     yield ("homYD", lhs, rhs, (n, dm), (n, dm))
 
@@ -119,11 +117,11 @@ def _yd_tensor_coaction(H, M, N):
     _, ai2 = _yd_base(H)
     field = H.field
     n, dm, dn = H.dim, M.dim, N.dim
-    regroup = kron(identity(n, field),
-                   kron(flip_map(dm, n, field), identity(dn, field)))
     # (coactM (x) coactN) then regroup to (m-1, n-1, m0, n0), multiply, twist
+    regrouped = kron(M.coaction, N.coaction).permute_rows(
+        (n, dm, n, dn), (0, 2, 1, 3))
     return kron(ai2.compose(H.mul_linmap), identity(dm * dn, field)).compose(
-        regroup).compose(kron(M.coaction, N.coaction))
+        regrouped)
 
 
 def yd_tensor(H, M, N):
@@ -146,8 +144,8 @@ def _b_yd_map(H, M, N):
     n, dm, dn = H.dim, M.dim, N.dim
     return kron(N.action.compose(kron(ai, identity(dn, field))),
                 identity(dm, field)).compose(
-        kron(identity(n, field), flip_map(dm, dn, field))).compose(
-        kron(M.coaction, identity(dn, field)))
+        kron(M.coaction, identity(dn, field)).permute_rows(
+            (n, dm, dn), (0, 2, 1)))
 
 
 def b_yd(H, M, N):

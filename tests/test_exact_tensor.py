@@ -1,6 +1,8 @@
 """Field, LinMap and tensor-shuffle units, plus kernel backend agreement."""
 
+import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +153,24 @@ def test_oversized_products_refused_before_allocation():
         zero_map(2 ** 14, 1).compose(zero_map(1, 2 ** 14))
     # the largest map of the n=10 bialgebra check is admitted
     assert 10 ** 8 <= MAX_MAP_ENTRIES
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity(2 ** 14),
+    lambda: zero_map(2 ** 14, 2 ** 14),
+    lambda: diag([1] * 2 ** 14),
+    lambda: permute_tensor((2 ** 7,) * 4, (1, 0, 2, 3)),
+], ids=["identity", "zero_map", "diag", "permute_tensor"])
+def test_oversized_constructors_refused_before_allocation(build):
+    # each request is 2**28 entries; refusing it must allocate next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_from_rows_and_from_cols_agree():
@@ -305,6 +325,26 @@ def test_permute_tensor_validates():
 
 def test_flip_involution():
     assert flip_map(3, 2).compose(flip_map(2, 3)) == identity(6)
+
+
+@given(st.sampled_from([QQ, GF(5)]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_permute_rows_and_cols_compose_with_permute_tensor(field, dims, data):
+    perm = data.draw(st.permutations(range(len(dims))))
+    total = prod(dims)
+    other = data.draw(st.integers(1, 3))
+    ents = st.lists(st.integers(-3, 3), min_size=total * other,
+                    max_size=total * other)
+    a = LinMap(field, total, other, data.draw(ents))
+    b = LinMap(field, other, total, data.draw(ents))
+    p = permute_tensor(dims, perm, field)
+    assert a.permute_rows(dims, perm) == p.compose(a)
+    assert b.permute_cols(dims, perm) == b.compose(p)
+    wrong = dims[:-1] + [dims[-1] + 1]
+    with pytest.raises(ValueError, match="do not match"):
+        a.permute_rows(wrong, perm)
+    with pytest.raises(ValueError, match="do not match"):
+        b.permute_cols(wrong, perm)
 
 
 # -------------------------------------------------------------- kernels

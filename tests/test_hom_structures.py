@@ -17,6 +17,7 @@ from homcat.hom_structures import (
     compare_maps, nondegenerate_via_regular, semigroup_algebra,
     tensor_hom_algebra, yau_twist_algebra, yau_twist_bialgebra,
 )
+from homcat.workbench_cli import gen_group_bialgebra
 
 
 # -------------------------------------------------------- algebra checks
@@ -289,3 +290,20 @@ def test_full_bialgebra_battery_axiom_ids():
     assert rep.ok
     assert rep.checked == ["alpha-psi-commute", "eq1", "eq2", "eq3", "eq4",
                            "eq5", "eq6", "eq7", "eq7111", "eq7112"]
+
+
+def test_bialgebra_check_builds_no_map_above_n6_entries(monkeypatch):
+    # the tensor-square product permutes the columns of mul (x) mul instead
+    # of composing it with an n^4 x n^4 permutation matrix
+    n = 6
+    H, _ = gen_group_bialgebra(n, 5)
+    wrap = LinMap._wrap
+    sizes = []
+
+    def counting(cls, field, rows, cols, flat):
+        sizes.append(rows * cols)
+        return wrap(field, rows, cols, flat)
+
+    monkeypatch.setattr(LinMap, "_wrap", classmethod(counting))
+    assert check_hom_bialgebra(H).ok
+    assert max(sizes) <= n ** 6

@@ -10,6 +10,12 @@ Permutations of tensor factors, the flip u (x) v -> v (x) u among them,
 act on a map by reindexing its rows or columns (LinMap.permute_rows and
 permute_cols), never through a product with a permutation matrix.
 
+Only this module knows how a LinMap is stored and when a sum of prime
+field scalars is reduced mod p. Other modules build a map from
+(row, col, value) terms with LinMap.from_terms and read it back as sparse
+columns with LinMap.columns(); entry and row_lists are dense readers for
+the structure-file codec.
+
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
 never tolerance based.
 """
@@ -31,8 +37,8 @@ except ImportError:  # pragma: no cover
 KERNEL_BACKEND = "python"
 
 # the most entries one map may have (about 1 GiB of pointers); compose,
-# kron, identity, zero_map, diag and permute_tensor refuse a larger output
-# before allocating it
+# kron and from_terms (so identity, zero_map, diag and permute_tensor too)
+# refuse a larger output before allocating it
 MAX_MAP_ENTRIES = 1 << 27
 
 
@@ -109,6 +115,9 @@ class Field(Frozen):
         """Normalize ints, 'a/b' strings, Fractions or scalars into this field."""
         p = self.char
         if p == 0:
+            if type(value) is _RAT:
+                # already a normalized, immutable rational scalar
+                return value
             if isinstance(value, str):
                 return _RAT(Fraction(value))
             if isinstance(value, (int, Fraction)):
@@ -181,7 +190,9 @@ class LinMap(Frozen):
     """Immutable dense linear map, stored row major over an exact field.
 
     Columns index the source basis, rows the target basis: column j is the
-    image of source basis vector e_j.
+    image of source basis vector e_j. The storage is private to this
+    module: build a map with from_terms (or the constructors on top of it)
+    and read its nonzeros with columns().
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -214,13 +225,31 @@ class LinMap(Frozen):
 
     @classmethod
     def from_cols(cls, field, col_lists, rows):
-        cols = len(col_lists)
+        if any(len(col) != rows for col in col_lists):
+            raise ValueError("column length mismatch")
+        return cls.from_terms(field, rows, len(col_lists), (
+            (i, j, field.coerce(v))
+            for j, col in enumerate(col_lists) for i, v in enumerate(col)))
+
+    @classmethod
+    def from_terms(cls, field, rows, cols, terms):
+        """The rows x cols map whose entry at (i, j) sums the values of terms.
+
+        terms yields (i, j, value) with value a scalar of field (over F_p
+        any int); positions may repeat. Each sum is reduced mod p once,
+        after the last term.
+        """
+        check_size(rows, cols, "from_terms")
         flat = [field.zero] * (rows * cols)
-        for j, col in enumerate(col_lists):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                flat[i * cols + j] = field.coerce(v)
+        for i, j, v in terms:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(
+                    f"term at ({i}, {j}) outside a {rows}x{cols} map")
+            k = i * cols + j
+            flat[k] = flat[k] + v if flat[k] else v
+        p = field.modulus
+        if p is not None:
+            flat = [v % p for v in flat]
         return cls._wrap(field, rows, cols, tuple(flat))
 
     def entry(self, i, j):
@@ -232,8 +261,11 @@ class LinMap(Frozen):
         c = self.cols
         return [list(self.data[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def column(self, j):
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+    def columns(self):
+        """Each column's nonzeros as a list of (row, value), rows ascending."""
+        c, data = self.cols, self.data
+        return [[(i, v) for i, v in enumerate(data[j::c]) if v]
+                for j in range(c)]
 
     def compose(self, other):
         """self after other: (self.compose(f))(v) = self(f(v))."""
@@ -383,24 +415,17 @@ class LinMap(Frozen):
 
 
 def identity(n, field=QQ):
-    check_size(n, n, "identity")
-    one, zero = field.one, field.zero
-    flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-    return LinMap._wrap(field, n, n, flat)
+    return LinMap.from_terms(field, n, n, ((i, i, field.one) for i in range(n)))
 
 
 def zero_map(rows, cols, field=QQ):
-    check_size(rows, cols, "zero_map")
-    return LinMap._wrap(field, rows, cols, (field.zero,) * (rows * cols))
+    return LinMap.from_terms(field, rows, cols, ())
 
 
 def diag(scalars, field=QQ):
     n = len(scalars)
-    check_size(n, n, "diag")
-    flat = [field.zero] * (n * n)
-    for i, s in enumerate(scalars):
-        flat[i * n + i] = field.coerce(s)
-    return LinMap._wrap(field, n, n, tuple(flat))
+    return LinMap.from_terms(field, n, n, (
+        (i, i, field.coerce(s)) for i, s in enumerate(scalars)))
 
 
 def compose(g, f):

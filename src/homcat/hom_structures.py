@@ -108,7 +108,7 @@ class CheckReport(Frozen):
 
 
 def _sparse(col, dims):
-    return tuple((unflatten_index(i, dims), v) for i, v in enumerate(col) if v)
+    return tuple((unflatten_index(i, dims), v) for i, v in col)
 
 
 def compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap=DEFAULT_VIOLATION_CAP):
@@ -118,14 +118,14 @@ def compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap=DEFAULT_VIOLATION_CAP)
     source multi-indices and stops recording after `cap` entries while still
     deciding held_everywhere exactly.
     """
+    if lhs.field != rhs.field:
+        raise ValueError(f"field mismatch comparing {axiom}")
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         raise ValueError(f"shape mismatch comparing {axiom}")
-    if lhs.data == rhs.data:
+    if lhs == rhs:
         return True, []
     violations = []
-    for c in range(lhs.cols):
-        lcol = lhs.column(c)
-        rcol = rhs.column(c)
+    for c, (lcol, rcol) in enumerate(zip(lhs.columns(), rhs.columns())):
         if lcol != rcol:
             violations.append(Violation(
                 axiom, unflatten_index(c, src_dims),
@@ -189,28 +189,17 @@ def coerce_cube(field, cube):
 def mul_map(field, mul):
     """Multiplication as a dim x dim^2 map: column flat(i,j) is e_i e_j."""
     n = len(mul)
-    flat = [field.zero] * (n * n * n)
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for k in range(n):
-                v = mul[i][j][k]
-                if v:
-                    flat[k * n * n + col] = v
-    return LinMap._wrap(field, n, n * n, tuple(flat))
+    return LinMap.from_terms(field, n, n * n, (
+        (k, i * n + j, v) for i in range(n) for j in range(n)
+        for k, v in enumerate(mul[i][j]) if v))
 
 
 def comul_map(field, comul):
     """Comultiplication as a dim^2 x dim map: column k is comul(e_k)."""
     n = len(comul)
-    flat = [field.zero] * (n * n * n)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                v = comul[k][i][j]
-                if v:
-                    flat[(i * n + j) * n + k] = v
-    return LinMap._wrap(field, n * n, n, tuple(flat))
+    return LinMap.from_terms(field, n * n, n, (
+        (i * n + j, k, v) for k in range(n) for i in range(n)
+        for j, v in enumerate(comul[k][i]) if v))
 
 
 def _check_square(field, m, dim, what):
@@ -247,29 +236,26 @@ class HomCoalgebra(Frozen):
 
 
 class HomBialgebra(Frozen):
-    """(H, mul, comul, alpha, psi); validity means check_hom_bialgebra passes."""
+    """(H, mul, comul, alpha, psi); validity means check_hom_bialgebra passes.
+
+    Holds its HomAlgebra (mul, alpha) and HomCoalgebra (comul, psi) as
+    algebra and coalgebra, and their fields under the same names.
+    """
 
     __slots__ = ("field", "dim", "mul", "comul", "alpha", "psi",
-                 "mul_linmap", "comul_linmap")
+                 "mul_linmap", "comul_linmap", "algebra", "coalgebra")
 
     def __init__(self, field, mul, comul, alpha, psi):
         mcube = coerce_cube(field, mul)
         dcube = coerce_cube(field, comul)
         if len(mcube) != len(dcube):
             raise ValueError("mul and comul cube dimensions differ")
-        _check_square(field, alpha, len(mcube), "alpha")
-        _check_square(field, psi, len(mcube), "psi")
-        self._init(field=field, dim=len(mcube), mul=mcube, comul=dcube,
-                   alpha=alpha, psi=psi, mul_linmap=mul_map(field, mcube),
-                   comul_linmap=comul_map(field, dcube))
-
-    @property
-    def algebra(self):
-        return HomAlgebra(self.field, self.mul, self.alpha)
-
-    @property
-    def coalgebra(self):
-        return HomCoalgebra(self.field, self.comul, self.psi)
+        alg = HomAlgebra(field, mcube, alpha)
+        coalg = HomCoalgebra(field, dcube, psi)
+        self._init(field=field, dim=alg.dim, mul=alg.mul, comul=coalg.comul,
+                   alpha=alpha, psi=psi, mul_linmap=alg.mul_linmap,
+                   comul_linmap=coalg.comul_linmap, algebra=alg,
+                   coalgebra=coalg)
 
 
 class HomSemigroup(Frozen):
@@ -328,15 +314,14 @@ def _contraction_coassoc(field, comul, psi):
     # eq5: both sides of twisted coassociativity assembled entry by entry
     # from the cube, bypassing the matrix kernels
     n = len(comul)
-    lhs = LinMap._wrap(field, n ** 3, n, tuple(_contract5(field, comul, psi, left=True)))
-    rhs = LinMap._wrap(field, n ** 3, n, tuple(_contract5(field, comul, psi, left=False)))
+    lhs = LinMap.from_terms(field, n ** 3, n, _contract5(comul, psi, True))
+    rhs = LinMap.from_terms(field, n ** 3, n, _contract5(comul, psi, False))
     return lhs, rhs
 
 
-def _contract5(field, comul, psi, left):
+def _contract5(comul, psi, left):
     n = len(comul)
-    p = field.modulus
-    out = [field.zero] * (n ** 3 * n)
+    pcols = psi.columns()
     for k in range(n):
         for u in range(n):
             for v in range(n):
@@ -350,34 +335,24 @@ def _contract5(field, comul, psi, left):
                             dxy = comul[u][x][y]
                             if not dxy:
                                 continue
-                            for z in range(n):
-                                pz = psi.entry(z, v)
-                                if not pz:
-                                    continue
-                                r = (x * n + y) * n + z
-                                acc = out[r * n + k] + duv * dxy * pz
-                                out[r * n + k] = acc % p if p is not None else acc
+                            for z, pz in pcols[v]:
+                                yield (x * n + y) * n + z, k, duv * dxy * pz
                 else:
                     # psi on the first leg, comul again on the second
-                    for x in range(n):
-                        px = psi.entry(x, u)
-                        if not px:
-                            continue
+                    for x, px in pcols[u]:
                         for y in range(n):
                             for z in range(n):
                                 dyz = comul[v][y][z]
-                                if not dyz:
-                                    continue
-                                r = (x * n + y) * n + z
-                                acc = out[r * n + k] + duv * px * dyz
-                                out[r * n + k] = acc % p if p is not None else acc
-    return out
+                                if dyz:
+                                    yield (x * n + y) * n + z, k, duv * px * dyz
 
 
-def tensor_square_mul(field, mul):
-    """Componentwise product map of H (x) H as a dim^2 x dim^4 matrix."""
-    n = len(mul)
-    M = mul_map(field, mul)
+def tensor_square_mul(M):
+    """Componentwise product map of H (x) H as a dim^2 x dim^4 matrix.
+
+    M is the multiplication map of H, dim x dim^2.
+    """
+    n = M.rows
     # (mul (x) mul) after the swap of the two middle factors
     return kron(M, M).permute_cols((n, n, n, n), (0, 2, 1, 3))
 
@@ -389,7 +364,7 @@ def _bialgebra_extra_checks(H):
     al, ps = H.alpha, H.psi
     lhs5, rhs5 = _contraction_coassoc(H.field, H.comul, ps)
     yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
-    M2 = tensor_square_mul(H.field, H.mul)
+    M2 = tensor_square_mul(M)
     yield ("eq6", D.compose(M), M2.compose(kron(D, D)), (n, n), (n, n))
     yield ("eq7", D.compose(al), kron(al, al).compose(D), (n,), (n, n))
     yield ("eq7111", D.compose(ps), kron(ps, ps).compose(D), (n,), (n, n))
@@ -452,6 +427,7 @@ def yau_twist_algebra(mul, alpha):
                               M.compose(kron(alpha, alpha)), (n, n), (n,))
     if not endo_ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
+    acols = alpha.columns()
     twisted = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -459,10 +435,8 @@ def yau_twist_algebra(mul, alpha):
                 v = cube[i][j][t]
                 if not v:
                     continue
-                for k in range(n):
-                    a = alpha.entry(k, t)
-                    if a:
-                        twisted[i][j][k] += v * a
+                for k, a in acols[t]:
+                    twisted[i][j][k] += v * a
     return HomAlgebra(field, twisted, alpha)
 
 
@@ -487,11 +461,9 @@ def yau_twist_bialgebra(mul, comul, endo):
     # twisted coproduct cube: comul applied after endo
     D = classical.comul_linmap.compose(endo)
     twisted = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        col = D.column(k)
-        for flat, v in enumerate(col):
-            if v:
-                twisted[k][flat // n][flat % n] = v
+    for k, col in enumerate(D.columns()):
+        for flat, v in col:
+            twisted[k][flat // n][flat % n] = v
     return HomBialgebra(field, alg.mul, twisted, endo, endo)
 
 
@@ -571,27 +543,12 @@ def nondegenerate_via_regular(A, strong=False):
     strong=True the slot being acted on is first passed through alpha.
     Never claims degeneracy: the inconclusive answer is UNKNOWN.
     """
-    field = A.field
     n = A.dim
-    cols = []
-    for h in range(n):
-        col = [field.zero] * (n * n)
-        for a in range(n):
-            if strong:
-                # image of h . alpha(e_a)
-                for t in range(n):
-                    w = A.alpha.entry(t, a)
-                    if not w:
-                        continue
-                    for k in range(n):
-                        v = A.mul[h][t][k]
-                        if v:
-                            col[a * n + k] += w * v
-            else:
-                for k in range(n):
-                    v = A.mul[h][a][k]
-                    if v:
-                        col[a * n + k] = v
-        cols.append(col)
-    mat = LinMap.from_cols(field, cols, n * n)
+    # e_a itself, or alpha(e_a) when strong
+    slots = (A.alpha.columns() if strong
+             else [[(a, A.field.one)] for a in range(n)])
+    # column h is the map a -> h a, its image of e_a on rows flat(a, k)
+    mat = LinMap.from_terms(A.field, n * n, n, (
+        (a * n + k, h, w * v) for h in range(n) for a in range(n)
+        for t, w in slots[a] for k, v in enumerate(A.mul[h][t]) if v))
     return NONDEGENERATE if mat.rank() == n else UNKNOWN

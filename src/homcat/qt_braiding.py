@@ -54,7 +54,7 @@ class RMatrix(Frozen):
 
     def as_vector(self):
         """The element as a dim^2 x 1 map from the ground field."""
-        return LinMap._wrap(self.field, self.dim * self.dim, 1, self.coeffs)
+        return LinMap.from_cols(self.field, [self.coeffs], self.dim * self.dim)
 
     def nonzero(self):
         n = self.dim
@@ -71,13 +71,10 @@ class BraidMap(NamedTuple):
 
 def _contract_eq38(H, R):
     # both sides of R comul(h) = comul-op(h) R, per algebra basis vector h
-    field = H.field
-    p = field.modulus
     n = H.dim
     mul, comul = H.mul, H.comul
     nz = R.nonzero()
-    lhs = [field.zero] * (n * n * n)
-    rhs = [field.zero] * (n * n * n)
+    lhs, rhs = [], []
     for h in range(n):
         for i in range(n):
             for j in range(n):
@@ -93,25 +90,20 @@ def _contract_eq38(H, R):
                             if a:
                                 m2 = mul[v][j][z]
                                 if m2:
-                                    acc = lhs[(y * n + z) * n + h] + rd * a * m2
-                                    lhs[(y * n + z) * n + h] = acc % p if p is not None else acc
+                                    lhs.append((y * n + z, h, rd * a * m2))
                             if b:
                                 m2 = mul[i][v][z]
                                 if m2:
-                                    acc = rhs[(y * n + z) * n + h] + rd * b * m2
-                                    rhs[(y * n + z) * n + h] = acc % p if p is not None else acc
-    L = LinMap._wrap(field, n * n, n, tuple(lhs))
-    Rm = LinMap._wrap(field, n * n, n, tuple(rhs))
-    return L, Rm
+                                    rhs.append((y * n + z, h, rd * b * m2))
+    return (LinMap.from_terms(H.field, n * n, n, lhs),
+            LinMap.from_terms(H.field, n * n, n, rhs))
 
 
 def _contract_coproduct_side(H, R, left_slot, twist):
     # (comul (x) twist)(R) when left_slot, else (twist (x) comul)(R)
-    field = H.field
-    p = field.modulus
     n = H.dim
     comul = H.comul
-    out = [field.zero] * (n ** 3)
+    tcols = twist.columns()
     for u, v, r in R.nonzero():
         if left_slot:
             for x in range(n):
@@ -119,83 +111,58 @@ def _contract_coproduct_side(H, R, left_slot, twist):
                     d = comul[u][x][y]
                     if not d:
                         continue
-                    for z in range(n):
-                        t = twist.entry(z, v)
-                        if t:
-                            acc = out[(x * n + y) * n + z] + r * d * t
-                            out[(x * n + y) * n + z] = acc % p if p is not None else acc
+                    for z, t in tcols[v]:
+                        yield (x * n + y) * n + z, r * d * t
         else:
             for y in range(n):
                 for z in range(n):
                     d = comul[v][y][z]
                     if not d:
                         continue
-                    for x in range(n):
-                        t = twist.entry(x, u)
-                        if t:
-                            acc = out[(x * n + y) * n + z] + r * t * d
-                            out[(x * n + y) * n + z] = acc % p if p is not None else acc
-    return out
+                    for x, t in tcols[u]:
+                        yield (x * n + y) * n + z, r * t * d
 
 
 def _contract_rr_side(H, R, variant):
     # the double-R sides of eq39/eq60 and their remQT analogues
-    field = H.field
-    p = field.modulus
+    if variant not in ("eq39", "eq60", "plain-left", "plain-right"):
+        raise ValueError(f"unknown variant {variant!r}")
     n = H.dim
-    mul, psi = H.mul, H.psi
+    mul = H.mul
+    pcols = H.psi.columns()
     nz = R.nonzero()
-    out = [field.zero] * (n ** 3)
     for u, v, r1 in nz:
         for q, w, r2 in nz:
             r = r1 * r2
             if variant == "eq39":
                 # psi(s_i) (x) psi(s_j) (x) t_i t_j ; i = (u,v), j = (q,w)
-                for x in range(n):
-                    a = psi.entry(x, u)
-                    if not a:
-                        continue
-                    for y in range(n):
-                        b = psi.entry(y, q)
-                        if not b:
-                            continue
+                for x, a in pcols[u]:
+                    for y, b in pcols[q]:
                         for z in range(n):
                             m = mul[v][w][z]
                             if m:
-                                acc = out[(x * n + y) * n + z] + r * a * b * m
-                                out[(x * n + y) * n + z] = acc % p if p is not None else acc
+                                yield (x * n + y) * n + z, r * a * b * m
             elif variant == "eq60":
                 # s_i s_j (x) psi(t_j) (x) psi(t_i)
                 for x in range(n):
                     m = mul[u][q][x]
                     if not m:
                         continue
-                    for y in range(n):
-                        b = psi.entry(y, w)
-                        if not b:
-                            continue
-                        for z in range(n):
-                            a = psi.entry(z, v)
-                            if a:
-                                acc = out[(x * n + y) * n + z] + r * m * b * a
-                                out[(x * n + y) * n + z] = acc % p if p is not None else acc
+                    for y, b in pcols[w]:
+                        for z, a in pcols[v]:
+                            yield (x * n + y) * n + z, r * m * b * a
             elif variant == "plain-left":
                 # s_i (x) s_j (x) t_i t_j
                 for z in range(n):
                     m = mul[v][w][z]
                     if m:
-                        acc = out[(u * n + q) * n + z] + r * m
-                        out[(u * n + q) * n + z] = acc % p if p is not None else acc
-            elif variant == "plain-right":
+                        yield (u * n + q) * n + z, r * m
+            else:
                 # s_i s_j (x) t_j (x) t_i
                 for x in range(n):
                     m = mul[u][q][x]
                     if m:
-                        acc = out[(x * n + w) * n + v] + r * m
-                        out[(x * n + w) * n + v] = acc % p if p is not None else acc
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-    return out
+                        yield (x * n + w) * n + v, r * m
 
 
 def check_r_conditions(H, R, cap=DEFAULT_VIOLATION_CAP):
@@ -221,14 +188,13 @@ def check_r_conditions(H, R, cap=DEFAULT_VIOLATION_CAP):
         qt, rem, CheckReport({"remQT-consistency": consistent}, ()), cap=cap)
 
 
-def _element(H, coeffs):
-    # one tensor element of H^(x)3 as a one-column map
-    n = H.dim
-    return LinMap._wrap(H.field, n ** 3, 1, tuple(coeffs))
+def _element(H, terms):
+    # one tensor element of H^(x)3 as a one-column map, from (index, value)
+    return LinMap.from_terms(H.field, H.dim ** 3, 1,
+                             ((i, 0, v) for i, v in terms))
 
 
 def _r_condition_checks(H, R):
-    field = H.field
     n = H.dim
     rv = R.as_vector()
     al, ps = H.alpha, H.psi
@@ -236,7 +202,7 @@ def _r_condition_checks(H, R):
     yield ("r-psi-invariance", kron(ps, ps).compose(rv), rv, (), (n, n))
 
     # exchange law, matrix route: multiply inside the tensor square
-    M2 = tensor_square_mul(field, H.mul)
+    M2 = tensor_square_mul(H.mul_linmap)
     D = H.comul_linmap
     d_cop = D.permute_rows((n, n), (1, 0))
     yield ("eq29", M2.compose(kron(rv, D)), M2.compose(kron(d_cop, rv)),
@@ -274,12 +240,9 @@ def _rem_qt_checks(H, R):
 def _left_mult_maps(M):
     """Square matrices of the action by each algebra basis vector."""
     dm = M.dim
-    out = []
-    for h in range(M.hdim):
-        flat = tuple(M.action.entry(k, h * dm + m)
-                     for k in range(dm) for m in range(dm))
-        out.append(LinMap._wrap(M.field, dm, dm, flat))
-    return out
+    return [LinMap.from_terms(M.field, dm, dm, (
+        (k, m, v) for m, col in enumerate(cols) for k, v in col))
+        for cols in M.action_columns()]
 
 
 def _swapped_r_action(R, U, V):
@@ -309,38 +272,34 @@ def braiding_from_r(H, R, U, V):
 def _braiding_elementwise(H, R, U, V):
     # independent route: assemble each column from action columns directly
     field = H.field
-    p = field.modulus
-    dU, dV, n = U.dim, V.dim, H.dim
+    dU, dV = U.dim, V.dim
     ucols = U.action_columns()
     vcols = V.action_columns()
-    acol = [H.alpha.column(i) for i in range(n)]
-    flat = [field.zero] * (dV * dU * dU * dV)
-    width = dU * dV
-    for u in range(dU):
-        for v in range(dV):
-            c = u * dV + v
-            for i, j, r in R.nonzero():
-                # alpha(e_i).u as a sparse vector
-                uvec = {}
-                for t, a in enumerate(acol[i]):
-                    if a:
+    acols = H.alpha.columns()
+
+    def terms():
+        for u in range(dU):
+            for v in range(dV):
+                c = u * dV + v
+                for i, j, r in R.nonzero():
+                    # alpha(e_i).u as a sparse vector
+                    uvec = {}
+                    for t, a in acols[i]:
                         for k, w in ucols[t][u]:
                             uvec[k] = uvec.get(k, field.zero) + a * w
-                vvec = {}
-                for t, a in enumerate(acol[j]):
-                    if a:
+                    vvec = {}
+                    for t, a in acols[j]:
                         for k, w in vcols[t][v]:
                             vvec[k] = vvec.get(k, field.zero) + a * w
-                for vp, bv in vvec.items():
-                    if not bv:
-                        continue
-                    rv = r * bv
-                    for up, bu in uvec.items():
-                        if bu:
-                            acc = flat[(vp * dU + up) * width + c] + rv * bu
-                            flat[(vp * dU + up) * width + c] = (
-                                acc % p if p is not None else acc)
-    return LinMap._wrap(field, dV * dU, width, tuple(flat))
+                    for vp, bv in vvec.items():
+                        if not bv:
+                            continue
+                        rv = r * bv
+                        for up, bu in uvec.items():
+                            if bu:
+                                yield vp * dU + up, c, rv * bu
+
+    return LinMap.from_terms(field, dV * dU, dU * dV, terms())
 
 
 def check_braiding_morphism(H, R, U, V, f=None, g=None, cap=DEFAULT_VIOLATION_CAP):

@@ -46,14 +46,8 @@ class HModule(Frozen):
 
     def action_columns(self):
         """Sparse action columns: cols[h][m] = [(target index, coeff), ...]."""
-        out = []
-        for h in range(self.hdim):
-            row = []
-            for m in range(self.dim):
-                col = self.action.column(h * self.dim + m)
-                row.append([(k, v) for k, v in enumerate(col) if v])
-            out.append(row)
-        return out
+        cols, d = self.action.columns(), self.dim
+        return [cols[h * d:(h + 1) * d] for h in range(self.hdim)]
 
 
 class HComodule(Frozen):
@@ -77,22 +71,20 @@ class HComodule(Frozen):
 
 def module_from_cube(field, cube, alpha):
     """Action cube a[h][m][k]: h.e_m = sum_k a[h][m][k] e_k."""
-    hdim = len(cube)
     dim = alpha.rows
-    flat = [field.zero] * (dim * hdim * dim)
-    cols = hdim * dim
-    for h in range(hdim):
-        if len(cube[h]) != dim:
-            raise ValueError("action cube module axis mismatch")
-        for m in range(dim):
-            if len(cube[h][m]) != dim:
-                raise ValueError("action cube target axis mismatch")
-            c = h * dim + m
-            for k, v in enumerate(cube[h][m]):
-                v = field.coerce(v)
-                if v:
-                    flat[k * cols + c] = v
-    return HModule(field, LinMap._wrap(field, dim, cols, tuple(flat)), alpha)
+
+    def terms():
+        for h, plane in enumerate(cube):
+            if len(plane) != dim:
+                raise ValueError("action cube module axis mismatch")
+            for m, row in enumerate(plane):
+                if len(row) != dim:
+                    raise ValueError("action cube target axis mismatch")
+                for k, v in enumerate(row):
+                    yield k, h * dim + m, field.coerce(v)
+
+    action = LinMap.from_terms(field, dim, len(cube) * dim, terms())
+    return HModule(field, action, alpha)
 
 
 def comodule_from_cube(field, cube, psi):
@@ -101,18 +93,19 @@ def comodule_from_cube(field, cube, psi):
     if len(cube) != dim:
         raise ValueError("coaction cube module axis mismatch")
     cdim = len(cube[0]) if dim else 0
-    flat = [field.zero] * (cdim * dim * dim)
-    for m in range(dim):
-        if len(cube[m]) != cdim:
-            raise ValueError("coaction cube coalgebra axis mismatch")
-        for j in range(cdim):
-            if len(cube[m][j]) != dim:
-                raise ValueError("coaction cube target axis mismatch")
-            for k, v in enumerate(cube[m][j]):
-                v = field.coerce(v)
-                if v:
-                    flat[(j * dim + k) * dim + m] = v
-    return HComodule(field, LinMap._wrap(field, cdim * dim, dim, tuple(flat)), psi)
+
+    def terms():
+        for m, plane in enumerate(cube):
+            if len(plane) != cdim:
+                raise ValueError("coaction cube coalgebra axis mismatch")
+            for j, row in enumerate(plane):
+                if len(row) != dim:
+                    raise ValueError("coaction cube target axis mismatch")
+                for k, v in enumerate(row):
+                    yield j * dim + k, m, field.coerce(v)
+
+    coaction = LinMap.from_terms(field, cdim * dim, dim, terms())
+    return HComodule(field, coaction, psi)
 
 
 def action_cube(M):
@@ -206,32 +199,28 @@ def tensor_module(H, M, N):
     _require_same_field(H, N, "tensor_module")
     if M.hdim != H.dim or N.hdim != H.dim:
         raise ValueError("module algebra slots do not match H.dim")
-    field = H.field
-    p = field.modulus
     n, dm, dn = H.dim, M.dim, N.dim
-    dmn = dm * dn
-    cols = n * dmn
     mcols = M.action_columns()
     ncols = N.action_columns()
-    flat = [field.zero] * (dmn * cols)
-    for h in range(n):
-        pairs = [(h1, h2, v)
-                 for h1 in range(n) for h2 in range(n)
-                 if (v := H.comul[h][h1][h2])]
-        if not pairs:
-            continue
-        for u in range(dm):
-            for w in range(dn):
-                c = (h * dm + u) * dn + w
-                for h1, h2, v in pairs:
-                    for a, mv in mcols[h1][u]:
-                        coef = v * mv
-                        for b, nv in ncols[h2][w]:
-                            r = a * dn + b
-                            acc = flat[r * cols + c] + coef * nv
-                            flat[r * cols + c] = acc % p if p is not None else acc
-    action = LinMap._wrap(field, dmn, cols, tuple(flat))
-    return HModule(field, action, kron(M.alpha, N.alpha))
+
+    def terms():
+        for h in range(n):
+            pairs = [(h1, h2, v)
+                     for h1 in range(n) for h2 in range(n)
+                     if (v := H.comul[h][h1][h2])]
+            if not pairs:
+                continue
+            for u in range(dm):
+                for w in range(dn):
+                    c = (h * dm + u) * dn + w
+                    for h1, h2, v in pairs:
+                        for a, mv in mcols[h1][u]:
+                            coef = v * mv
+                            for b, nv in ncols[h2][w]:
+                                yield a * dn + b, c, coef * nv
+
+    action = LinMap.from_terms(H.field, dm * dn, n * dm * dn, terms())
+    return HModule(H.field, action, kron(M.alpha, N.alpha))
 
 
 def twist_module(H, M, which):

@@ -35,9 +35,13 @@ def _cached_inverse(m):
 
 
 class YDModule(Frozen):
-    """Carrier with one structure map, an action and a coaction."""
+    """Carrier with one structure map, an action and a coaction.
 
-    __slots__ = ("field", "dim", "hdim", "action", "coaction", "alpha")
+    module and comodule hold the two halves as an HModule and an HComodule.
+    """
+
+    __slots__ = ("field", "dim", "hdim", "action", "coaction", "alpha",
+                 "module", "comodule")
 
     def __init__(self, field, action, coaction, alpha):
         mod = HModule(field, action, alpha)
@@ -45,15 +49,7 @@ class YDModule(Frozen):
         if mod.hdim != comod.cdim:
             raise ValueError("action and coaction reference different algebra dims")
         self._init(field=field, dim=mod.dim, hdim=mod.hdim, action=action,
-                   coaction=coaction, alpha=alpha)
-
-    @property
-    def module(self):
-        return HModule(self.field, self.action, self.alpha)
-
-    @property
-    def comodule(self):
-        return HComodule(self.field, self.coaction, self.alpha)
+                   coaction=coaction, alpha=alpha, module=mod, comodule=comod)
 
 
 def yd_from_cubes(field, act_cube, coact_cube, alpha):

@@ -9,6 +9,7 @@ same thing.
 
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -22,6 +23,7 @@ from _frozen import FROZEN  # noqa: E402,F401
 
 from homcat.exact_tensor import QQ, LinMap, identity  # noqa: E402
 from homcat.hom_structures import HomBialgebra  # noqa: E402
+from homcat.qt_braiding import RMatrix  # noqa: E402
 
 
 def cube(entries, shape):
@@ -52,6 +54,39 @@ def group_alpha_map(n, k=1, field=QQ):
 def z2_bialgebra(field=QQ):
     return HomBialgebra(field, group_mul_cube(2), group_comul_cube(2),
                         identity(2, field), identity(2, field))
+
+
+def sweedler_h4(field=QQ):
+    """Sweedler's 4-dimensional Hopf algebra, identity twists.
+
+    Basis (1, g, x, gx) with g^2 = 1, x^2 = 0, xg = -gx, and coproduct
+    comul(g) = g (x) g, comul(x) = x (x) 1 + g (x) x (Kassel, Quantum
+    Groups, GTM 155). Neither commutative nor cocommutative.
+    """
+    products = {(1, 1): (0, 1), (1, 2): (3, 1), (1, 3): (2, 1),
+                (2, 1): (3, -1), (3, 1): (2, -1)}
+    for b in range(4):
+        products[0, b] = products[b, 0] = (b, 1)
+    mul = cube({(a, b, k): v for (a, b), (k, v) in products.items()},
+               (4, 4, 4))
+    comul = cube({(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 0): 1, (2, 1, 2): 1,
+                  (3, 3, 1): 1, (3, 0, 3): 1}, (4, 4, 4))
+    return HomBialgebra(field, mul, comul, identity(4, field),
+                        identity(4, field))
+
+
+def sweedler_r(field, t, signs=(1, -1, 1, 1)):
+    """R_t = (1(x)1 + 1(x)g + g(x)1 - g(x)g)/2 + (t/2) sum s_k x-part_k.
+
+    The x-part is (x(x)x, x(x)gx, gx(x)x, gx(x)gx) weighted by signs; the
+    default signs give Sweedler's R-matrix family.
+    """
+    coeffs = [Fraction(0)] * 16
+    for (i, j), s in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (1, 1, 1, -1)):
+        coeffs[i * 4 + j] = Fraction(s, 2)
+    for (i, j), s in zip(((2, 2), (2, 3), (3, 2), (3, 3)), signs):
+        coeffs[i * 4 + j] = Fraction(s * t, 2)
+    return RMatrix(field, 4, coeffs)
 
 
 # Q[x]/(x^2): e0 = 1, e1 = x; and the coalgebra with x primitive
@@ -87,11 +122,7 @@ def sparse_columns(m, src_dims, dst_dims):
     ncols = 1
     for d in src_dims:
         ncols *= d
-    table = {}
-    for col in range(ncols):
-        ent = []
-        for r, c in enumerate(m.column(col)):
-            if c != m.field.zero:
-                ent.append((unflat(r, dst_dims), str(c)))
-        table[unflat(col, src_dims)] = ent
-    return table
+    cols = m.columns()
+    return {unflat(col, src_dims): [(unflat(r, dst_dims), str(c))
+                                    for r, c in cols[col]]
+            for col in range(ncols)}

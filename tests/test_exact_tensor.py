@@ -92,7 +92,7 @@ def test_linmap_construction_and_access():
     m = LinMap(QQ, 2, 3, [1, 2, 3, "1/2", 0, -1])
     assert (m.rows, m.cols) == (2, 3)
     assert str(m.entry(1, 0)) == "1/2"
-    assert [str(v) for v in m.column(2)] == ["3", "-1"]
+    assert [(i, str(v)) for i, v in m.columns()[2]] == [(0, "3"), (1, "-1")]
     assert freeze_matrix(m) == [["1", "2", "3"], ["1/2", "0", "-1"]]
 
 
@@ -160,7 +160,8 @@ def test_oversized_products_refused_before_allocation():
     lambda: zero_map(2 ** 14, 2 ** 14),
     lambda: diag([1] * 2 ** 14),
     lambda: permute_tensor((2 ** 7,) * 4, (1, 0, 2, 3)),
-], ids=["identity", "zero_map", "diag", "permute_tensor"])
+    lambda: LinMap.from_terms(QQ, 2 ** 14, 2 ** 14, ()),
+], ids=["identity", "zero_map", "diag", "permute_tensor", "from_terms"])
 def test_oversized_constructors_refused_before_allocation(build):
     # each request is 2**28 entries; refusing it must allocate next to nothing
     tracemalloc.start()
@@ -171,6 +172,43 @@ def test_oversized_constructors_refused_before_allocation(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.integers(0, 3), st.integers(0, 3),
+       st.data())
+def test_from_terms_sums_terms_like_the_dense_constructor(field, rows, cols,
+                                                           data):
+    # few positions and many terms, so positions repeat; over GF(5) the
+    # values are raw ints, reduced only once each sum is complete
+    value = (st.integers(-12, 12) if field.char
+             else st.fractions(-3, 3, max_denominator=4))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                         st.integers(0, max(cols - 1, 0)),
+                                         value),
+                               max_size=12 if rows * cols else 0))
+    if field.char == 0:
+        terms = [(i, j, field.coerce(v)) for i, j, v in terms]
+    sums = [0] * (rows * cols)
+    for i, j, v in terms:
+        sums[i * cols + j] += v
+    assert (LinMap.from_terms(field, rows, cols, terms)
+            == LinMap(field, rows, cols, sums))
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_columns_lists_the_nonzero_entries(field, rows, cols, data):
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                                 max_size=rows * cols))
+    m = LinMap(field, rows, cols, entries)
+    assert m.columns() == [[(i, m.entry(i, j)) for i in range(rows)
+                            if m.entry(i, j)] for j in range(cols)]
+
+
+def test_from_terms_refuses_a_position_outside_the_map():
+    for i, j in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError, match="outside a 2x3 map"):
+            LinMap.from_terms(QQ, 2, 3, [(i, j, QQ.one)])
 
 
 def test_from_rows_and_from_cols_agree():
@@ -301,8 +339,7 @@ def test_flip_map_on_basis():
     # e_i (x) e_j  ->  e_j (x) e_i
     for i in range(2):
         for j in range(3):
-            col = f.column(i * 3 + j)
-            nz = [r for r, v in enumerate(col) if v]
+            nz = [r for r, _ in f.columns()[i * 3 + j]]
             assert nz == [j * 2 + i]
 
 
@@ -312,8 +349,7 @@ def test_permute_tensor_cycle():
     for i in range(2):
         for j in range(3):
             for k in range(2):
-                col = p.column((i * 3 + j) * 2 + k)
-                nz = [r for r, v in enumerate(col) if v]
+                nz = [r for r, _ in p.columns()[(i * 3 + j) * 2 + k]]
                 assert nz == [(j * 2 + k) * 2 + i]
 
 

@@ -261,6 +261,16 @@ def test_compare_maps_cap_and_shape():
         compare_maps("demo", identity(2), identity(3), (2,), (2,))
 
 
+def test_compare_maps_refuses_maps_over_different_fields():
+    # 6 over Q and 6 over GF(5) (stored as 1) are no more comparable than
+    # 1 and 1; the field is checked before the shape
+    for lhs, rhs in ((LinMap(QQ, 1, 1, [1]), LinMap(GF(5), 1, 1, [1])),
+                     (LinMap(QQ, 1, 1, [6]), LinMap(GF(5), 1, 1, [6])),
+                     (identity(2), identity(3, GF(5)))):
+        with pytest.raises(ValueError, match="^field mismatch comparing x$"):
+            compare_maps("x", lhs, rhs, (1,), (1,))
+
+
 def test_report_merge_and_dict():
     r1 = CheckReport({"a": True, "b": False},
                      [Violation("b", (0,), (((0,), 1),), ())])
@@ -290,6 +300,28 @@ def test_full_bialgebra_battery_axiom_ids():
     assert rep.ok
     assert rep.checked == ["alpha-psi-commute", "eq1", "eq2", "eq3", "eq4",
                            "eq5", "eq6", "eq7", "eq7111", "eq7112"]
+
+
+def test_bialgebra_holds_its_algebra_and_coalgebra_once():
+    H = z2_bialgebra()
+    assert H.algebra is H.algebra and H.coalgebra is H.coalgebra
+    A, C = H.algebra, H.coalgebra
+    assert (A.mul, A.alpha, A.mul_linmap) == (H.mul, H.alpha, H.mul_linmap)
+    assert (C.comul, C.psi, C.comul_linmap) == (H.comul, H.psi,
+                                                H.comul_linmap)
+
+
+def test_bialgebra_construction_errors_keep_their_order():
+    # cube shapes, then cube dims, then alpha, then psi
+    bad = identity(3)
+    with pytest.raises(ValueError, match="cube is not"):
+        HomBialgebra(QQ, [[[0]]], [[[0, 0]], [[0]]], bad, bad)
+    with pytest.raises(ValueError, match="cube dimensions differ"):
+        HomBialgebra(QQ, [[[0]]], group_comul_cube(2), bad, bad)
+    with pytest.raises(ValueError, match="^alpha must be 1x1"):
+        HomBialgebra(QQ, [[[0]]], [[[0]]], bad, bad)
+    with pytest.raises(ValueError, match="^psi must be 1x1"):
+        HomBialgebra(QQ, [[[0]]], [[[0]]], identity(1), bad)
 
 
 def test_bialgebra_check_builds_no_map_above_n6_entries(monkeypatch):

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     FROZEN, cube, group_comul_cube, group_mul_cube, sparse_columns,
-    z2_bialgebra,
+    sweedler_h4, sweedler_r, z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
-from homcat.hom_structures import HomBialgebra
+from homcat.hom_structures import HomBialgebra, check_hom_bialgebra
 from homcat.qt_braiding import (
     BraidMap, RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
     check_hexagon_instances, check_hom_ybe, check_mixed_hom_ybe,
@@ -40,6 +40,30 @@ def test_triangular_r_mod3():
                      identity(2, F), identity(2, F))
     R = RMatrix(F, 2, [2, 2, 2, 1])
     assert check_r_conditions(H, R).ok == FROZEN["kz2_r_f3_ok"]
+
+
+# Sweedler's H4 is neither commutative nor cocommutative, so unlike the
+# group bialgebras it can tell comul from comul-op and R from its flip
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_sweedler_r_t_passes_every_battery(field, t):
+    H = sweedler_h4(field)
+    R = sweedler_r(field, t)
+    M = regular_module(H.algebra)
+    assert check_hom_bialgebra(H).ok
+    assert check_r_conditions(H, R).ok
+    assert check_braiding_morphism(H, R, M, M).ok
+    assert check_hexagon_instances(H, R, M, M, M).ok
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("t", [1, 3])
+def test_sweedler_wrong_sign_pattern_fails_exactly_three_ids(field, t):
+    # x-part signs (+, +, +, -) instead of (+, -, +, +)
+    rep = check_r_conditions(sweedler_h4(field),
+                             sweedler_r(field, t, (1, 1, 1, -1)))
+    assert rep.failed_axioms == ["eq30", "eq39", "remQT-a"]
 
 
 def test_one_sided_r_fails_matching_frozen_pattern():

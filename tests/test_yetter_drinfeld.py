@@ -88,6 +88,13 @@ def test_zero_fixture_tolerates_any_twist(H):
     assert check_yd(H, M).ok == FROZEN["z2_yd_zero_scaled_ok"]
 
 
+def test_yd_module_holds_its_module_and_comodule_once(yd_regular):
+    M = yd_regular
+    assert M.module is M.module and M.comodule is M.comodule
+    assert (M.module.action, M.module.alpha) == (M.action, M.alpha)
+    assert (M.comodule.coaction, M.comodule.psi) == (M.coaction, M.alpha)
+
+
 def test_check_yd_axiom_ids(H, pool):
     rep = check_yd(H, pool["A"])
     assert rep.checked == ["comodul1", "comodul2", "eq8", "eq9", "homYD"]
@@ -100,9 +107,8 @@ def test_tensor_coaction_matches_frozen(H, yd_regular):
     got = {}
     for m in range(2):
         for n in range(2):
-            col = tc.column(m * 2 + n)
             ent = [((r // 4, (r // 2) % 2, r % 2), str(c))
-                   for r, c in enumerate(col) if c != QQ.zero]
+                   for r, c in tc.columns()[m * 2 + n]]
             got[(m, n)] = ent
     assert got == FROZEN["z2_yd_tensor_coact"]
 

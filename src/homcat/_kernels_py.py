@@ -10,8 +10,11 @@ None) or plain ints reduced into [0, p) when a prime modulus is given.
 def mat_mul(a, ar, ac, b, br, bc, zero, modulus=None):
     """Multiply a (ar x ac) @ b (br x bc), ac == br. Returns flat tuple.
 
-    Zero entries of a are skipped, and only the nonzero entries of each
-    b row participate, so sparse structure maps cost what they contain.
+    Every entry of both operands is tested for zero: the scan alone costs
+    ar*ac + br*bc truth tests, however sparse the maps are. Arithmetic is
+    then done only for pairs of nonzeros, one multiply-add for each
+    nonzero a[i, t] and each nonzero of b's row t; over F_p each of the
+    ar*bc output entries is reduced once at the end.
     """
     out = [zero] * (ar * bc)
     b_rows = []

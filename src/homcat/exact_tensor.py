@@ -17,7 +17,10 @@ columns with LinMap.columns(); entry and row_lists are dense readers for
 the structure-file codec.
 
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
-never tolerance based.
+never tolerance based. add, sub and scale do arithmetic only where an
+operand is nonzero: a zero entry takes the other operand's scalar as it
+is, so a sum of sparse maps costs a scan of its entries plus one scalar
+operation per nonzero.
 """
 
 from __future__ import annotations
@@ -239,6 +242,8 @@ class LinMap(Frozen):
         any int); positions may repeat. Each sum is reduced mod p once,
         after the last term.
         """
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
         check_size(rows, cols, "from_terms")
         flat = [field.zero] * (rows * cols)
         for i, j, v in terms:
@@ -312,23 +317,32 @@ class LinMap(Frozen):
             raise ValueError("field mismatch in add")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
+        # a zero entry passes the other operand's scalar through unchanged
+        flat = list(self.data)
         p = self.field.modulus
-        if p is None:
-            flat = tuple(a + b for a, b in zip(self.data, other.data))
-        else:
-            flat = tuple((a + b) % p for a, b in zip(self.data, other.data))
-        return LinMap._wrap(self.field, self.rows, self.cols, flat)
+        for k, b in enumerate(other.data):
+            if b:
+                a = flat[k]
+                if not a:
+                    flat[k] = b
+                elif p is None:
+                    flat[k] = a + b
+                else:
+                    flat[k] = (a + b) % p
+        return LinMap._wrap(self.field, self.rows, self.cols, tuple(flat))
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def scale(self, c):
         c = self.field.coerce(c)
+        if not c:
+            return zero_map(self.rows, self.cols, self.field)
         p = self.field.modulus
         if p is None:
-            flat = tuple(c * v for v in self.data)
+            flat = tuple(c * v if v else v for v in self.data)
         else:
-            flat = tuple(c * v % p for v in self.data)
+            flat = tuple(c * v % p if v else v for v in self.data)
         return LinMap._wrap(self.field, self.rows, self.cols, flat)
 
     def apply(self, vec):

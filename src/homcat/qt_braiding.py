@@ -26,6 +26,8 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exact_tensor import (
@@ -246,11 +248,16 @@ def _left_mult_maps(M):
 
 
 def _swapped_r_action(R, U, V):
-    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip
+    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip;
+    # summed per row of R as sum_i L_i (x) (sum_j R[i,j] L'_j), so scaling
+    # and summing happen on V's small factor and there is one kron per row
     lu, lv = _left_mult_maps(U), _left_mult_maps(V)
     acc = zero_map(U.dim * V.dim, U.dim * V.dim, R.field)
-    for i, j, r in R.nonzero():
-        acc = acc.add(kron(lu[i], lv[j]).scale(r))
+    for i, row in groupby(R.nonzero(), key=itemgetter(0)):
+        right = zero_map(V.dim, V.dim, R.field)
+        for _, j, r in row:
+            right = right.add(lv[j].scale(r))
+        acc = acc.add(kron(lu[i], right))
     return acc.permute_rows((U.dim, V.dim), (1, 0))
 
 

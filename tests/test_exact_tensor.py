@@ -211,6 +211,60 @@ def test_from_terms_refuses_a_position_outside_the_map():
             LinMap.from_terms(QQ, 2, 3, [(i, j, QQ.one)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: zero_map(-1, 3),
+    lambda: zero_map(3, -1),
+    lambda: identity(-2),
+    lambda: LinMap.from_terms(QQ, 2, -1, ()),
+    lambda: LinMap.from_terms(GF(5), -1, 2, [(0, 0, 1)]),
+], ids=["zero_map-rows", "zero_map-cols", "identity", "from_terms-q",
+        "from_terms-gf5"])
+def test_negative_dimensions_refused(build):
+    with pytest.raises(ValueError, match="^negative dimensions$"):
+        build()
+
+
+def _has_field_type(field, v):
+    # the live rational type over Q, a canonical int in [0, p) over F_p
+    if field.char:
+        return type(v) is int and 0 <= v < field.char
+    return type(v) is type(QQ.zero)
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_add_sub_scale_match_dense_arithmetic(field, rows, cols, data):
+    # mostly zeros, so every zero-skipping branch is taken
+    value = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.fractions(-3, 3, max_denominator=4))
+    scalar = st.one_of(st.integers(-3, 3),
+                       st.sampled_from(["1/2", "0", "-2/3"]))
+
+    def draw_rows():
+        return [[field.coerce(data.draw(value)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    ra, rb = draw_rows(), draw_rows()
+    c = data.draw(scalar)
+    a, b = LinMap.from_rows(field, ra), LinMap.from_rows(field, rb)
+    cf = field.coerce(c)
+    results = {
+        "add": (a.add(b), [[x + y for x, y in zip(r, q)]
+                           for r, q in zip(ra, rb)]),
+        "sub": (a.sub(b), [[x - y for x, y in zip(r, q)]
+                           for r, q in zip(ra, rb)]),
+        "scale": (a.scale(c), [[cf * x for x in r] for r in ra]),
+        "scale0": (a.scale(0), [[0] * cols for _ in range(rows)]),
+        "cancel": (a.add(a.scale(-1)), [[0] * cols for _ in range(rows)]),
+    }
+    for name, (got, want) in results.items():
+        assert got == LinMap.from_rows(field, want), name
+        assert all(_has_field_type(field, v)
+                   for r in got.row_lists() for v in r), name
+    assert a.add(a.scale(-1)).is_zero() and a.sub(a).is_zero()
+    assert a.scale("1/2").scale(2) == a
+
+
 def test_from_rows_and_from_cols_agree():
     rows = [[1, 2], [3, 4], [5, 6]]
     a = LinMap.from_rows(QQ, rows)

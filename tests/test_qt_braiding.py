@@ -1,5 +1,8 @@
 """Quasitriangular batteries, braidings, hexagons and braid relations."""
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,11 +14,13 @@ from conftest import (
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
 from homcat.hom_structures import HomBialgebra, check_hom_bialgebra
 from homcat.qt_braiding import (
-    BraidMap, RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
-    check_hexagon_instances, check_hom_ybe, check_mixed_hom_ybe,
-    check_r_conditions, ybe_yau_twist,
+    BraidMap, RMatrix, _braiding_elementwise, b_from_qt, braiding_from_r,
+    check_braiding_morphism, check_hexagon_instances, check_hom_ybe,
+    check_mixed_hom_ybe, check_r_conditions, ybe_yau_twist,
 )
-from homcat.rep_theory import module_from_cube, regular_module, zero_module
+from homcat.rep_theory import (
+    module_from_cube, regular_module, tensor_module, zero_module,
+)
 
 R_KEYS = ("r-alpha-invariance", "r-psi-invariance", "eq38", "eq29",
           "eq39", "eq30", "eq60", "eq31")
@@ -134,6 +139,31 @@ def test_braiding_on_zero_module():
     c = braiding_from_r(H, triangular_r(), Z, M)
     assert c.map.is_zero()
     assert check_braiding_morphism(H, triangular_r(), Z, M).ok
+
+
+@pytest.mark.skipif(type(QQ.zero) is not Fraction,
+                    reason="counts fractions.Fraction arithmetic")
+def test_r_action_does_arithmetic_on_nonzeros_only(monkeypatch):
+    # kz2 on modules of dims 8 and 32: a 256 x 256 braiding with 1,024
+    # nonzeros; dense sums of 256 x 256 krons cost about 263k products
+    H = z2_bialgebra()
+    reg = regular_module(H)
+    powers = [reg]
+    for _ in range(4):
+        powers.append(tensor_module(H, powers[-1], reg))
+    U, V = powers[2], powers[4]
+    counts = Counter()
+    for name in ("__mul__", "__add__"):
+        def counting(a, b, real=getattr(Fraction, name), name=name):
+            counts[name] += 1
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    c = braiding_from_r(H, triangular_r(), U, V)
+    monkeypatch.undo()
+    assert (c.map.rows, c.map.cols) == (256, 256)
+    assert counts["__mul__"] < 5000
+    assert counts["__add__"] < 5000
+    assert c.map == _braiding_elementwise(H, triangular_r(), U, V)
 
 
 def test_hexagons_match_frozen():

@@ -18,6 +18,7 @@ still emitted), 2 malformed input or a precondition rejected the request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -524,7 +525,13 @@ def _cmd_gen(args):
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser():
+    """The homcat parser, built on the first main() call of a process.
+
+    Later calls reuse it: parse_args keeps its results in a fresh namespace
+    and copies append defaults, so calls share no parse state.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the emitted artifact (or for "
                                       "pure checks, a copy of the report) "

@@ -10,6 +10,7 @@ same thing.
 import os
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -24,6 +25,7 @@ from _frozen import FROZEN  # noqa: E402,F401
 from homcat.exact_tensor import QQ, LinMap, identity  # noqa: E402
 from homcat.hom_structures import HomBialgebra  # noqa: E402
 from homcat.qt_braiding import RMatrix  # noqa: E402
+from homcat.yetter_drinfeld import yd_from_cubes  # noqa: E402
 
 
 def cube(entries, shape):
@@ -87,6 +89,52 @@ def sweedler_r(field, t, signs=(1, -1, 1, 1)):
     for (i, j), s in zip(((2, 2), (2, 3), (3, 2), (3, 3)), signs):
         coeffs[i * 4 + j] = Fraction(s * t, 2)
     return RMatrix(field, 4, coeffs)
+
+
+def _s3_mul(g, h):
+    return tuple(g[i] for i in h)
+
+
+def _s3_inv(g):
+    return tuple(g.index(i) for i in range(3))
+
+
+def _s3_sign(g):
+    return (-1) ** sum(g[i] > g[j] for i in range(3) for j in range(i + 1, 3))
+
+
+# S_3 as permutation tuples of (0, 1, 2), in lexicographic order; (g h)(i) =
+# g(h(i)). Its three transpositions are the non-identity involutions.
+S3 = tuple(permutations(range(3)))
+S3_TRANSPOSITIONS = tuple(g for g in S3[1:] if _s3_mul(g, g) == S3[0])
+
+
+def s3_bialgebra(field=QQ):
+    """The group bialgebra kS_3, identity twists; basis S3. Not commutative."""
+    idx = {g: i for i, g in enumerate(S3)}
+    mul = cube({(idx[g], idx[h], idx[_s3_mul(g, h)]): 1
+                for g in S3 for h in S3}, (6, 6, 6))
+    comul = cube({(i, i, i): 1 for i in range(6)}, (6, 6, 6))
+    return HomBialgebra(field, mul, comul, identity(6, field),
+                        identity(6, field))
+
+
+def s3_transposition_yd(eps, field=QQ):
+    """Yetter-Drinfeld module over s3_bialgebra on the transposition class.
+
+    Basis m_s for s in S3_TRANSPOSITIONS, coaction m_s -> s (x) m_s, action
+    h.m_s = sgn(h)^eps m_(h s h^-1); eps = 1 is the signed module. The
+    reversed grading of a tensor product is also Yetter-Drinfeld, so only
+    a hexagon sees the factor order of yd_tensor's coaction.
+    """
+    g_idx = {g: i for i, g in enumerate(S3)}
+    idx = {s: i for i, s in enumerate(S3_TRANSPOSITIONS)}
+    act = cube({(g_idx[h], idx[s], idx[_s3_mul(_s3_mul(h, s), _s3_inv(h))]):
+                _s3_sign(h) ** eps
+                for h in S3 for s in S3_TRANSPOSITIONS}, (6, 3, 3))
+    coact = cube({(idx[s], g_idx[s], idx[s]): 1 for s in S3_TRANSPOSITIONS},
+                 (3, 6, 3))
+    return yd_from_cubes(field, act, coact, identity(3, field))
 
 
 # Q[x]/(x^2): e0 = 1, e1 = x; and the coalgebra with x primitive

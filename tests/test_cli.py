@@ -1,5 +1,6 @@
 """Workbench CLI: file formats, subcommands, reports, exit codes."""
 
+import argparse
 import copy
 import io
 import json
@@ -13,7 +14,9 @@ from hypothesis import given, strategies as st
 
 from homcat.exact_tensor import GF, QQ, flip_map, identity
 from homcat.qt_braiding import check_r_conditions
-from homcat.rep_theory import comodule_from_cube, regular_comodule, regular_module
+from homcat.rep_theory import (
+    comodule_from_cube, regular_comodule, regular_module, tensor_module,
+)
 from homcat.workbench_cli import (
     canonical_dumps, gen_group_bialgebra, gen_kz2_qt, main, parse_structure,
     structure_to_dict,
@@ -341,7 +344,8 @@ def test_tensor_command_plain_and_yd(ws):
                       "--module", path("YD.json"), "--module", path("YD.json"),
                       "--out", path("T.json")])
     assert code == 0
-    assert json.loads(open(path("T.json")).read())["kind"] == "yd"
+    with open(path("T.json")) as fh:
+        assert json.load(fh)["kind"] == "yd"
     code, _, _ = run(["check", "yd", path("T.json"),
                       "--parent", path("H.json")])
     assert code == 0
@@ -367,8 +371,8 @@ def test_tensor_out_in_subdirectory_names_parent_relative_to_it(
     code, _, _ = run(["tensor", "--bialgebra", "H.json", "--module", "M.json",
                       "--module", "M.json", "--out", out])
     assert code == 0
-    assert json.loads(open(out).read())["parent"] == \
-        os.path.join(os.pardir, "H.json")
+    with open(out) as fh:
+        assert json.load(fh)["parent"] == os.path.join(os.pardir, "H.json")
     code, _, err = run(["check", "module", out])
     assert code == 0, err
 
@@ -563,7 +567,8 @@ def test_report_copy_and_stderr_summary(ws):
     code, out, err = run(["check", "bialgebra", path("H.json"),
                           "--out", path("rep.json")])
     assert code == 0
-    saved = json.loads(open(path("rep.json")).read())
+    with open(path("rep.json")) as fh:
+        saved = json.load(fh)
     assert saved["pass"] is True
     assert saved == json.loads(out)
     assert "overall: PASS" in err
@@ -582,3 +587,60 @@ def test_console_entry_point(ws):
     assert "overall: PASS" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     json.loads(proc.stdout)
+
+
+# ------------------------------------------------------ repeated main calls
+
+def test_second_main_call_builds_no_parser(ws, monkeypatch):
+    path, _ = ws
+    code, _, _ = run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
+                      "--out", path("H.json")])
+    assert code == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = run(["check", "bialgebra", path("H.json")])
+    assert code == 0
+    assert built == []
+
+
+def test_repeated_calls_share_no_parse_state(ws):
+    path, write = ws
+    run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
+         "--out", path("H.json")])
+    H, _ = gen_group_bialgebra(2, 1)
+    M = regular_module(H.algebra)
+    write("M.json", structure_to_dict("module", M, parent="H.json"))
+    sign = {"kind": "module", "field": "Q", "dim": 2, "parent": "H.json",
+            "action": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]],
+            "alpha": [["1", "0"], ["0", "1"]]}
+    write("N.json", sign)
+    N = parse_structure(sign).obj
+
+    def tensor(*modules, extra=()):
+        argv = ["tensor", "--bialgebra", path("H.json"), "--out",
+                path("T.json"), *extra]
+        for m in modules:
+            argv += ["--module", path(m)]
+        code, out, _ = run(argv)
+        assert code == 0, modules
+        doc = json.loads(out)
+        doc.pop("time_seconds")
+        with open(path("T.json")) as fh:
+            return doc, fh.read()
+
+    # append lists start empty on every call
+    for a, b, X, Y in (("M.json", "N.json", M, N), ("N.json", "M.json", N, M)):
+        _, written = tensor(a, b)
+        assert written == canonical_dumps(structure_to_dict(
+            "module", tensor_module(H, X, Y), parent="H.json"))
+    first = tensor("M.json", "N.json")
+    with pytest.raises(SystemExit) as exc:
+        tensor("M.json", extra=("--bogus",))
+    assert exc.value.code == 2
+    assert tensor("M.json", "N.json") == first

@@ -4,11 +4,14 @@ from itertools import product
 
 import pytest
 
-from conftest import FROZEN, cube, sparse_columns, z2_bialgebra
+from conftest import (
+    FROZEN, cube, s3_bialgebra, s3_transposition_yd, sparse_columns,
+    z2_bialgebra,
+)
 
 from homcat import dehomify, yetter_drinfeld
 from homcat.dehomify import cross_check_yd
-from homcat.exact_tensor import QQ, LinMap, diag, identity
+from homcat.exact_tensor import GF, QQ, LinMap, diag, identity
 from homcat.hom_structures import HomBialgebra
 from homcat.qt_braiding import check_hom_ybe, check_mixed_hom_ybe
 from homcat.rep_theory import check_comodule_morphism, check_module_morphism
@@ -119,6 +122,39 @@ def test_tensor_closure(H, pool):
         T = yd_tensor(H, pool[f1], pool[f2])
         got[f1 + f2] = check_yd(H, T).ok
     assert got == FROZEN["z2_yd_tensor_closure_ok"]
+
+
+# kS_3 is not commutative, so these see the factor order of the tensor
+# coaction; over GF(5), where check_yd on the dim-9 tensor costs about half
+# what it does over Q
+@pytest.fixture(scope="module")
+def ks3():
+    field = GF(5)
+    return (s3_bialgebra(field), s3_transposition_yd(1, field),
+            s3_transposition_yd(0, field))
+
+
+def test_ks3_transposition_modules_and_their_tensor_are_yd(ks3):
+    H3, signed, unsigned = ks3
+    for M in (signed, unsigned, yd_tensor(H3, signed, unsigned)):
+        assert check_yd(H3, M).ok
+
+
+def test_ks3_dehomified_hexagons_hold(ks3):
+    # the family of `homcat dehomify hexagons` on (signed, unsigned, signed),
+    # with ungated B-maps: the test above checks that the inputs are YD
+    H3, signed, unsigned = ks3
+    U, V, W = signed, unsigned, signed
+    fam = dehomify.ConstraintFamily(H3.field)
+    for label, M in zip("UVW", (U, V, W)):
+        fam.add_module(label, M.alpha)
+    fam.add_pair_map("U", "V", _b_yd_map(H3, U, V))
+    fam.add_pair_map("U", "W", _b_yd_map(H3, U, W))
+    fam.add_pair_map("V", "W", _b_yd_map(H3, V, W))
+    fam.add_pair_map("U", ("V", "W"), _b_yd_map(H3, U, yd_tensor(H3, V, W)))
+    fam.add_pair_map(("U", "V"), "W", _b_yd_map(H3, yd_tensor(H3, U, V), W))
+    rep = dehomify.check_hexagons(fam, fam, "U", "V", "W")
+    assert rep.axiom_status == {"hex1": True, "hex2": True}
 
 
 def test_tensor_gates_on_invalid_input(H, yd_regular):

@@ -21,6 +21,15 @@ never tolerance based. add, sub and scale do arithmetic only where an
 operand is nonzero: a zero entry takes the other operand's scalar as it
 is, so a sum of sparse maps costs a scan of its entries plus one scalar
 operation per nonzero.
+
+A Kronecker product built only to be composed once is never stored:
+a.compose_kron(b, c) equals a.compose(kron(b, c)) and b.kron_compose(c, a)
+equals kron(b, c).compose(a). Each reads the nonzero columns of its three
+operands once and does one multiply-add per triple of nonzeros that meet,
+so it costs a scan of its operands and its output plus the products, never
+a scan of b (x) c. It refuses what the unfused pair refuses, with the same
+messages and in the same order: kron's field check and cap on the virtual
+b (x) c first (kron_shape), then compose's field, dimension and cap checks.
 """
 
 from __future__ import annotations
@@ -274,17 +283,77 @@ class LinMap(Frozen):
 
     def compose(self, other):
         """self after other: (self.compose(f))(v) = self(f(v))."""
-        if self.field != other.field:
-            raise ValueError("field mismatch in compose")
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch in compose: {self.rows}x{self.cols} after "
-                f"{other.rows}x{other.cols}")
-        check_size(self.rows, other.cols, "compose")
+        _compose_check(self.field, (self.rows, self.cols),
+                       other.field, (other.rows, other.cols))
         flat = _K.mat_mul(self.data, self.rows, self.cols,
                           other.data, other.rows, other.cols,
                           self.field.zero, self.field.modulus)
         return LinMap._wrap(self.field, self.rows, other.cols, flat)
+
+    def compose_kron(self, b, c):
+        """self.compose(kron(b, c)), without storing b (x) c.
+
+        Output column flat(j, l) is self applied to b(e_j) (x) c(e_l): one
+        multiply-add for each nonzero b[k, j], each nonzero c[m, l] and each
+        nonzero of self's column flat(k, m). The refusals are those of the
+        unfused pair, in its order.
+        """
+        kshape = kron_shape(b, c)
+        _compose_check(self.field, (self.rows, self.cols), b.field, kshape)
+        rows, cols = self.rows, kshape[1]
+        acols, ccols, cr = self.columns(), c.columns(), c.rows
+        flat = [self.field.zero] * (rows * cols)
+        for j, bcol in enumerate(b.columns()):
+            if not bcol:
+                continue
+            for col, ccol in enumerate(ccols, j * c.cols):
+                for k, bv in bcol:
+                    base = k * cr
+                    for m, cv in ccol:
+                        acol = acols[base + m]
+                        if not acol:
+                            continue
+                        w = bv * cv
+                        for r, av in acol:
+                            x = r * cols + col
+                            y = flat[x]
+                            flat[x] = y + w * av if y else w * av
+        return self._reduced(rows, cols, flat)
+
+    def kron_compose(self, c, a):
+        """kron(self, c).compose(a), without storing self (x) c.
+
+        Each nonzero a[flat(j, l), t] adds its multiple of self(e_j) (x)
+        c(e_l) to output column t: one multiply-add for each such nonzero
+        and each pair of nonzeros of those two columns. The refusals are
+        those of the unfused pair, in its order.
+        """
+        kshape = kron_shape(self, c)
+        _compose_check(self.field, kshape, a.field, (a.rows, a.cols))
+        rows, cols, cc, cr = kshape[0], a.cols, c.cols, c.rows
+        bcols, ccols = self.columns(), c.columns()
+        flat = [self.field.zero] * (rows * cols)
+        for t, acol in enumerate(a.columns()):
+            for i, av in acol:
+                j, l = divmod(i, cc)
+                ccol = ccols[l]
+                if not ccol:
+                    continue
+                for k, bv in bcols[j]:
+                    w = av * bv
+                    base = k * cr
+                    for m, cv in ccol:
+                        x = (base + m) * cols + t
+                        y = flat[x]
+                        flat[x] = y + w * cv if y else w * cv
+        return self._reduced(rows, cols, flat)
+
+    def _reduced(self, rows, cols, flat):
+        # wrap sums of products, each reduced mod p once
+        p = self.field.modulus
+        if p is not None:
+            flat = [v % p for v in flat]
+        return LinMap._wrap(self.field, rows, cols, tuple(flat))
 
     def permute_rows(self, dims, perm):
         """permute_tensor(dims, perm) after self, by moving whole rows."""
@@ -303,14 +372,11 @@ class LinMap(Frozen):
         return LinMap._wrap(self.field, self.rows, c, flat)
 
     def kron(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch in kron")
-        check_size(self.rows * other.rows, self.cols * other.cols, "kron")
+        rows, cols = kron_shape(self, other)
         flat = _K.kron(self.data, self.rows, self.cols,
                        other.data, other.rows, other.cols,
                        self.field.zero, self.field.modulus)
-        return LinMap._wrap(self.field, self.rows * other.rows,
-                            self.cols * other.cols, flat)
+        return LinMap._wrap(self.field, rows, cols, flat)
 
     def add(self, other):
         if self.field != other.field:
@@ -440,6 +506,30 @@ def diag(scalars, field=QQ):
     n = len(scalars)
     return LinMap.from_terms(field, n, n, (
         (i, i, field.coerce(s)) for i, s in enumerate(scalars)))
+
+
+def kron_shape(f, g):
+    """The shape of kron(f, g), refused as kron refuses it.
+
+    Raises ValueError over different fields or above the cap, before
+    anything is allocated.
+    """
+    if f.field != g.field:
+        raise ValueError("field mismatch in kron")
+    shape = (f.rows * g.rows, f.cols * g.cols)
+    check_size(*shape, "kron")
+    return shape
+
+
+def _compose_check(f_field, f_shape, g_field, g_shape):
+    # compose's preflight for an f after a g of the given fields and shapes
+    if f_field != g_field:
+        raise ValueError("field mismatch in compose")
+    if f_shape[1] != g_shape[0]:
+        raise ValueError(
+            f"dimension mismatch in compose: {f_shape[0]}x{f_shape[1]} after "
+            f"{g_shape[0]}x{g_shape[1]}")
+    check_size(f_shape[0], g_shape[1], "compose")
 
 
 def compose(g, f):

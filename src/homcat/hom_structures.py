@@ -286,8 +286,8 @@ def _algebra_checks(A):
     n = A.dim
     M = A.mul_linmap
     al = A.alpha
-    yield ("eq1", al.compose(M), M.compose(kron(al, al)), (n, n), (n,))
-    yield ("eq2", M.compose(kron(al, M)), M.compose(kron(M, al)),
+    yield ("eq1", al.compose(M), M.compose_kron(al, al), (n, n), (n,))
+    yield ("eq2", M.compose_kron(al, M), M.compose_kron(M, al),
            (n, n, n), (n,))
 
 
@@ -300,8 +300,8 @@ def _coalgebra_checks(C):
     n = C.dim
     D = C.comul_linmap
     ps = C.psi
-    yield ("eq3", kron(ps, ps).compose(D), D.compose(ps), (n,), (n, n))
-    yield ("eq4", kron(D, ps).compose(D), kron(ps, D).compose(D),
+    yield ("eq3", ps.kron_compose(ps, D), D.compose(ps), (n,), (n, n))
+    yield ("eq4", D.kron_compose(ps, D), ps.kron_compose(D, D),
            (n,), (n, n, n))
 
 
@@ -365,10 +365,10 @@ def _bialgebra_extra_checks(H):
     lhs5, rhs5 = _contraction_coassoc(H.field, H.comul, ps)
     yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
     M2 = tensor_square_mul(M)
-    yield ("eq6", D.compose(M), M2.compose(kron(D, D)), (n, n), (n, n))
-    yield ("eq7", D.compose(al), kron(al, al).compose(D), (n,), (n, n))
-    yield ("eq7111", D.compose(ps), kron(ps, ps).compose(D), (n,), (n, n))
-    yield ("eq7112", ps.compose(M), M.compose(kron(ps, ps)), (n, n), (n,))
+    yield ("eq6", D.compose(M), M2.compose_kron(D, D), (n, n), (n, n))
+    yield ("eq7", D.compose(al), al.kron_compose(al, D), (n,), (n, n))
+    yield ("eq7111", D.compose(ps), ps.kron_compose(ps, D), (n,), (n, n))
+    yield ("eq7112", ps.compose(M), M.compose_kron(ps, ps), (n, n), (n,))
     yield ("alpha-psi-commute", al.compose(ps), ps.compose(al), (n,), (n,))
 
 
@@ -394,13 +394,13 @@ def check_structure_morphism(f, src, dst, kind, cap=DEFAULT_VIOLATION_CAP):
             ("morphism-twist", f.compose(src.alpha), dst.alpha.compose(f),
              (n,), (m,)),
             ("morphism-mul", f.compose(src.mul_linmap),
-             dst.mul_linmap.compose(kron(f, f)), (n, n), (m,)),
+             dst.mul_linmap.compose_kron(f, f), (n, n), (m,)),
         ]
     else:
         checks = [
             ("morphism-twist", f.compose(src.psi), dst.psi.compose(f),
              (n,), (m,)),
-            ("morphism-comul", kron(f, f).compose(src.comul_linmap),
+            ("morphism-comul", f.kron_compose(f, src.comul_linmap),
              dst.comul_linmap.compose(f), (n,), (m, m)),
         ]
     return _run(checks, cap)
@@ -419,12 +419,12 @@ def yau_twist_algebra(mul, alpha):
     _check_square(field, alpha, n, "alpha")
     M = mul_map(field, cube)
     idn = identity(n, field)
-    assoc_ok, _ = compare_maps("assoc", M.compose(kron(M, idn)),
-                               M.compose(kron(idn, M)), (n, n, n), (n,))
+    assoc_ok, _ = compare_maps("assoc", M.compose_kron(M, idn),
+                               M.compose_kron(idn, M), (n, n, n), (n,))
     if not assoc_ok:
         raise ValueError("not-associative: input multiplication is not associative")
     endo_ok, _ = compare_maps("endo", alpha.compose(M),
-                              M.compose(kron(alpha, alpha)), (n, n), (n,))
+                              M.compose_kron(alpha, alpha), (n, n), (n,))
     if not endo_ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
     acols = alpha.columns()

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .exact_tensor import (
-    Frozen, LinMap, identity, kron, zero_map,
+    Frozen, LinMap, identity, kron, kron_shape, zero_map,
 )
 from .hom_structures import (
     DEFAULT_VIOLATION_CAP, CheckReport, _run, check_hom_bialgebra,
@@ -200,14 +200,14 @@ def _r_condition_checks(H, R):
     n = H.dim
     rv = R.as_vector()
     al, ps = H.alpha, H.psi
-    yield ("r-alpha-invariance", kron(al, al).compose(rv), rv, (), (n, n))
-    yield ("r-psi-invariance", kron(ps, ps).compose(rv), rv, (), (n, n))
+    yield ("r-alpha-invariance", al.kron_compose(al, rv), rv, (), (n, n))
+    yield ("r-psi-invariance", ps.kron_compose(ps, rv), rv, (), (n, n))
 
     # exchange law, matrix route: multiply inside the tensor square
     M2 = tensor_square_mul(H.mul_linmap)
     D = H.comul_linmap
     d_cop = D.permute_rows((n, n), (1, 0))
-    yield ("eq29", M2.compose(kron(rv, D)), M2.compose(kron(d_cop, rv)),
+    yield ("eq29", M2.compose_kron(rv, D), M2.compose_kron(d_cop, rv),
            (n,), (n, n))
     # exchange law, contraction route
     lhs38, rhs38 = _contract_eq38(H, R)
@@ -216,11 +216,11 @@ def _r_condition_checks(H, R):
     # coproduct-splitting laws, matrix route
     rr = kron(rv, rv)
     swap_mid = rr.permute_rows((n, n, n, n), (0, 2, 1, 3))
-    rhs30 = kron(kron(ps, ps), H.mul_linmap).compose(swap_mid)
-    yield ("eq30", kron(D, al).compose(rv), rhs30, (), (n, n, n))
+    rhs30 = kron(ps, ps).kron_compose(H.mul_linmap, swap_mid)
+    yield ("eq30", D.kron_compose(al, rv), rhs30, (), (n, n, n))
     to_xzwy = rr.permute_rows((n, n, n, n), (0, 2, 3, 1))
-    rhs31 = kron(H.mul_linmap, kron(ps, ps)).compose(to_xzwy)
-    yield ("eq31", kron(al, D).compose(rv), rhs31, (), (n, n, n))
+    rhs31 = H.mul_linmap.kron_compose(kron(ps, ps), to_xzwy)
+    yield ("eq31", al.kron_compose(D, rv), rhs31, (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
     yield ("eq39", _element(H, _contract_coproduct_side(H, R, True, al)),
@@ -327,22 +327,22 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None, cap=DEFAULT_VIOLATION_CA
         yield ("eq27", c.map, _braiding_elementwise(H, R, U, V),
                (dU, dV), (dV, dU))
         yield ("braiding-intertwine",
-               kron(V.alpha, U.alpha).compose(c.map),
-               c.map.compose(kron(U.alpha, V.alpha)), (dU, dV), (dV, dU))
+               V.alpha.kron_compose(U.alpha, c.map),
+               c.map.compose_kron(U.alpha, V.alpha), (dU, dV), (dV, dU))
         gu = twist_module(H, U, "G")
         gv = twist_module(H, V, "G")
         src_t = tensor_module(H, U, V)
         dst_t = tensor_module(H, gv, gu)
         yield ("braiding-h-linear",
                c.map.compose(src_t.action),
-               dst_t.action.compose(kron(identity(n, H.field), c.map)),
+               dst_t.action.compose_kron(identity(n, H.field), c.map),
                (n, dU, dV), (dV, dU))
         fm, U2 = (U.alpha, gu) if f is None else f
         gm, V2 = (V.alpha, gv) if g is None else g
         c2 = braiding_from_r(H, R, U2, V2)
         yield ("braiding-natural",
-               c2.map.compose(kron(fm, gm)),
-               kron(gm, fm).compose(c.map), (dU, dV), (V2.dim, U2.dim))
+               c2.map.compose_kron(fm, gm),
+               gm.kron_compose(fm, c.map), (dU, dV), (V2.dim, U2.dim))
         cg = braiding_from_r(H, R, gu, gv)
         yield ("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
     return _run(checks(), cap)
@@ -365,16 +365,20 @@ def check_hexagon_instances(H, R, U, V, W, cap=DEFAULT_VIOLATION_CAP):
     uv = tensor_module(H, U, V)
 
     def checks():
-        lhs45 = kron(identity(dV * dW, field), U.alpha).compose(
-            braiding_from_r(H, R, fu, vw).map)
-        rhs45 = kron(identity(dV, field),
-                     braiding_from_r(H, R, gu, W).map).compose(
+        # the lift's kron preflight runs before the braiding after it is
+        # built, so an oversized hexagon is refused as a kron output
+        lift = identity(dV * dW, field)
+        kron_shape(lift, U.alpha)
+        lhs45 = lift.kron_compose(U.alpha, braiding_from_r(H, R, fu, vw).map)
+        rhs45 = identity(dV, field).kron_compose(
+            braiding_from_r(H, R, gu, W).map,
             kron(braiding_from_r(H, R, U, V).map, identity(dW, field)))
         yield ("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU))
-        lhs50 = kron(W.alpha, identity(dU * dV, field)).compose(
-            braiding_from_r(H, R, uv, fw).map)
-        rhs50 = kron(braiding_from_r(H, R, U, gw).map,
-                     identity(dV, field)).compose(
+        lift = identity(dU * dV, field)
+        kron_shape(W.alpha, lift)
+        lhs50 = W.alpha.kron_compose(lift, braiding_from_r(H, R, uv, fw).map)
+        rhs50 = braiding_from_r(H, R, U, gw).map.kron_compose(
+            identity(dV, field),
             kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
         yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
     return _run(checks(), cap)
@@ -393,8 +397,8 @@ def check_hom_ybe(B, alpha, cap=DEFAULT_VIOLATION_CAP):
     ab = kron(alpha, B)
 
     def checks():
-        yield ("ybe-compat", kron(alpha, alpha).compose(B),
-               B.compose(kron(alpha, alpha)), (d, d), (d, d))
+        yield ("ybe-compat", alpha.kron_compose(alpha, B),
+               B.compose_kron(alpha, alpha), (d, d), (d, d))
         yield ("eq145", ba.compose(ab).compose(ba),
                ab.compose(ba).compose(ab), (d, d, d), (d, d, d))
     return _run(checks(), cap)
@@ -416,8 +420,8 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w,
         raise ValueError("b_uw shape mismatch")
     if b_vw.rows != dW * dV or b_vw.cols != dV * dW:
         raise ValueError("b_vw shape mismatch")
-    lhs = kron(a_w, b_uv).compose(kron(b_uw, a_v)).compose(kron(a_u, b_vw))
-    rhs = kron(b_vw, a_u).compose(kron(a_v, b_uw)).compose(kron(b_uv, a_w))
+    lhs = a_w.kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
+    rhs = b_vw.kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
     return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))], cap)
 
 

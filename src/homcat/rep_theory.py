@@ -150,7 +150,7 @@ def conjugate_module(M, g):
     if g.rows != M.dim or g.cols != M.dim:
         raise ValueError("conjugating map must be square of the module dim")
     gi = g.inverse()
-    act = g.compose(M.action).compose(kron(identity(M.hdim, M.field), gi))
+    act = g.compose(M.action).compose_kron(identity(M.hdim, M.field), gi)
     return HModule(M.field, act, g.compose(M.alpha).compose(gi))
 
 
@@ -168,9 +168,9 @@ def check_module(H, M, cap=DEFAULT_VIOLATION_CAP):
     act = M.action
     checks = [
         ("eq8", M.alpha.compose(act),
-         act.compose(kron(H.alpha, M.alpha)), (n, dm), (dm,)),
-        ("eq9", act.compose(kron(H.alpha, act)),
-         act.compose(kron(H.mul_linmap, M.alpha)), (n, n, dm), (dm,)),
+         act.compose_kron(H.alpha, M.alpha), (n, dm), (dm,)),
+        ("eq9", act.compose_kron(H.alpha, act),
+         act.compose_kron(H.mul_linmap, M.alpha), (n, n, dm), (dm,)),
     ]
     return _run(checks, cap)
 
@@ -183,10 +183,10 @@ def check_comodule(C, M, cap=DEFAULT_VIOLATION_CAP):
     n, dm = C.dim, M.dim
     co = M.coaction
     checks = [
-        ("comodul1", kron(C.psi, M.psi).compose(co),
+        ("comodul1", C.psi.kron_compose(M.psi, co),
          co.compose(M.psi), (dm,), (n, dm)),
-        ("comodul2", kron(C.comul_linmap, M.psi).compose(co),
-         kron(C.psi, co).compose(co), (dm,), (n, n, dm)),
+        ("comodul2", C.comul_linmap.kron_compose(M.psi, co),
+         C.psi.kron_compose(co, co), (dm,), (n, n, dm)),
     ]
     return _run(checks, cap)
 
@@ -234,7 +234,7 @@ def twist_module(H, M, which):
         tw = H.alpha
     else:
         raise ValueError(f"which must be 'F' or 'G', got {which!r}")
-    act = M.action.compose(kron(tw, identity(M.dim, M.field)))
+    act = M.action.compose_kron(tw, identity(M.dim, M.field))
     return HModule(M.field, act, M.alpha)
 
 
@@ -249,7 +249,7 @@ def check_module_morphism(f, H, M, N, cap=DEFAULT_VIOLATION_CAP):
         ("module-morphism-twist", f.compose(M.alpha), N.alpha.compose(f),
          (dm,), (dn,)),
         ("module-morphism-action", f.compose(M.action),
-         N.action.compose(kron(identity(n, M.field), f)), (n, dm), (dn,)),
+         N.action.compose_kron(identity(n, M.field), f), (n, dm), (dn,)),
     ]
     return _run(checks, cap)
 
@@ -265,7 +265,7 @@ def check_comodule_morphism(f, C, M, N, cap=DEFAULT_VIOLATION_CAP):
         ("comodule-morphism-twist", f.compose(M.psi), N.psi.compose(f),
          (dm,), (dn,)),
         ("comodule-morphism-coaction",
-         kron(identity(n, M.field), f).compose(M.coaction),
+         identity(n, M.field).kron_compose(f, M.coaction),
          N.coaction.compose(f), (dm,), (n, dn)),
     ]
     return _run(checks, cap)
@@ -317,8 +317,8 @@ def check_module_hom_algebra(H, A, act_module, cap=DEFAULT_VIOLATION_CAP):
     if act_module.alpha != A.alpha:
         raise ValueError("module structure map must equal the algebra twist map")
     n, da = H.dim, A.dim
-    lhs = act_module.action.compose(
-        kron(H.alpha.compose(H.psi), A.mul_linmap))
+    lhs = act_module.action.compose_kron(
+        H.alpha.compose(H.psi), A.mul_linmap)
     tens = tensor_module(H, act_module, act_module)
     rhs = A.mul_linmap.compose(tens.action)
     return _run([("compmodulealgebra", lhs, rhs, (n, da, da), (da,))], cap)

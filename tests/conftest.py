@@ -9,6 +9,7 @@ same thing.
 
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -140,6 +141,27 @@ def s3_transposition_yd(eps, field=QQ):
 # Q[x]/(x^2): e0 = 1, e1 = x; and the coalgebra with x primitive
 DUAL_MUL = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 DUAL_COMUL = [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]
+
+
+@contextmanager
+def map_sizes():
+    """Entry counts of the maps built inside the block, in build order.
+
+    Counts through LinMap._wrap, which every map outside the dense
+    constructors is built by.
+    """
+    wrap = LinMap.__dict__["_wrap"]
+    sizes = []
+
+    def counting(cls, field, rows, cols, flat):
+        sizes.append(rows * cols)
+        return wrap.__func__(cls, field, rows, cols, flat)
+
+    LinMap._wrap = classmethod(counting)
+    try:
+        yield sizes
+    finally:
+        LinMap._wrap = wrap
 
 
 def freeze_cube(field, c):

@@ -330,6 +330,104 @@ def test_kron_mixed_product(data):
     assert kron(a, b).compose(kron(c, d)) == kron(a.compose(c), b.compose(d))
 
 
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_fused_kron_kernels_match_the_unfused_pair(field, data):
+    # mostly zeros, so whole columns and products are skipped, and empty
+    # sides; small values, so entries cancel to computed zeros
+    value = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.fractions(-2, 2, max_denominator=2))
+    side = st.integers(0, 3)
+
+    def draw_map(rows, cols):
+        return LinMap(field, rows, cols,
+                      [field.coerce(data.draw(value))
+                       for _ in range(rows * cols)])
+
+    br, bc, cr, cc, n = (data.draw(side) for _ in range(5))
+    b, c = draw_map(br, bc), draw_map(cr, cc)
+    after, before = draw_map(n, br * cr), draw_map(bc * cc, n)
+    pairs = {"compose_kron": (after.compose_kron(b, c),
+                              after.compose(kron(b, c))),
+             "kron_compose": (b.kron_compose(c, before),
+                              kron(b, c).compose(before))}
+    for name, (fused, unfused) in pairs.items():
+        assert fused == unfused, name
+        assert all(_has_field_type(field, v)
+                   for r in fused.row_lists() for v in r), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_fused_kron_kernels_keep_computed_cancellations(field):
+    # 1*1 + 1*(-1): each output entry is a sum that cancels to zero
+    ones = LinMap.from_rows(field, [[1, 1]])
+    signs = LinMap.from_rows(field, [[1], [-1]])
+    one = identity(1, field)
+    for fused in (ones.compose_kron(one, signs),
+                  one.kron_compose(ones, signs)):
+        assert fused == zero_map(1, 1, field)
+        assert _has_field_type(field, fused.entry(0, 0))
+
+
+def _fused_and_unfused_refusals():
+    q, f = identity(2), identity(2, GF(5))
+    row = zero_map(1, 2 ** 14)
+    col = zero_map(2 ** 14, 1)
+    one = zero_map(1, 1)
+    return {
+        "kron field": (lambda: q.compose_kron(q, f),
+                       lambda: q.compose(kron(q, f)),
+                       lambda: q.kron_compose(f, q),
+                       lambda: kron(q, f).compose(q)),
+        "compose field": (lambda: identity(4, GF(5)).compose_kron(q, q),
+                          lambda: identity(4, GF(5)).compose(kron(q, q)),
+                          lambda: q.kron_compose(q, identity(4, GF(5))),
+                          lambda: kron(q, q).compose(identity(4, GF(5)))),
+        "dimension": (lambda: identity(3).compose_kron(q, q),
+                      lambda: identity(3).compose(kron(q, q)),
+                      lambda: q.kron_compose(q, identity(3)),
+                      lambda: kron(q, q).compose(identity(3))),
+        "kron cap": (lambda: one.compose_kron(row, row),
+                     lambda: one.compose(kron(row, row)),
+                     lambda: row.kron_compose(row, one),
+                     lambda: kron(row, row).compose(one)),
+        "compose cap": (lambda: col.compose_kron(one, row),
+                        lambda: col.compose(kron(one, row)),
+                        lambda: col.kron_compose(one, row),
+                        lambda: kron(col, one).compose(row)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fused_and_unfused_refusals()))
+def test_fused_kron_kernels_refuse_as_the_unfused_pair(case):
+    fused_ck, unfused_ck, fused_kc, unfused_kc = \
+        _fused_and_unfused_refusals()[case]
+    for fused, unfused in ((fused_ck, unfused_ck), (fused_kc, unfused_kc)):
+        with pytest.raises(ValueError) as want:
+            unfused()
+        with pytest.raises(ValueError) as got:
+            fused()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_fused_kron_kernels_refuse_an_oversized_product_before_allocating():
+    # b (x) c would be 1 x 2**28; the fused kernels never store it, but
+    # refuse it exactly as kron does, before allocating anything
+    row = zero_map(1, 2 ** 14)
+    one = zero_map(1, 1)
+    for fused in (lambda: one.compose_kron(row, row),
+                  lambda: row.kron_compose(row, one)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    "^kron output 1x268435456 exceeds the cap")):
+                fused()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_kron_all_and_compose_all():
     assert kron_all(identity(2), identity(3), identity(2)) == identity(12)
     s = diag([2, 3])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    FROZEN, cube, group_comul_cube, group_mul_cube, sparse_columns,
-    sweedler_h4, sweedler_r, z2_bialgebra,
+    FROZEN, cube, group_comul_cube, group_mul_cube, map_sizes,
+    sparse_columns, sweedler_h4, sweedler_r, z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
@@ -19,7 +19,8 @@ from homcat.qt_braiding import (
     check_mixed_hom_ybe, check_r_conditions, ybe_yau_twist,
 )
 from homcat.rep_theory import (
-    module_from_cube, regular_module, tensor_module, zero_module,
+    conjugate_module, module_from_cube, regular_module, tensor_module,
+    zero_module,
 )
 
 R_KEYS = ("r-alpha-invariance", "r-psi-invariance", "eq38", "eq29",
@@ -141,6 +142,23 @@ def test_braiding_on_zero_module():
     assert check_braiding_morphism(H, triangular_r(), Z, M).ok
 
 
+def test_braiding_morphism_on_16_dim_modules_builds_no_map_above_256x1024():
+    # H4 on regular (x) conjugate modules of dim 16: the sides of
+    # braiding-h-linear are 256 x 1024, so the 1024 x 1024 lift id_4 (x) c
+    # it composes through must not be stored. GF(5) keeps the arithmetic
+    # cheap; the maps built do not depend on the field.
+    field = GF(5)
+    H = sweedler_h4(field)
+    reg = regular_module(H)
+    conj = conjugate_module(reg, LinMap.from_rows(field, [
+        [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]))
+    U, V = tensor_module(H, reg, conj), tensor_module(H, conj, reg)
+    with map_sizes() as sizes:
+        rep = check_braiding_morphism(H, sweedler_r(field, 1), U, V)
+    assert rep.ok and len(rep.checked) == 5
+    assert max(sizes) <= 256 * 1024
+
+
 @pytest.mark.skipif(type(QQ.zero) is not Fraction,
                     reason="counts fractions.Fraction arithmetic")
 def test_r_action_does_arithmetic_on_nonzeros_only(monkeypatch):
@@ -190,6 +208,16 @@ def test_hexagons_match_frozen():
     got = (v.index[0], v.index[1], v.index[2],
            [(i, str(c)) for i, c in v.lhs], [(i, str(c)) for i, c in v.rhs])
     assert got == FROZEN["r_g1_hex45_diff"]
+
+
+def test_oversized_hexagon_refused_at_its_first_lift():
+    # three 23-dim modules: eq45's maps are 12167 x 12167, above the cap;
+    # the refusal names the lift id (x) alpha_U, before any braiding is built
+    H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
+    Z = zero_module(QQ, 1, identity(23))
+    with pytest.raises(ValueError, match=(
+            "^kron output 12167x12167 exceeds the cap")):
+        check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
 
 
 # ------------------------------------------------------------------ B map

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     DUAL_COMUL, DUAL_MUL, FROZEN, cube, freeze_cube, freeze_violations,
-    group_alpha_map, group_comul_cube, group_mul_cube, z2_bialgebra,
+    group_alpha_map, group_comul_cube, group_mul_cube, map_sizes,
+    z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
@@ -19,6 +20,7 @@ from homcat.rep_theory import (
     conjugate_module, module_from_cube, phi_check, regular_comodule,
     regular_module, tensor_module, twist_module, zero_module,
 )
+from homcat.workbench_cli import gen_group_bialgebra
 
 
 def z3tw():
@@ -41,6 +43,19 @@ def test_mismatched_structure_map_fails_as_frozen():
     rep = check_module(A, M)
     assert rep.failed_axioms == ["eq8", "eq9"]
     assert freeze_violations(rep.violations) == FROZEN["dualnum_module_eq8_fail"]
+
+
+def test_module_check_builds_no_map_above_the_eq9_sides():
+    # the 64-dim regular (x) regular (x) regular module over the n = 4 group
+    # bialgebra with twist e_i -> e_3i: eq9's sides are 64 x 1024, so the
+    # 256 x 1024 product alpha (x) act its left side composes through must
+    # not be stored
+    H, _ = gen_group_bialgebra(4, 3)
+    reg = regular_module(H)
+    M = tensor_module(H, tensor_module(H, reg, reg), reg)
+    with map_sizes() as sizes:
+        assert check_module(H, M).ok
+    assert max(sizes) <= 64 * 1024
 
 
 def test_module_field_mismatch():

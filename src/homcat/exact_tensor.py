@@ -27,7 +27,11 @@ a.compose_kron(b, c) equals a.compose(kron(b, c)) and b.kron_compose(c, a)
 equals kron(b, c).compose(a). Each reads the nonzero columns of its three
 operands once and does one multiply-add per triple of nonzeros that meet,
 so it costs a scan of its operands and its output plus the products, never
-a scan of b (x) c. It refuses what the unfused pair refuses, with the same
+a scan of b (x) c. The multiply-adds are on Python ints: over Q each
+operand is scaled to integer numerators over one common denominator (the
+lcm of its nonzero denominators), and each nonzero output sum becomes one
+rational over the product of the three denominators; over F_p each sum is
+reduced mod p once. It refuses what the unfused pair refuses, with the same
 messages and in the same order: kron's field check and cap on the virtual
 b (x) c first (kron_shape), then compose's field, dimension and cap checks.
 """
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 
 from . import _kernels_py as _K
 
@@ -294,16 +298,20 @@ class LinMap(Frozen):
         """self.compose(kron(b, c)), without storing b (x) c.
 
         Output column flat(j, l) is self applied to b(e_j) (x) c(e_l): one
-        multiply-add for each nonzero b[k, j], each nonzero c[m, l] and each
-        nonzero of self's column flat(k, m). The refusals are those of the
-        unfused pair, in its order.
+        integer multiply-add for each nonzero b[k, j], each nonzero c[m, l]
+        and each nonzero of self's column flat(k, m), on numerators over
+        one common denominator per operand, and one scalar formed per
+        output entry. The refusals are those of the unfused pair, in its
+        order.
         """
         kshape = kron_shape(b, c)
         _compose_check(self.field, (self.rows, self.cols), b.field, kshape)
-        rows, cols = self.rows, kshape[1]
-        acols, ccols, cr = self.columns(), c.columns(), c.rows
-        flat = [self.field.zero] * (rows * cols)
-        for j, bcol in enumerate(b.columns()):
+        rows, cols, cr = self.rows, kshape[1], c.rows
+        acols, da = self._int_columns()
+        bcols, db = b._int_columns()
+        ccols, dc = c._int_columns()
+        flat = [0] * (rows * cols)
+        for j, bcol in enumerate(bcols):
             if not bcol:
                 continue
             for col, ccol in enumerate(ccols, j * c.cols):
@@ -315,25 +323,27 @@ class LinMap(Frozen):
                             continue
                         w = bv * cv
                         for r, av in acol:
-                            x = r * cols + col
-                            y = flat[x]
-                            flat[x] = y + w * av if y else w * av
-        return self._reduced(rows, cols, flat)
+                            flat[r * cols + col] += w * av
+        return self._from_int_sums(rows, cols, flat, da * db * dc)
 
     def kron_compose(self, c, a):
         """kron(self, c).compose(a), without storing self (x) c.
 
         Each nonzero a[flat(j, l), t] adds its multiple of self(e_j) (x)
-        c(e_l) to output column t: one multiply-add for each such nonzero
-        and each pair of nonzeros of those two columns. The refusals are
-        those of the unfused pair, in its order.
+        c(e_l) to output column t: one integer multiply-add for each such
+        nonzero and each pair of nonzeros of those two columns, on
+        numerators over one common denominator per operand, and one scalar
+        formed per output entry. The refusals are those of the unfused
+        pair, in its order.
         """
         kshape = kron_shape(self, c)
         _compose_check(self.field, kshape, a.field, (a.rows, a.cols))
         rows, cols, cc, cr = kshape[0], a.cols, c.cols, c.rows
-        bcols, ccols = self.columns(), c.columns()
-        flat = [self.field.zero] * (rows * cols)
-        for t, acol in enumerate(a.columns()):
+        bcols, db = self._int_columns()
+        ccols, dc = c._int_columns()
+        acols, da = a._int_columns()
+        flat = [0] * (rows * cols)
+        for t, acol in enumerate(acols):
             for i, av in acol:
                 j, l = divmod(i, cc)
                 ccol = ccols[l]
@@ -343,17 +353,33 @@ class LinMap(Frozen):
                     w = av * bv
                     base = k * cr
                     for m, cv in ccol:
-                        x = (base + m) * cols + t
-                        y = flat[x]
-                        flat[x] = y + w * cv if y else w * cv
-        return self._reduced(rows, cols, flat)
+                        flat[(base + m) * cols + t] += w * cv
+        return self._from_int_sums(rows, cols, flat, da * db * dc)
 
-    def _reduced(self, rows, cols, flat):
-        # wrap sums of products, each reduced mod p once
-        p = self.field.modulus
+    def _int_columns(self):
+        # (columns(), d) with each value v replaced, column by column, by
+        # the integer v * d; d is the lcm of the nonzero denominators over
+        # Q and 1 over F_p, whose scalars are ints already
+        cols = self.columns()
+        if self.field.char:
+            return cols, 1
+        d = lcm(*{v.denominator for col in cols for _, v in col})
+        for col in cols:
+            col[:] = [(i, v.numerator * (d // v.denominator)) for i, v in col]
+        return cols, d
+
+    def _from_int_sums(self, rows, cols, flat, den):
+        # wrap integer sums of products over den: each reduced mod p once,
+        # or, in place, each nonzero made the one rational sum / den
+        f = self.field
+        p = f.modulus
         if p is not None:
-            flat = [v % p for v in flat]
-        return LinMap._wrap(self.field, rows, cols, tuple(flat))
+            flat = [s % p for s in flat]
+        else:
+            zero = f.zero
+            for x, s in enumerate(flat):
+                flat[x] = _RAT(s, den) if s else zero
+        return LinMap._wrap(f, rows, cols, tuple(flat))
 
     def permute_rows(self, dims, perm):
         """permute_tensor(dims, perm) after self, by moving whole rows."""

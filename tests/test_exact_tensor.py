@@ -1,6 +1,7 @@
 """Field, LinMap and tensor-shuffle units, plus kernel backend agreement."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -333,12 +334,16 @@ def test_kron_mixed_product(data):
 @given(st.sampled_from([QQ, GF(5)]), st.data())
 def test_fused_kron_kernels_match_the_unfused_pair(field, data):
     # mostly zeros, so whole columns and products are skipped, and empty
-    # sides; small values, so entries cancel to computed zeros
-    value = st.one_of(st.just(0), st.just(0), st.just(0),
-                      st.fractions(-2, 2, max_denominator=2))
+    # sides; small values, so entries cancel to computed zeros; each
+    # operand its own largest denominator, so the kernels' common
+    # denominators differ and sums need reducing
     side = st.integers(0, 3)
 
     def draw_map(rows, cols):
+        top = data.draw(st.integers(1, 6).filter(
+            lambda d: not field.char or d % field.char))
+        value = st.one_of(st.just(0), st.integers(-2 * top, 2 * top).map(
+            lambda k: Fraction(k, top)))
         return LinMap(field, rows, cols,
                       [field.coerce(data.draw(value))
                        for _ in range(rows * cols)])
@@ -352,8 +357,11 @@ def test_fused_kron_kernels_match_the_unfused_pair(field, data):
                               kron(b, c).compose(before))}
     for name, (fused, unfused) in pairs.items():
         assert fused == unfused, name
-        assert all(_has_field_type(field, v)
-                   for r in fused.row_lists() for v in r), name
+        got, want = fused.row_lists(), unfused.row_lists()
+        assert all(_has_field_type(field, v) for r in got for v in r), name
+        # reports print scalars with str
+        assert ([[str(v) for v in r] for r in got]
+                == [[str(v) for v in r] for r in want]), name
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -366,6 +374,43 @@ def test_fused_kron_kernels_keep_computed_cancellations(field):
                   one.kron_compose(ones, signs)):
         assert fused == zero_map(1, 1, field)
         assert _has_field_type(field, fused.entry(0, 0))
+
+
+def test_fused_kron_kernels_reduce_a_sum_over_two_denominators():
+    # 1/2 * 1 + 1/2 * 1/3 = 2/3: b's denominator 2 and c's 3 meet in 4/6
+    b = LinMap.from_rows(QQ, [["1/2"]])
+    c_col = LinMap.from_rows(QQ, [[1], ["1/3"]])
+    c_row = LinMap.from_rows(QQ, [[1, "1/3"]])
+    for fused in (LinMap.from_rows(QQ, [[1, 1]]).compose_kron(b, c_col),
+                  b.kron_compose(c_row, LinMap.from_rows(QQ, [[1], [1]]))):
+        assert (fused.rows, fused.cols) == (1, 1)
+        assert str(fused.entry(0, 0)) == "2/3"
+        assert _has_field_type(QQ, fused.entry(0, 0))
+
+
+@pytest.mark.skipif(type(QQ.zero) is not Fraction,
+                    reason="counts fractions.Fraction arithmetic")
+def test_fused_kron_kernels_multiply_and_add_no_fractions(monkeypatch):
+    # dense operands, no entry an integer: every product and sum is on
+    # integer numerators
+    def dense(rows, cols, shift):
+        return LinMap(QQ, rows, cols, [Fraction(k + shift, k + shift + 1)
+                                       for k in range(rows * cols)])
+
+    b, c = dense(2, 3, 1), dense(3, 2, 2)
+    after, before = dense(4, 6, 3), dense(6, 5, 4)
+    want = (after.compose(kron(b, c)), kron(b, c).compose(before))
+    counts = Counter()
+    for name in ("__mul__", "__add__"):
+        def counting(x, y, real=getattr(Fraction, name), name=name):
+            counts[name] += 1
+            return real(x, y)
+        monkeypatch.setattr(Fraction, name, counting)
+    got = (after.compose_kron(b, c), b.kron_compose(c, before))
+    monkeypatch.undo()
+    assert counts["__mul__"] == 0
+    assert counts["__add__"] == 0
+    assert got == want
 
 
 def _fused_and_unfused_refusals():

@@ -15,7 +15,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 
 OWNERS = {"exact_tensor.py", "_kernels_py.py"}
-STORAGE_ATTRS = {"_wrap", "data", "modulus"}
+STORAGE_ATTRS = {"_wrap", "data", "modulus", "_int_columns", "_from_int_sums"}
 
 
 def storage_uses(source):

@@ -14,8 +14,8 @@ from .exact_tensor import (
     unflatten_index, zero_map,
 )
 from .hom_structures import (
-    CheckReport, DEFAULT_VIOLATION_CAP, HomAlgebra, HomBialgebra,
-    HomCoalgebra, HomSemigroup, NONDEGENERATE, UNKNOWN, Violation,
+    CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra,
+    HomSemigroup, NONDEGENERATE, UNKNOWN, VIOLATION_CAP, Violation,
     check_hom_algebra, check_hom_bialgebra, check_hom_coalgebra,
     check_hom_semigroup, check_structure_morphism, compare_maps,
     nondegenerate_via_regular, semigroup_algebra, tensor_hom_algebra,

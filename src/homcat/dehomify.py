@@ -19,7 +19,7 @@ quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 from __future__ import annotations
 
 from .exact_tensor import identity, kron
-from .hom_structures import DEFAULT_VIOLATION_CAP, _run, require
+from .hom_structures import _run, require
 from .yetter_drinfeld import (
     _cached_inverse, b_yd, check_yd, quasi_braiding_yd, yd_associator,
 )
@@ -119,7 +119,7 @@ class ConstraintFamily:
                        self.pair_map(u, v))
 
 
-def check_pentagon(b_family, U, V, W, X, cap=DEFAULT_VIOLATION_CAP):
+def check_pentagon(b_family, U, V, W, X):
     """Mac Lane pentagon for the derived associativity constraint."""
     du, dv = b_family.dim(U), b_family.dim(V)
     dw, dx = b_family.dim(W), b_family.dim(X)
@@ -129,10 +129,10 @@ def check_pentagon(b_family, U, V, W, X, cap=DEFAULT_VIOLATION_CAP):
         kron(b_family.assoc(U, V, W), identity(dx, field)))
     rhs = b_family.assoc(U, V, (W, X)).compose(b_family.assoc((U, V), W, X))
     return _run([("pentagon", lhs, rhs,
-                  (du, dv, dw, dx), (du, dv, dw, dx))], cap)
+                  (du, dv, dw, dx), (du, dv, dw, dx))])
 
 
-def check_hexagons(b_family, c_family, U, V, W, cap=DEFAULT_VIOLATION_CAP):
+def check_hexagons(b_family, c_family, U, V, W):
     """Both classical hexagons for the derived (b, c) pair.
 
     hex1: b(V,W,U) c(U, V(x)W) b(U,V,W) = (id (x) c(U,W)) b(V,U,W) (c(U,V) (x) id)
@@ -159,10 +159,10 @@ def check_hexagons(b_family, c_family, U, V, W, cap=DEFAULT_VIOLATION_CAP):
             b_family.assoc(U, W, V).inverse()).compose(
             kron(idu, c_family.braid(V, W)))
         yield ("hex2", lhs2, rhs2, (du, dv, dw), (dw, du, dv))
-    return _run(checks(), cap)
+    return _run(checks())
 
 
-def cross_check_yd(H, M, N, P=None, cap=DEFAULT_VIOLATION_CAP):
+def cross_check_yd(H, M, N, P=None):
     """Do the builders reproduce the Yetter-Drinfeld coherence maps.
 
     eq3333c: build_b on the structure maps equals the rebracketing
@@ -184,4 +184,4 @@ def cross_check_yd(H, M, N, P=None, cap=DEFAULT_VIOLATION_CAP):
                yd_associator(M, N, P), dims, dims)
         yield ("eq9999d", build_c(M.alpha, N.alpha, b_yd(H, M, N)),
                quasi_braiding_yd(H, M, N), (M.dim, N.dim), (N.dim, M.dim))
-    return _run(checks(), cap)
+    return _run(checks())

@@ -44,11 +44,6 @@ from math import lcm, prod
 
 from . import _kernels_py as _K
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
-
 # the one kernel backend, reported in benchmark and environment labels
 KERNEL_BACKEND = "python"
 
@@ -112,10 +107,9 @@ def _is_prime(n):
 class Field(Frozen):
     """Scalar field descriptor: characteristic 0 (exact rationals) or p.
 
-    Rational scalars are gmpy2.mpq if the optional gmpy2 package is
-    installed and fractions.Fraction if it is not; both keep lowest terms
-    with positive denominator. Prime field scalars are plain ints
-    canonicalized into [0, p).
+    Rational scalars are fractions.Fraction, in lowest terms with positive
+    denominator; str gives their codec form ("-3", "1/2"). Prime field
+    scalars are plain ints canonicalized into [0, p).
     """
 
     __slots__ = ("char", "zero", "one")
@@ -124,30 +118,26 @@ class Field(Frozen):
         if char != 0:
             if not _is_prime(char):
                 raise ValueError(f"field characteristic must be 0 or prime, got {char}")
-        zero, one = (_RAT(0), _RAT(1)) if char == 0 else (0, 1)
+        zero, one = (Fraction(0), Fraction(1)) if char == 0 else (0, 1)
         self._init(char=char, zero=zero, one=one)
 
     def coerce(self, value):
         """Normalize ints, 'a/b' strings, Fractions or scalars into this field."""
         p = self.char
         if p == 0:
-            if type(value) is _RAT:
+            if type(value) is Fraction:
                 # already a normalized, immutable rational scalar
                 return value
-            if isinstance(value, str):
-                return _RAT(Fraction(value))
-            if isinstance(value, (int, Fraction)):
-                return _RAT(value)
             if isinstance(value, float):
                 raise ValueError("floating point scalars are not accepted; use 'a/b'")
-            return _RAT(value)
+            return Fraction(value)
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, int):
             return value % p
-        if isinstance(value, Fraction) or type(value) is type(_RAT(1)):
-            num = int(value.numerator) % p
-            den = int(value.denominator) % p
+        if isinstance(value, Fraction):
+            num = value.numerator % p
+            den = value.denominator % p
             if den == 0:
                 raise ValueError(f"denominator divisible by {p}")
             return num * pow(den, p - 2, p) % p
@@ -159,14 +149,11 @@ class Field(Frozen):
         if not s:
             raise ZeroDivisionError("inverse of zero scalar")
         if self.char == 0:
-            return 1 / _RAT(s)
+            return 1 / Fraction(s)
         return pow(s, self.char - 2, self.char)
 
     def neg(self, s):
         return -s if self.char == 0 else (-s) % self.char
-
-    def scalar_to_str(self, s):
-        return str(s)
 
     @property
     def modulus(self):
@@ -189,9 +176,11 @@ _GF_CACHE = {}
 
 
 def GF(p):
-    """The prime field with p elements (p prime)."""
+    """The prime field with p elements; ValueError unless p is prime."""
     f = _GF_CACHE.get(p)
     if f is None:
+        if not _is_prime(p):
+            raise ValueError(f"GF(p) needs a prime p, got {p}")
         f = Field(p)
         _GF_CACHE[p] = f
     return f
@@ -378,7 +367,7 @@ class LinMap(Frozen):
         else:
             zero = f.zero
             for x, s in enumerate(flat):
-                flat[x] = _RAT(s, den) if s else zero
+                flat[x] = Fraction(s, den) if s else zero
         return LinMap._wrap(f, rows, cols, tuple(flat))
 
     def permute_rows(self, dims, perm):
@@ -437,24 +426,8 @@ class LinMap(Frozen):
             flat = tuple(c * v % p if v else v for v in self.data)
         return LinMap._wrap(self.field, self.rows, self.cols, flat)
 
-    def apply(self, vec):
-        """Apply to a column vector given as a sequence of scalars."""
-        v = tuple(self.field.coerce(x) for x in vec)
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return _K.mat_vec(self.data, self.rows, self.cols, v,
-                          self.field.zero, self.field.modulus)
-
     def is_zero(self):
         return not any(self.data)
-
-    def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        one, zero = self.field.one, self.field.zero
-        c = self.cols
-        return all(self.data[i * c + j] == (one if i == j else zero)
-                   for i in range(self.rows) for j in range(c))
 
     def _echelon(self, augment=None):
         # returns (rank, reduced rows) of [self | augment]

@@ -32,7 +32,8 @@ from .exact_tensor import (
     Frozen, LinMap, QQ, identity, kron, unflatten_index,
 )
 
-DEFAULT_VIOLATION_CAP = 16
+# the most violations a report keeps; verdicts are decided on every input
+VIOLATION_CAP = 16
 
 NONDEGENERATE = "Nondegenerate"
 UNKNOWN = "Unknown"
@@ -60,16 +61,17 @@ class Violation(NamedTuple):
 class CheckReport(Frozen):
     """Outcome of one or more identity checks.
 
-    axiom_status maps each evaluated identity id to whether it held
-    everywhere (decided before the violation cap is applied). violations
-    holds up to `cap` entries sorted by (axiom id, basis index).
+    axiom_status maps each evaluated identity id to whether it held on
+    every basis input. violations keeps the first VIOLATION_CAP of the
+    given violations once they are sorted by (axiom id, basis index).
     """
 
     __slots__ = ("axiom_status", "violations")
 
-    def __init__(self, axiom_status, violations, cap=DEFAULT_VIOLATION_CAP):
+    def __init__(self, axiom_status, violations):
         vs = sorted(violations, key=lambda v: (v.axiom, v.index))
-        self._init(axiom_status=dict(axiom_status), violations=tuple(vs[:cap]))
+        self._init(axiom_status=dict(axiom_status),
+                   violations=tuple(vs[:VIOLATION_CAP]))
 
     @property
     def ok(self):
@@ -84,23 +86,14 @@ class CheckReport(Frozen):
         return sorted(a for a, s in self.axiom_status.items() if not s)
 
     @staticmethod
-    def merge(*reports, cap=DEFAULT_VIOLATION_CAP):
+    def merge(*reports):
         status = {}
         violations = []
         for r in reports:
             for a, s in r.axiom_status.items():
                 status[a] = status.get(a, True) and s
             violations.extend(r.violations)
-        return CheckReport(status, violations, cap)
-
-    def to_dict(self):
-        return {
-            "pass": self.ok,
-            "checked": self.checked,
-            "failed": self.failed_axioms,
-            "violations": [{"axiom": v.axiom, **v.counterexample()}
-                           for v in self.violations],
-        }
+        return CheckReport(status, violations)
 
     def __repr__(self):
         state = "ok" if self.ok else f"failed={self.failed_axioms}"
@@ -111,12 +104,12 @@ def _sparse(col, dims):
     return tuple((unflatten_index(i, dims), v) for i, v in col)
 
 
-def compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap=DEFAULT_VIOLATION_CAP):
+def compare_maps(axiom, lhs, rhs, src_dims, dst_dims):
     """Columnwise comparison of two equal-shaped maps.
 
-    Returns (held_everywhere, violations); scanning is lexicographic over
-    source multi-indices and stops recording after `cap` entries while still
-    deciding held_everywhere exactly.
+    Returns (held_everywhere, violations). The scan is lexicographic over
+    source multi-indices. It records at most VIOLATION_CAP violations, the
+    first ones met; held_everywhere is exact either way.
     """
     if lhs.field != rhs.field:
         raise ValueError(f"field mismatch comparing {axiom}")
@@ -130,12 +123,12 @@ def compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap=DEFAULT_VIOLATION_CAP)
             violations.append(Violation(
                 axiom, unflatten_index(c, src_dims),
                 _sparse(lcol, dst_dims), _sparse(rcol, dst_dims)))
-            if len(violations) >= cap:
+            if len(violations) >= VIOLATION_CAP:
                 break
     return False, violations
 
 
-def _run(checks, cap=DEFAULT_VIOLATION_CAP):
+def _run(checks):
     """The one check runner: compare each spec's two sides into a report.
 
     checks is an iterable of (axiom, lhs, rhs, src_dims, dst_dims); pass a
@@ -146,10 +139,10 @@ def _run(checks, cap=DEFAULT_VIOLATION_CAP):
     status = {}
     violations = []
     for axiom, lhs, rhs, src_dims, dst_dims in checks:
-        ok, vs = compare_maps(axiom, lhs, rhs, src_dims, dst_dims, cap)
+        ok, vs = compare_maps(axiom, lhs, rhs, src_dims, dst_dims)
         status[axiom] = ok
         violations.extend(vs)
-    return CheckReport(status, violations, cap)
+    return CheckReport(status, violations)
 
 
 def require(check, *args, what):
@@ -269,8 +262,10 @@ class HomSemigroup(Frozen):
     __slots__ = ("n", "table", "alpha_table")
 
     def __init__(self, n, table, alpha_table):
-        table = tuple(tuple(int(v) for v in row) for row in table)
-        alpha_table = tuple(int(v) for v in alpha_table)
+        table = tuple(tuple(row) for row in table)
+        alpha_table = tuple(alpha_table)
+        if any(type(v) is not int for v in chain(alpha_table, *table)):
+            raise ValueError("table and alpha table entries must be ints")
         if len(table) != n or any(len(r) != n for r in table):
             raise ValueError("table must be n x n")
         if len(alpha_table) != n:
@@ -291,9 +286,9 @@ def _algebra_checks(A):
            (n, n, n), (n,))
 
 
-def check_hom_algebra(A, cap=DEFAULT_VIOLATION_CAP):
+def check_hom_algebra(A):
     """eq1 and eq2 over all basis pairs and triples."""
-    return _run(_algebra_checks(A), cap)
+    return _run(_algebra_checks(A))
 
 
 def _coalgebra_checks(C):
@@ -305,9 +300,9 @@ def _coalgebra_checks(C):
            (n,), (n, n, n))
 
 
-def check_hom_coalgebra(C, cap=DEFAULT_VIOLATION_CAP):
+def check_hom_coalgebra(C):
     """eq3 and eq4 over all basis elements."""
-    return _run(_coalgebra_checks(C), cap)
+    return _run(_coalgebra_checks(C))
 
 
 def _contraction_coassoc(field, comul, psi):
@@ -372,13 +367,13 @@ def _bialgebra_extra_checks(H):
     yield ("alpha-psi-commute", al.compose(ps), ps.compose(al), (n,), (n,))
 
 
-def check_hom_bialgebra(H, cap=DEFAULT_VIOLATION_CAP):
+def check_hom_bialgebra(H):
     """Full battery: eq1-eq7112 plus commuting twists, aggregated."""
     return _run(chain(_algebra_checks(H), _coalgebra_checks(H),
-                      _bialgebra_extra_checks(H)), cap)
+                      _bialgebra_extra_checks(H)))
 
 
-def check_structure_morphism(f, src, dst, kind, cap=DEFAULT_VIOLATION_CAP):
+def check_structure_morphism(f, src, dst, kind):
     """Is f a map of hom-algebras (kind 'algebra') or hom-coalgebras?
 
     algebra:   f alpha_src = alpha_dst f   and   f mul_src = mul_dst (f (x) f)
@@ -403,7 +398,7 @@ def check_structure_morphism(f, src, dst, kind, cap=DEFAULT_VIOLATION_CAP):
             ("morphism-comul", f.kron_compose(f, src.comul_linmap),
              dst.comul_linmap.compose(f), (n,), (m, m)),
         ]
-    return _run(checks, cap)
+    return _run(checks)
 
 
 def yau_twist_algebra(mul, alpha):
@@ -495,7 +490,7 @@ def tensor_hom_algebra(A, B):
     return HomAlgebra(field, cube, kron(A.alpha, B.alpha))
 
 
-def check_hom_semigroup(S, cap=DEFAULT_VIOLATION_CAP):
+def check_hom_semigroup(S):
     """Exhaustive hom law over triples, multiplicativity over pairs."""
     t, a = S.table, S.alpha_table
     status = {"hom-semigroup-assoc": True, "hom-semigroup-mult": True}
@@ -503,7 +498,7 @@ def check_hom_semigroup(S, cap=DEFAULT_VIOLATION_CAP):
 
     def note(axiom, index, lv, rv):
         status[axiom] = False
-        if len(violations) < 2 * cap:
+        if len(violations) < VIOLATION_CAP:
             violations.append(Violation(axiom, index, (((lv,), 1),), (((rv,), 1),)))
 
     for x in range(S.n):
@@ -519,7 +514,7 @@ def check_hom_semigroup(S, cap=DEFAULT_VIOLATION_CAP):
             rv = t[a[x]][a[y]]
             if lv != rv:
                 note("hom-semigroup-mult", (x, y), lv, rv)
-    return CheckReport(status, violations, cap)
+    return CheckReport(status, violations)
 
 
 def semigroup_algebra(S, field=QQ):

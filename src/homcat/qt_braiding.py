@@ -34,8 +34,8 @@ from .exact_tensor import (
     Frozen, LinMap, identity, kron, kron_shape, zero_map,
 )
 from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, _run, check_hom_bialgebra,
-    compare_maps, require, tensor_square_mul,
+    CheckReport, _run, check_hom_bialgebra, compare_maps, require,
+    tensor_square_mul,
 )
 from .rep_theory import check_module, tensor_module, twist_module
 
@@ -167,7 +167,7 @@ def _contract_rr_side(H, R, variant):
                         yield (x * n + w) * n + v, r * m
 
 
-def check_r_conditions(H, R, cap=DEFAULT_VIOLATION_CAP):
+def check_r_conditions(H, R):
     """The full quasitriangularity battery for an element of the tensor square.
 
     Invariance under both twists, the coproduct-flip exchange law (eq29 and
@@ -180,14 +180,14 @@ def check_r_conditions(H, R, cap=DEFAULT_VIOLATION_CAP):
         raise ValueError("field mismatch in check_r_conditions")
     if R.dim != H.dim:
         raise ValueError("R lives on the wrong tensor square")
-    qt = _run(_r_condition_checks(H, R), cap)
+    qt = _run(_r_condition_checks(H, R))
     if not qt.axiom_status["r-psi-invariance"]:
         return qt
-    rem = _run(_rem_qt_checks(H, R), cap)
+    rem = _run(_rem_qt_checks(H, R))
     s, r = qt.axiom_status, rem.axiom_status
     consistent = r["remQT-a"] == s["eq30"] and r["remQT-b"] == s["eq31"]
     return CheckReport.merge(
-        qt, rem, CheckReport({"remQT-consistency": consistent}, ()), cap=cap)
+        qt, rem, CheckReport({"remQT-consistency": consistent}, ()))
 
 
 def _element(H, terms):
@@ -309,7 +309,7 @@ def _braiding_elementwise(H, R, U, V):
     return LinMap.from_terms(field, dV * dU, dU * dV, terms())
 
 
-def check_braiding_morphism(H, R, U, V, f=None, g=None, cap=DEFAULT_VIOLATION_CAP):
+def check_braiding_morphism(H, R, U, V, f=None, g=None):
     """Morphism properties of one braiding instance.
 
     eq27: the kron-assembled map agrees with elementwise assembly.
@@ -345,10 +345,10 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None, cap=DEFAULT_VIOLATION_CA
                gm.kron_compose(fm, c.map), (dU, dV), (V2.dim, U2.dim))
         cg = braiding_from_r(H, R, gu, gv)
         yield ("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
-    return _run(checks(), cap)
+    return _run(checks())
 
 
-def check_hexagon_instances(H, R, U, V, W, cap=DEFAULT_VIOLATION_CAP):
+def check_hexagon_instances(H, R, U, V, W):
     """The two hexagon identities instantiated on three modules.
 
     With identity associators the two composites of each hexagon reduce to
@@ -381,10 +381,10 @@ def check_hexagon_instances(H, R, U, V, W, cap=DEFAULT_VIOLATION_CAP):
             identity(dV, field),
             kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
         yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
-    return _run(checks(), cap)
+    return _run(checks())
 
 
-def check_hom_ybe(B, alpha, cap=DEFAULT_VIOLATION_CAP):
+def check_hom_ybe(B, alpha):
     """Twisted braid relation eq145 plus twist compatibility for one map."""
     d = alpha.rows
     if alpha.cols != d:
@@ -401,11 +401,10 @@ def check_hom_ybe(B, alpha, cap=DEFAULT_VIOLATION_CAP):
                B.compose_kron(alpha, alpha), (d, d), (d, d))
         yield ("eq145", ba.compose(ab).compose(ba),
                ab.compose(ba).compose(ab), (d, d, d), (d, d, d))
-    return _run(checks(), cap)
+    return _run(checks())
 
 
-def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w,
-                        cap=DEFAULT_VIOLATION_CAP):
+def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w):
     """Mixed twisted braid relation for three spaces.
 
     b_uv etc. are swap-shaped maps (U (x) V -> V (x) U); both composites
@@ -422,7 +421,7 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w,
         raise ValueError("b_vw shape mismatch")
     lhs = a_w.kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
     rhs = b_vw.kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
-    return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))], cap)
+    return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))])
 
 
 def b_from_qt(H, R, M):

@@ -21,9 +21,7 @@ Identity vocabulary (formulas in docs/formats.md):
 from __future__ import annotations
 
 from .exact_tensor import Frozen, LinMap, identity, kron, zero_map
-from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, HomBialgebra, _run,
-)
+from .hom_structures import CheckReport, HomBialgebra, _run
 
 
 class HModule(Frozen):
@@ -159,7 +157,7 @@ def _require_same_field(a, b, what):
         raise ValueError(f"field mismatch in {what}")
 
 
-def check_module(H, M, cap=DEFAULT_VIOLATION_CAP):
+def check_module(H, M):
     """eq8 on all pairs, eq9 on all triples, for H a hom-(bi)algebra."""
     _require_same_field(H, M, "check_module")
     if M.hdim != H.dim:
@@ -172,10 +170,10 @@ def check_module(H, M, cap=DEFAULT_VIOLATION_CAP):
         ("eq9", act.compose_kron(H.alpha, act),
          act.compose_kron(H.mul_linmap, M.alpha), (n, n, dm), (dm,)),
     ]
-    return _run(checks, cap)
+    return _run(checks)
 
 
-def check_comodule(C, M, cap=DEFAULT_VIOLATION_CAP):
+def check_comodule(C, M):
     """comodul1 and comodul2 on every basis element of M."""
     _require_same_field(C, M, "check_comodule")
     if M.cdim != C.dim:
@@ -188,7 +186,7 @@ def check_comodule(C, M, cap=DEFAULT_VIOLATION_CAP):
         ("comodul2", C.comul_linmap.kron_compose(M.psi, co),
          C.psi.kron_compose(co, co), (dm,), (n, n, dm)),
     ]
-    return _run(checks, cap)
+    return _run(checks)
 
 
 def tensor_module(H, M, N):
@@ -238,7 +236,7 @@ def twist_module(H, M, which):
     return HModule(M.field, act, M.alpha)
 
 
-def check_module_morphism(f, H, M, N, cap=DEFAULT_VIOLATION_CAP):
+def check_module_morphism(f, H, M, N):
     """Is f: M -> N compatible with both structure maps and both actions."""
     if f.cols != M.dim or f.rows != N.dim:
         raise ValueError("morphism shape does not match modules")
@@ -251,10 +249,10 @@ def check_module_morphism(f, H, M, N, cap=DEFAULT_VIOLATION_CAP):
         ("module-morphism-action", f.compose(M.action),
          N.action.compose_kron(identity(n, M.field), f), (n, dm), (dn,)),
     ]
-    return _run(checks, cap)
+    return _run(checks)
 
 
-def check_comodule_morphism(f, C, M, N, cap=DEFAULT_VIOLATION_CAP):
+def check_comodule_morphism(f, C, M, N):
     """Is f: M -> N compatible with structure maps and both coactions."""
     if f.cols != M.dim or f.rows != N.dim:
         raise ValueError("morphism shape does not match comodules")
@@ -268,27 +266,27 @@ def check_comodule_morphism(f, C, M, N, cap=DEFAULT_VIOLATION_CAP):
          identity(n, M.field).kron_compose(f, M.coaction),
          N.coaction.compose(f), (dm,), (n, dn)),
     ]
-    return _run(checks, cap)
+    return _run(checks)
 
 
-def phi_check(H, M, f=None, N=None, cap=DEFAULT_VIOLATION_CAP):
+def phi_check(H, M, f=None, N=None):
     """The module structure map as a morphism into the alpha-twisted module.
 
     Checks that alphaM : M -> G(M) is a module morphism (its action half is
     eq8 restated). If a morphism f: M -> N is supplied, also checks the
     naturality square f alphaM = alphaN f under id phi-natural.
     """
-    rep = check_module_morphism(M.alpha, H, M, twist_module(H, M, "G"), cap)
+    rep = check_module_morphism(M.alpha, H, M, twist_module(H, M, "G"))
     if f is None:
         return rep
     if N is None:
         N = M
     natural = _run([("phi-natural", f.compose(M.alpha), N.alpha.compose(f),
-                     (M.dim,), (N.dim,))], cap)
-    return CheckReport.merge(rep, natural, cap=cap)
+                     (M.dim,), (N.dim,))])
+    return CheckReport.merge(rep, natural)
 
 
-def check_associator_instance(H, U, V, W, cap=DEFAULT_VIOLATION_CAP):
+def check_associator_instance(H, U, V, W):
     """Equality of the two bracketed tensor actions on U, V, W.
 
     With left-to-right flattening the rebracketing map is the identity, so
@@ -301,10 +299,10 @@ def check_associator_instance(H, U, V, W, cap=DEFAULT_VIOLATION_CAP):
     n = H.dim
     dims = (U.dim, V.dim, W.dim)
     return _run([("associator-instance", left.action, right.action,
-                  (n,) + dims, dims)], cap)
+                  (n,) + dims, dims)])
 
 
-def check_module_hom_algebra(H, A, act_module, cap=DEFAULT_VIOLATION_CAP):
+def check_module_hom_algebra(H, A, act_module):
     """Action compatibility with a product on the module.
 
     Requires the module structure map to literally equal A.alpha, then
@@ -321,4 +319,4 @@ def check_module_hom_algebra(H, A, act_module, cap=DEFAULT_VIOLATION_CAP):
         H.alpha.compose(H.psi), A.mul_linmap)
     tens = tensor_module(H, act_module, act_module)
     rhs = A.mul_linmap.compose(tens.action)
-    return _run([("compmodulealgebra", lhs, rhs, (n, da, da), (da,))], cap)
+    return _run([("compmodulealgebra", lhs, rhs, (n, da, da), (da,))])

@@ -75,7 +75,7 @@ def _scalar_in(field, s):
 
 
 def matrix_to_json(m):
-    return [[m.field.scalar_to_str(v) for v in row] for row in m.row_lists()]
+    return [[str(v) for v in row] for row in m.row_lists()]
 
 
 def matrix_from_json(field, rows, nrows=None, ncols=None):
@@ -91,9 +91,8 @@ def matrix_from_json(field, rows, nrows=None, ncols=None):
     return m
 
 
-def cube_to_json(field, cube):
-    return [[[field.scalar_to_str(v) for v in row] for row in plane]
-            for plane in cube]
+def cube_to_json(cube):
+    return [[[str(v) for v in row] for row in plane] for plane in cube]
 
 
 def cube_from_json(field, data, dims):
@@ -148,15 +147,13 @@ def _coeffs_in(field, coeffs, n):
 
 # key -> (decoder(field, value, dim), encoder(obj))
 _KEYS = {
-    "mul": (_cube_in, lambda o: cube_to_json(o.field, o.mul)),
-    "comul": (_cube_in, lambda o: cube_to_json(o.field, o.comul)),
+    "mul": (_cube_in, lambda o: cube_to_json(o.mul)),
+    "comul": (_cube_in, lambda o: cube_to_json(o.comul)),
     "alpha": (_square_in, lambda o: matrix_to_json(o.alpha)),
     "psi": (_square_in, lambda o: matrix_to_json(o.psi)),
-    "action": (_action_in, lambda o: cube_to_json(o.field, action_cube(o))),
-    "coaction": (_coaction_in,
-                 lambda o: cube_to_json(o.field, coaction_cube(o))),
-    "coeffs": (_coeffs_in,
-               lambda o: [o.field.scalar_to_str(v) for v in o.coeffs]),
+    "action": (_action_in, lambda o: cube_to_json(action_cube(o))),
+    "coaction": (_coaction_in, lambda o: cube_to_json(coaction_cube(o))),
+    "coeffs": (_coeffs_in, lambda o: [str(v) for v in o.coeffs]),
 }
 
 # kind -> (constructor(field, *decoded keys), keys in file order, keeps
@@ -512,7 +509,7 @@ def _cmd_gen(args):
         if args.out:
             artifacts.append((args.out, structure_to_dict("bialgebra", H)))
         return report, artifacts
-    field = GF(args.p) if args.p else QQ
+    field = GF(args.p) if args.p is not None else QQ
     H, R = gen_kz2_qt(field)
     report = CheckReport.merge(check_hom_bialgebra(H),
                                check_r_conditions(H, R))

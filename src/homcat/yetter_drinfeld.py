@@ -20,9 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_tensor import Frozen, identity, kron
-from .hom_structures import (
-    DEFAULT_VIOLATION_CAP, CheckReport, _run, compare_maps, require,
-)
+from .hom_structures import CheckReport, _run, compare_maps, require
 from .rep_theory import (
     HComodule, HModule, check_comodule, check_module, comodule_from_cube,
     module_from_cube, tensor_module, twist_module,
@@ -72,16 +70,16 @@ def _yd_base(H):
     return ai, ai.compose(ai)
 
 
-def check_yd(H, M, cap=DEFAULT_VIOLATION_CAP):
+def check_yd(H, M):
     """Module laws, comodule laws, and the compatibility law homYD."""
     _yd_base(H)
     if M.field != H.field:
         raise ValueError("field mismatch in check_yd")
     if M.hdim != H.dim:
         raise ValueError("module algebra slot does not match H.dim")
-    mrep = check_module(H, M.module, cap)
-    crep = check_comodule(H, M.comodule, cap)
-    return CheckReport.merge(mrep, crep, _run(_yd_checks(H, M), cap), cap=cap)
+    mrep = check_module(H, M.module)
+    crep = check_comodule(H, M.comodule)
+    return CheckReport.merge(mrep, crep, _run(_yd_checks(H, M)))
 
 
 def _yd_checks(H, M):

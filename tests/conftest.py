@@ -165,12 +165,12 @@ def map_sizes():
 
 
 def freeze_cube(field, c):
-    return [[[field.scalar_to_str(field.coerce(v)) for v in row]
+    return [[[str(field.coerce(v)) for v in row]
              for row in plane] for plane in c]
 
 
 def freeze_matrix(m):
-    return [[m.field.scalar_to_str(v) for v in row] for row in m.row_lists()]
+    return [[str(v) for v in row] for row in m.row_lists()]
 
 
 def freeze_violations(violations):

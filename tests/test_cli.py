@@ -86,6 +86,11 @@ def test_gen_subcommand_writes_artifacts(ws):
     assert code == 0
     code, _, _ = run(["gen", "kz2-qt", "--p", "2"])
     assert code == 2
+    # p = 0 names no field, so nothing is written over Q in its place
+    code, out, err = run(["gen", "kz2-qt", "--p", "0",
+                          "--out", path("H0.json")])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not os.path.exists(path("H0.json"))
 
 
 # ----------------------------------------------------------- golden files
@@ -507,6 +512,7 @@ def test_malformed_inputs_exit_2(ws):
         "bool_scalar.json": algebra(mul=True),
         "bool_dim.json": algebra(dim=True),
         "bool_prime.json": algebra(field={"Fp": True}),
+        "zero_prime.json": algebra(field={"Fp": 0}),
         "bool_rows.json": {"kind": "linmap", "field": "Q", "rows": True,
                            "cols": 1, "matrix": [["1"]]},
         "yd_int_coaction.json": {"kind": "yd", "field": "Q", "dim": 1,

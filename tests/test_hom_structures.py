@@ -11,13 +11,14 @@ from conftest import (
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
 from homcat.hom_structures import (
-    CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, HomSemigroup,
-    NONDEGENERATE, UNKNOWN, Violation, check_hom_algebra, check_hom_bialgebra,
-    check_hom_coalgebra, check_hom_semigroup, check_structure_morphism,
-    compare_maps, nondegenerate_via_regular, semigroup_algebra,
-    tensor_hom_algebra, yau_twist_algebra, yau_twist_bialgebra,
+    VIOLATION_CAP, CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra,
+    HomSemigroup, NONDEGENERATE, UNKNOWN, Violation, check_hom_algebra,
+    check_hom_bialgebra, check_hom_coalgebra, check_hom_semigroup,
+    check_structure_morphism, compare_maps, nondegenerate_via_regular,
+    semigroup_algebra, tensor_hom_algebra, yau_twist_algebra,
+    yau_twist_bialgebra,
 )
-from homcat.workbench_cli import gen_group_bialgebra
+from homcat.workbench_cli import gen_group_bialgebra, report_to_dict
 
 
 # -------------------------------------------------------- algebra checks
@@ -219,6 +220,12 @@ def test_semigroup_table_validation():
         HomSemigroup(2, [[0, 0]], [0, 1])
     with pytest.raises(ValueError):
         HomSemigroup(2, [[0, 0], [1, 1]], [0])
+    # entries are taken as they are, never truncated or parsed
+    for table, alpha_table in (([[0, 1.7], [1, 1]], [0, 1]),
+                               ([[0, 1], [1, 1]], [0, "1"]),
+                               ([[0, True], [1, 1]], [0, 1])):
+        with pytest.raises(ValueError, match="must be ints"):
+            HomSemigroup(2, table, alpha_table)
 
 
 def test_semigroup_linearization_tracks_set_level_verdict():
@@ -253,10 +260,17 @@ def test_zero_algebra_inconclusive():
 # --------------------------------------------------- report plumbing
 
 def test_compare_maps_cap_and_shape():
-    lhs = identity(4)
-    rhs = diag([1, 2, 3, 4])
-    ok, vs = compare_maps("demo", lhs, rhs, (4,), (4,), cap=2)
-    assert not ok and len(vs) == 2
+    # 20 differing columns: the first 16 are recorded, the verdict is exact
+    assert VIOLATION_CAP == 16
+    lhs = identity(20)
+    rhs = diag(range(2, 22))
+    ok, vs = compare_maps("demo", lhs, rhs, (20,), (20,))
+    assert not ok
+    assert [v.index for v in vs] == [(i,) for i in range(16)]
+    # one differing column past the cap still decides the verdict
+    ok, vs = compare_maps("demo", identity(20), diag([1] * 19 + [2]),
+                          (20,), (20,))
+    assert not ok and [v.index for v in vs] == [(19,)]
     with pytest.raises(ValueError):
         compare_maps("demo", identity(2), identity(3), (2,), (2,))
 
@@ -278,19 +292,27 @@ def test_report_merge_and_dict():
     m = CheckReport.merge(r1, r2)
     assert m.axiom_status == {"a": True, "b": False, "c": True}
     assert not m.ok and m.failed_axioms == ["b"]
-    d = m.to_dict()
+    # the CLI's report codec is the one dict form of a report
+    d = report_to_dict(["check"], m, 0)
     assert d["pass"] is False
-    assert d["checked"] == ["a", "b", "c"]
-    assert d["violations"][0]["axiom"] == "b"
-    assert d["violations"][0]["lhs"] == [[[0], "1"]]
+    assert [(a["axiom"], a["pass"]) for a in d["axioms"]] == [
+        ("a", True), ("b", False), ("c", True)]
+    assert d["axioms"][1]["counterexample"] == {
+        "index": [0], "lhs": [[[0], "1"]], "rhs": []}
 
 
 def test_report_violation_cap_and_order():
-    vs = [Violation("z", (i,), (), ()) for i in range(5)]
-    vs += [Violation("a", (i,), (), ()) for i in range(5)]
-    rep = CheckReport({"a": False, "z": False}, vs, cap=6)
-    assert len(rep.violations) == 6
-    assert [v.axiom for v in rep.violations] == ["a"] * 5 + ["z"]
+    # 20 violations, given out of order: sorted by (axiom, index), then cut
+    vs = [Violation("z", (i,), (), ()) for i in reversed(range(10))]
+    vs += [Violation("a", (i,), (), ()) for i in reversed(range(10))]
+    rep = CheckReport({"a": False, "z": False}, vs)
+    assert [(v.axiom, v.index) for v in rep.violations] == (
+        [("a", (i,)) for i in range(10)] + [("z", (i,)) for i in range(6)])
+    merged = CheckReport.merge(rep, CheckReport({"b": False}, [
+        Violation("b", (0,), (), ())]))
+    assert [v.axiom for v in merged.violations] == ["a"] * 10 + ["b"] + ["z"] * 5
+    with pytest.raises(AttributeError):
+        rep.ok = True
     with pytest.raises(AttributeError):
         rep.ok = True
 

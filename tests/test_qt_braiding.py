@@ -159,8 +159,6 @@ def test_braiding_morphism_on_16_dim_modules_builds_no_map_above_256x1024():
     assert max(sizes) <= 256 * 1024
 
 
-@pytest.mark.skipif(type(QQ.zero) is not Fraction,
-                    reason="counts fractions.Fraction arithmetic")
 def test_r_action_does_arithmetic_on_nonzeros_only(monkeypatch):
     # kz2 on modules of dims 8 and 32: a 256 x 256 braiding with 1,024
     # nonzeros; dense sums of 256 x 256 krons cost about 263k products

@@ -34,6 +34,14 @@ rational over the product of the three denominators; over F_p each sum is
 reduced mod p once. It refuses what the unfused pair refuses, with the same
 messages and in the same order: kron's field check and cap on the virtual
 b (x) c first (kron_shape), then compose's field, dimension and cap checks.
+
+Products in the tensor square H (x) H go through mul.square_compose_kron(b,
+c) for a multiplication map mul (n x n^2): it equals (mul (x) mul), after
+the swap of the two middle factors, composed with b (x) c, and it stores
+neither Kronecker product. Its integer multiply-adds are those of the two
+kernels above, over four denominators (mul's twice). It refuses only what
+it allocates: a field mismatch, operands of the wrong shape, and an
+n^2 x (b.cols * c.cols) output above the cap.
 """
 
 from __future__ import annotations
@@ -344,6 +352,56 @@ class LinMap(Frozen):
                     for m, cv in ccol:
                         flat[(base + m) * cols + t] += w * cv
         return self._from_int_sums(rows, cols, flat, da * db * dc)
+
+    def square_compose_kron(self, b, c):
+        """Products in H (x) H, storing neither self (x) self nor b (x) c.
+
+        self is a multiplication map, n x n^2. The result equals
+        kron(self, self).permute_cols((n, n, n, n), (0, 2, 1, 3))
+        .compose(kron(b, c)): output column flat(j, l) is b(e_j) c(e_l) in
+        H (x) H, whose product is (x (x) y)(x' (x) y') = x x' (x) y y'. It
+        does one integer multiply-add for each nonzero b[flat(k, k'), j],
+        each nonzero c[flat(m, m'), l] and each pair of nonzeros of self's
+        columns flat(k, m) and flat(k', m'), on numerators over one common
+        denominator per operand. It refuses a field mismatch, operands of
+        the wrong shape and an output above the cap, and nothing else.
+        """
+        n = self.rows
+        if not self.field == b.field == c.field:
+            raise ValueError("field mismatch in square_compose_kron")
+        if self.cols != n * n:
+            raise ValueError(f"square_compose_kron needs an n x n^2 "
+                             f"multiplication, got {n}x{self.cols}")
+        if b.rows != n * n or c.rows != n * n:
+            raise ValueError(
+                f"square_compose_kron needs {n * n}-row operands, got "
+                f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
+        rows, cols = n * n, b.cols * c.cols
+        check_size(rows, cols, "square_compose_kron")
+        acols, da = self._int_columns()
+        bcols, db = b._int_columns()
+        ccols, dc = c._int_columns()
+        # each row index of b and c as its two tensor factors
+        bcols = [[(*divmod(k, n), bv) for k, bv in bcol] for bcol in bcols]
+        ccols = [[(*divmod(m, n), cv) for m, cv in ccol] for ccol in ccols]
+        flat = [0] * (rows * cols)
+        for j, bcol in enumerate(bcols):
+            if not bcol:
+                continue
+            for col, ccol in enumerate(ccols, j * c.cols):
+                for k, k2, bv in bcol:
+                    for m, m2, cv in ccol:
+                        left = acols[k * n + m]
+                        right = acols[k2 * n + m2]
+                        if not (left and right):
+                            continue
+                        w = bv * cv
+                        for r, av in left:
+                            wa = w * av
+                            base = r * n
+                            for r2, av2 in right:
+                                flat[(base + r2) * cols + col] += wa * av2
+        return self._from_int_sums(rows, cols, flat, da * da * db * dc)
 
     def _int_columns(self):
         # (columns(), d) with each value v replaced, column by column, by

@@ -342,16 +342,6 @@ def _contract5(comul, psi, left):
                                     yield (x * n + y) * n + z, k, duv * px * dyz
 
 
-def tensor_square_mul(M):
-    """Componentwise product map of H (x) H as a dim^2 x dim^4 matrix.
-
-    M is the multiplication map of H, dim x dim^2.
-    """
-    n = M.rows
-    # (mul (x) mul) after the swap of the two middle factors
-    return kron(M, M).permute_cols((n, n, n, n), (0, 2, 1, 3))
-
-
 def _bialgebra_extra_checks(H):
     n = H.dim
     M = H.mul_linmap
@@ -359,8 +349,9 @@ def _bialgebra_extra_checks(H):
     al, ps = H.alpha, H.psi
     lhs5, rhs5 = _contraction_coassoc(H.field, H.comul, ps)
     yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
-    M2 = tensor_square_mul(M)
-    yield ("eq6", D.compose(M), M2.compose_kron(D, D), (n, n), (n, n))
+    # comul(e_i) comul(e_j), multiplied in H (x) H without storing the
+    # n^2 x n^4 product map of H (x) H
+    yield ("eq6", D.compose(M), M.square_compose_kron(D, D), (n, n), (n, n))
     yield ("eq7", D.compose(al), al.kron_compose(al, D), (n,), (n, n))
     yield ("eq7111", D.compose(ps), ps.kron_compose(ps, D), (n,), (n, n))
     yield ("eq7112", ps.compose(M), M.compose_kron(ps, ps), (n, n), (n,))
@@ -404,14 +395,15 @@ def check_structure_morphism(f, src, dst, kind):
 def yau_twist_algebra(mul, alpha):
     """Twist a classical associative product into a hom-associative one.
 
-    Preconditions are verified: mul must be associative and alpha an algebra
-    endomorphism of it. The twisted product is alpha composed with mul; the
-    result always passes check_hom_algebra.
+    Preconditions are verified: alpha (the endo) must be dim x dim, mul
+    associative and alpha an algebra endomorphism of it. The twisted
+    product is alpha composed with mul; the result always passes
+    check_hom_algebra.
     """
     field = alpha.field
     cube = coerce_cube(field, mul)
     n = len(cube)
-    _check_square(field, alpha, n, "alpha")
+    _check_square(field, alpha, n, "endo")
     M = mul_map(field, cube)
     idn = identity(n, field)
     assoc_ok, _ = compare_maps("assoc", M.compose_kron(M, idn),
@@ -439,12 +431,13 @@ def yau_twist_bialgebra(mul, comul, endo):
     """Twist a classical bialgebra: product becomes endo . mul, coproduct
     becomes comul . endo, both twist maps equal endo.
 
-    Preconditions verified: the classical structure must satisfy all the
-    identity-twist bialgebra laws and endo must be a morphism for both mul
-    and comul.
+    Preconditions verified: endo must be dim x dim, the classical structure
+    must satisfy all the identity-twist bialgebra laws and endo must be a
+    morphism for both mul and comul.
     """
     field = endo.field
-    n = endo.rows
+    n = len(coerce_cube(field, mul))
+    _check_square(field, endo, n, "endo")
     classical = HomBialgebra(field, mul, comul, identity(n, field),
                              identity(n, field))
     require(check_hom_bialgebra, classical,

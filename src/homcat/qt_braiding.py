@@ -35,7 +35,6 @@ from .exact_tensor import (
 )
 from .hom_structures import (
     CheckReport, _run, check_hom_bialgebra, compare_maps, require,
-    tensor_square_mul,
 )
 from .rep_theory import check_module, tensor_module, twist_module
 
@@ -203,12 +202,13 @@ def _r_condition_checks(H, R):
     yield ("r-alpha-invariance", al.kron_compose(al, rv), rv, (), (n, n))
     yield ("r-psi-invariance", ps.kron_compose(ps, rv), rv, (), (n, n))
 
-    # exchange law, matrix route: multiply inside the tensor square
-    M2 = tensor_square_mul(H.mul_linmap)
+    # exchange law, matrix route: R comul(e_h) and comul-op(e_h) R,
+    # multiplied in the tensor square without storing its product map
+    M = H.mul_linmap
     D = H.comul_linmap
     d_cop = D.permute_rows((n, n), (1, 0))
-    yield ("eq29", M2.compose_kron(rv, D), M2.compose_kron(d_cop, rv),
-           (n,), (n, n))
+    yield ("eq29", M.square_compose_kron(rv, D),
+           M.square_compose_kron(d_cop, rv), (n,), (n, n))
     # exchange law, contraction route
     lhs38, rhs38 = _contract_eq38(H, R)
     yield ("eq38", lhs38, rhs38, (n,), (n, n))

@@ -138,6 +138,29 @@ def s3_transposition_yd(eps, field=QQ):
     return yd_from_cubes(field, act, coact, identity(3, field))
 
 
+def drinfeld_double_s3(field=QQ):
+    """The Drinfeld double D(S_3), identity twists; dim 36.
+
+    Basis delta_a (x) x for a, x in S3, at flat index 6 * index(a) +
+    index(x). Product (delta_a (x) x)(delta_b (x) y) = [a = x b x^-1]
+    delta_a (x) x y, coproduct comul(delta_g (x) x) = sum over u v = g of
+    (delta_u (x) x) (x) (delta_v (x) x) (Kassel, Quantum Groups, GTM 155,
+    IX.4).
+    """
+    idx = {g: i for i, g in enumerate(S3)}
+
+    def at(a, x):
+        return 6 * idx[a] + idx[x]
+
+    mul = cube({(at(a, x), at(b, y), at(a, _s3_mul(x, y))): 1
+                for a in S3 for x in S3 for b in S3 for y in S3
+                if a == _s3_mul(_s3_mul(x, b), _s3_inv(x))}, (36, 36, 36))
+    comul = cube({(at(_s3_mul(u, v), x), at(u, x), at(v, x)): 1
+                  for u in S3 for v in S3 for x in S3}, (36, 36, 36))
+    return HomBialgebra(field, mul, comul, identity(36, field),
+                        identity(36, field))
+
+
 # Q[x]/(x^2): e0 = 1, e1 = x; and the coalgebra with x primitive
 DUAL_MUL = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 DUAL_COMUL = [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]

@@ -322,6 +322,16 @@ def test_twist_commands(ws):
     assert code == 2
 
 
+@pytest.mark.parametrize("source,dim", [("algebra", 3), ("bialgebra", 2)])
+def test_twist_names_an_endo_of_the_wrong_size(source, dim):
+    # the golden linmap is 6x6; neither golden structure has dim 6
+    code, out, err = run(["twist", f"--{source}",
+                          os.path.join(GOLDEN, f"{source}.json"),
+                          "--endo", os.path.join(GOLDEN, "linmap.json")])
+    assert (code, out) == (2, "")
+    assert err == f"error: endo must be {dim}x{dim}, got 6x6\n"
+
+
 def test_tensor_command_plain_and_yd(ws):
     path, write = ws
     run(["gen", "group-bialgebra", "--n", "2", "--k", "1",

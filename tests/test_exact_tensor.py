@@ -328,27 +328,42 @@ def test_kron_mixed_product(data):
     assert kron(a, b).compose(kron(c, d)) == kron(a.compose(c), b.compose(d))
 
 
+def _draw_sparse_map(draw, field, rows, cols):
+    # mostly zeros, so whole columns and products are skipped; small
+    # values, so entries cancel to computed zeros; its own largest
+    # denominator, so the kernels' common denominators differ and sums
+    # need reducing
+    top = draw(st.integers(1, 6).filter(
+        lambda d: not field.char or d % field.char))
+    value = st.one_of(st.just(0), st.integers(-2 * top, 2 * top).map(
+        lambda k: Fraction(k, top)))
+    return LinMap(field, rows, cols,
+                  [field.coerce(draw(value)) for _ in range(rows * cols)])
+
+
 @st.composite
 def _fused_operands(draw):
     # (field, b, c, after, before) for after . (b (x) c) and
-    # (b (x) c) . before: mostly zeros, so whole columns and products are
-    # skipped, and empty sides; small values, so entries cancel to
-    # computed zeros; each operand its own largest denominator, so the
-    # kernels' common denominators differ and sums need reducing
+    # (b (x) c) . before, with empty sides among the shapes
     field = draw(st.sampled_from([QQ, GF(5)]))
     side = st.integers(0, 3)
 
     def draw_map(rows, cols):
-        top = draw(st.integers(1, 6).filter(
-            lambda d: not field.char or d % field.char))
-        value = st.one_of(st.just(0), st.integers(-2 * top, 2 * top).map(
-            lambda k: Fraction(k, top)))
-        return LinMap(field, rows, cols,
-                      [field.coerce(draw(value)) for _ in range(rows * cols)])
+        return _draw_sparse_map(draw, field, rows, cols)
 
     br, bc, cr, cc, n = (draw(side) for _ in range(5))
     b, c = draw_map(br, bc), draw_map(cr, cc)
     return field, b, c, draw_map(n, br * cr), draw_map(bc * cc, n)
+
+
+def _assert_same_scalars(field, fused, unfused, name):
+    # equal maps, each entry of the field's scalar type and printed alike
+    assert fused == unfused, name
+    got, want = fused.row_lists(), unfused.row_lists()
+    assert all(_has_field_type(field, v) for r in got for v in r), name
+    # reports print scalars with str
+    assert ([[str(v) for v in r] for r in got]
+            == [[str(v) for v in r] for r in want]), name
 
 
 @given(_fused_operands())
@@ -366,12 +381,7 @@ def test_fused_kron_kernels_match_the_unfused_pair(operands):
              "kron_compose": (b.kron_compose(c, before),
                               kron(b, c).compose(before))}
     for name, (fused, unfused) in pairs.items():
-        assert fused == unfused, name
-        got, want = fused.row_lists(), unfused.row_lists()
-        assert all(_has_field_type(field, v) for r in got for v in r), name
-        # reports print scalars with str
-        assert ([[str(v) for v in r] for r in got]
-                == [[str(v) for v in r] for r in want]), name
+        _assert_same_scalars(field, fused, unfused, name)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -479,6 +489,93 @@ def test_fused_kron_kernels_refuse_an_oversized_product_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# ---------------------------------------------- products in the tensor square
+
+def _square_unfused(mul, b, c):
+    # (mul (x) mul) after the swap of the two middle factors, after b (x) c
+    n = mul.rows
+    return (kron(mul, mul).permute_cols((n, n, n, n), (0, 2, 1, 3))
+            .compose(kron(b, c)))
+
+
+def _z2_mul(field=QQ):
+    # the group algebra of Z_2: e_i e_j = e_(i+j mod 2)
+    return LinMap.from_terms(field, 2, 4, (((i + j) % 2, i * 2 + j, field.one)
+                                           for i in range(2) for j in range(2)))
+
+
+@st.composite
+def _square_operands(draw):
+    # (field, mul, b, c): an n-dim multiplication and two maps into H (x) H
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    n = draw(st.integers(1, 3))
+    mul = _draw_sparse_map(draw, field, n, n * n)
+    b, c = (_draw_sparse_map(draw, field, n * n, draw(st.integers(0, 3)))
+            for _ in range(2))
+    return field, mul, b, c
+
+
+@given(_square_operands())
+# b's denominator 2 and c's 3 meet in every product, and each of the four
+# outputs (-5/6, 1/6, 7/6, 1/6) is nonzero, so an output over the wrong
+# denominator fails
+@example((QQ, _z2_mul(),
+          LinMap.from_rows(QQ, [["1/2"], ["3/2"], ["1/2"], ["-1/2"]]),
+          LinMap.from_rows(QQ, [["1/3"], ["-2/3"], ["1/3"], ["1/3"]])))
+def test_square_compose_kron_matches_the_unfused_triple(operands):
+    field, mul, b, c = operands
+    _assert_same_scalars(field, mul.square_compose_kron(b, c),
+                         _square_unfused(mul, b, c), "square_compose_kron")
+
+
+def test_square_compose_kron_multiplies_in_the_tensor_square():
+    # (e_0 (x) e_1 + e_1 (x) e_0)(e_1 (x) e_0) = e_1 (x) e_1 + e_0 (x) e_0
+    # in kZ_2 (x) kZ_2, whose basis is flat(i, j) = 2 i + j
+    x = LinMap.from_rows(QQ, [[0], [1], [1], [0]])
+    y = LinMap.from_rows(QQ, [[0], [0], [1], [0]])
+    assert (_z2_mul().square_compose_kron(x, y)
+            == LinMap.from_rows(QQ, [[1], [0], [0], [1]]))
+
+
+def test_square_compose_kron_refusals():
+    q, f = _z2_mul(), _z2_mul(GF(5))
+    four = identity(4)
+    with pytest.raises(ValueError, match="^field mismatch in square_compose"):
+        q.square_compose_kron(four, identity(4, GF(5)))
+    with pytest.raises(ValueError, match="^field mismatch in square_compose"):
+        f.square_compose_kron(four, four)
+    with pytest.raises(ValueError, match=(
+            r"needs an n x n\^2 multiplication, got 2x2$")):
+        identity(2).square_compose_kron(identity(4), identity(4))
+    for b, c in ((identity(3), four), (four, zero_map(2, 1))):
+        with pytest.raises(ValueError, match="needs 4-row operands"):
+            q.square_compose_kron(b, c)
+
+
+def test_square_compose_kron_refuses_an_oversized_output_before_allocating():
+    # the output would be 1 x 2**28; the operands are tiny
+    row = zero_map(1, 2 ** 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                "^square_compose_kron output 1x268435456 exceeds the cap")):
+            identity(1).square_compose_kron(row, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_square_compose_kron_admits_what_only_the_unfused_triple_stores():
+    # mul (x) mul would be 2**12 x 2**24 entries and b (x) c 2**24 x 2**4,
+    # both past the cap; the output has 2**16
+    n, f = 64, GF(5)
+    mul, b = zero_map(n, n * n, f), zero_map(n * n, 4, f)
+    with pytest.raises(ValueError, match="^kron output 4096x16777216 exceeds"):
+        _square_unfused(mul, b, b)
+    assert mul.square_compose_kron(b, b) == zero_map(n * n, 16, f)
 
 
 def test_kron_all_and_compose_all():

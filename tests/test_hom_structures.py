@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     DUAL_COMUL, DUAL_MUL, FROZEN, cube, freeze_cube, freeze_matrix,
     freeze_violations, group_alpha_map, group_comul_cube, group_mul_cube,
-    map_sizes, z2_bialgebra,
+    drinfeld_double_s3, map_sizes, z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
@@ -115,6 +115,18 @@ def test_yau_twist_bialgebra_z3_matches_frozen():
     assert freeze_matrix(H.alpha) == FROZEN["z3tw_alpha"]
     assert H.alpha == H.psi
     assert check_hom_bialgebra(H).ok == FROZEN["z3tw_bialgebra_ok"]
+
+
+def test_yau_twists_refuse_an_endo_of_the_wrong_size_by_name():
+    # checked against the cube before anything is built from the endo
+    with pytest.raises(ValueError, match="^endo must be 3x3, got 6x6$"):
+        yau_twist_algebra(group_mul_cube(3), identity(6))
+    with pytest.raises(ValueError, match="^endo must be 2x2, got 6x6$"):
+        yau_twist_bialgebra(group_mul_cube(2), group_comul_cube(2),
+                            identity(6))
+    with pytest.raises(ValueError, match="^endo must be 2x2, got 2x3$"):
+        yau_twist_bialgebra(group_mul_cube(2), group_comul_cube(2),
+                            LinMap.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]))
 
 
 def test_yau_twist_bialgebra_gates():
@@ -346,11 +358,32 @@ def test_bialgebra_construction_errors_keep_their_order():
         HomBialgebra(QQ, [[[0]]], [[[0]]], identity(1), bad)
 
 
-def test_bialgebra_check_builds_no_map_above_n6_entries():
-    # the tensor-square product permutes the columns of mul (x) mul instead
-    # of composing it with an n^4 x n^4 permutation matrix
+def test_bialgebra_check_builds_no_map_above_n4_entries():
+    # eq6 multiplies in the tensor square without storing the n^2 x n^4
+    # product map of H (x) H; the largest maps are the n^2 x n^2 sides of
+    # eq6 and the n x n^3 sides of eq2
     n = 6
     H, _ = gen_group_bialgebra(n, 5)
     with map_sizes() as sizes:
         assert check_hom_bialgebra(H).ok
-    assert max(sizes) <= n ** 6
+    assert max(sizes) <= n ** 4
+
+
+def test_bialgebra_check_holds_past_the_old_tensor_square_cap():
+    # n = 24 once stored a 576 x 331776 product map of H (x) H
+    H, rep = gen_group_bialgebra(24, 5)
+    assert rep.ok
+    assert rep.checked == ["alpha-psi-commute", "eq1", "eq2", "eq3", "eq4",
+                           "eq5", "eq6", "eq7", "eq7111", "eq7112"]
+
+
+def test_bialgebra_check_refuses_n43_at_eq2():
+    # eq2's virtual mul (x) alpha is 43^2 x 43^3, past the cap
+    with pytest.raises(ValueError, match=(
+            "^kron output 1849x79507 exceeds the cap")):
+        gen_group_bialgebra(43, 5)
+
+
+def test_drinfeld_double_of_s3_is_a_bialgebra():
+    rep = check_hom_bialgebra(drinfeld_double_s3(GF(5)))
+    assert rep.ok and len(rep.checked) == 10

@@ -20,8 +20,9 @@ ROUTES = {
                        "_contract_rr_side", "_braiding_elementwise"),
 }
 
-MAP_ALGEBRA = {"compose", "compose_all", "kron", "kron_all", "permute_rows",
-               "permute_cols", "permute_tensor", "flip_map"}
+MAP_ALGEBRA = {"compose", "compose_all", "compose_kron", "kron",
+               "kron_all", "kron_compose", "square_compose_kron",
+               "permute_rows", "permute_cols", "permute_tensor", "flip_map"}
 
 
 def called_names(func):

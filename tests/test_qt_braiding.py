@@ -72,6 +72,16 @@ def test_sweedler_wrong_sign_pattern_fails_exactly_three_ids(field, t):
     assert rep.failed_axioms == ["eq30", "eq39", "remQT-a"]
 
 
+def test_r_conditions_build_no_map_above_n4_entries():
+    # eq29 multiplies in the tensor square without storing its 16 x 256
+    # product map; the largest maps left are eq30's and eq31's 256-entry
+    # R (x) R and psi (x) psi
+    H, R = sweedler_h4(QQ), sweedler_r(QQ, 1)
+    with map_sizes() as sizes:
+        assert check_r_conditions(H, R).ok
+    assert max(sizes) <= 4 ** 4
+
+
 def test_one_sided_r_fails_matching_frozen_pattern():
     H = z2_bialgebra()
     rep = check_r_conditions(H, RMatrix(QQ, 2, [0, 1, 0, 0]))

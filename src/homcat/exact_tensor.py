@@ -35,13 +35,15 @@ reduced mod p once. It refuses what the unfused pair refuses, with the same
 messages and in the same order: kron's field check and cap on the virtual
 b (x) c first (kron_shape), then compose's field, dimension and cap checks.
 
-Products in the tensor square H (x) H go through mul.square_compose_kron(b,
-c) for a multiplication map mul (n x n^2): it equals (mul (x) mul), after
-the swap of the two middle factors, composed with b (x) c, and it stores
-neither Kronecker product. Its integer multiply-adds are those of the two
-kernels above, over four denominators (mul's twice). It refuses only what
-it allocates: a field mismatch, operands of the wrong shape, and an
-n^2 x (b.cols * c.cols) output above the cap.
+An element of a tensor square acting one factor at a time goes through
+f.pair_compose(g, b, c, p): f (x) g, after the swap of its two middle
+factors, composed with b (x) c, storing neither Kronecker product. The
+product of H (x) H (mul.pair_compose(mul, b, c, n)), the tensor product
+of modules, the R-braiding and the quasitriangularity laws eq30 and eq31
+all have this shape. Its integer multiply-adds are those of the two
+kernels above, over four denominators. It refuses only what it
+allocates: a field mismatch, factor dims that do not divide, and an
+output above the cap.
 """
 
 from __future__ import annotations
@@ -353,37 +355,44 @@ class LinMap(Frozen):
                         flat[(base + m) * cols + t] += w * cv
         return self._from_int_sums(rows, cols, flat, da * db * dc)
 
-    def square_compose_kron(self, b, c):
-        """Products in H (x) H, storing neither self (x) self nor b (x) c.
+    def pair_compose(self, g, b, c, p):
+        """self and g applied factorwise to b (x) c, storing no kron.
 
-        self is a multiplication map, n x n^2. The result equals
-        kron(self, self).permute_cols((n, n, n, n), (0, 2, 1, 3))
-        .compose(kron(b, c)): output column flat(j, l) is b(e_j) c(e_l) in
-        H (x) H, whose product is (x (x) y)(x' (x) y') = x x' (x) y y'. It
-        does one integer multiply-add for each nonzero b[flat(k, k'), j],
-        each nonzero c[flat(m, m'), l] and each pair of nonzeros of self's
-        columns flat(k, m) and flat(k', m'), on numerators over one common
-        denominator per operand. It refuses a field mismatch, operands of
-        the wrong shape and an output above the cap, and nothing else.
+        b's rows split as P (x) P2 with p = dim P, self's columns as
+        P (x) Q, g's as P2 (x) Q2 and c's rows as Q (x) Q2. The result
+        equals kron(self, g).permute_cols((p, p2, q, q2), (0, 2, 1, 3))
+        .compose(kron(b, c)): output column flat(j, l) sends each
+        e_k (x) e_k' (x) e_m (x) e_m' of b(e_j) (x) c(e_l) to
+        self(e_k (x) e_m) (x) g(e_k' (x) e_m'). It does one integer
+        multiply-add for each nonzero b[flat(k, k'), j], each nonzero
+        c[flat(m, m'), l] and each pair of nonzeros of self's column
+        flat(k, m) and g's column flat(k', m'), on numerators over one
+        common denominator per operand. It refuses a field mismatch,
+        factor dims that do not divide and an output above the cap, and
+        nothing else.
         """
-        n = self.rows
-        if not self.field == b.field == c.field:
-            raise ValueError("field mismatch in square_compose_kron")
-        if self.cols != n * n:
-            raise ValueError(f"square_compose_kron needs an n x n^2 "
-                             f"multiplication, got {n}x{self.cols}")
-        if b.rows != n * n or c.rows != n * n:
+        if not self.field == g.field == b.field == c.field:
+            raise ValueError("field mismatch in pair_compose")
+        p2 = b.rows // p if p else 0
+        q = self.cols // p if p else 0
+        # a b without rows has no term to split, so it leaves q2 free
+        q2 = g.cols // p2 if p2 else 1
+        if ((p * p2, p * q) != (b.rows, self.cols)
+                or b.rows and (p2 * q2, q * q2) != (g.cols, c.rows)):
             raise ValueError(
-                f"square_compose_kron needs {n * n}-row operands, got "
-                f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
-        rows, cols = n * n, b.cols * c.cols
-        check_size(rows, cols, "square_compose_kron")
-        acols, da = self._int_columns()
+                f"pair_compose factor dims do not divide: {self.rows}x"
+                f"{self.cols} and {g.rows}x{g.cols} after {b.rows}x{b.cols}"
+                f" (x) {c.rows}x{c.cols} split at {p}")
+        gr = g.rows
+        rows, cols = self.rows * gr, b.cols * c.cols
+        check_size(rows, cols, "pair_compose")
+        fcols, df = self._int_columns()
+        gcols, dg = g._int_columns()
         bcols, db = b._int_columns()
         ccols, dc = c._int_columns()
         # each row index of b and c as its two tensor factors
-        bcols = [[(*divmod(k, n), bv) for k, bv in bcol] for bcol in bcols]
-        ccols = [[(*divmod(m, n), cv) for m, cv in ccol] for ccol in ccols]
+        bcols = [[(*divmod(k, p2), v) for k, v in col] for col in bcols]
+        ccols = [[(*divmod(m, q2), v) for m, v in col] for col in ccols]
         flat = [0] * (rows * cols)
         for j, bcol in enumerate(bcols):
             if not bcol:
@@ -391,17 +400,17 @@ class LinMap(Frozen):
             for col, ccol in enumerate(ccols, j * c.cols):
                 for k, k2, bv in bcol:
                     for m, m2, cv in ccol:
-                        left = acols[k * n + m]
-                        right = acols[k2 * n + m2]
+                        left = fcols[k * q + m]
+                        right = gcols[k2 * q2 + m2]
                         if not (left and right):
                             continue
                         w = bv * cv
-                        for r, av in left:
-                            wa = w * av
-                            base = r * n
-                            for r2, av2 in right:
-                                flat[(base + r2) * cols + col] += wa * av2
-        return self._from_int_sums(rows, cols, flat, da * da * db * dc)
+                        for r, fv in left:
+                            wf = w * fv
+                            base = r * gr
+                            for r2, gv in right:
+                                flat[(base + r2) * cols + col] += wf * gv
+        return self._from_int_sums(rows, cols, flat, df * dg * db * dc)
 
     def _int_columns(self):
         # (columns(), d) with each value v replaced, column by column, by

@@ -26,17 +26,13 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
-from .exact_tensor import (
-    Frozen, LinMap, identity, kron, kron_shape, zero_map,
-)
+from .exact_tensor import Frozen, LinMap, identity, kron, kron_shape
 from .hom_structures import (
     CheckReport, _run, check_hom_bialgebra, compare_maps, require,
 )
-from .rep_theory import check_module, tensor_module, twist_module
+from .rep_theory import _pair_action, check_module, tensor_module, twist_module
 
 
 class RMatrix(Frozen):
@@ -207,20 +203,22 @@ def _r_condition_checks(H, R):
     M = H.mul_linmap
     D = H.comul_linmap
     d_cop = D.permute_rows((n, n), (1, 0))
-    yield ("eq29", M.square_compose_kron(rv, D),
-           M.square_compose_kron(d_cop, rv), (n,), (n, n))
+    yield ("eq29", M.pair_compose(M, rv, D, n),
+           M.pair_compose(M, d_cop, rv, n), (n,), (n, n))
     # exchange law, contraction route
     lhs38, rhs38 = _contract_eq38(H, R)
     yield ("eq38", lhs38, rhs38, (n,), (n, n))
 
-    # coproduct-splitting laws, matrix route
-    rr = kron(rv, rv)
-    swap_mid = rr.permute_rows((n, n, n, n), (0, 2, 1, 3))
-    rhs30 = kron(ps, ps).kron_compose(H.mul_linmap, swap_mid)
-    yield ("eq30", D.kron_compose(al, rv), rhs30, (), (n, n, n))
-    to_xzwy = rr.permute_rows((n, n, n, n), (0, 2, 3, 1))
-    rhs31 = H.mul_linmap.kron_compose(kron(ps, ps), to_xzwy)
-    yield ("eq31", al.kron_compose(D, rv), rhs31, (), (n, n, n))
+    # coproduct-splitting laws, matrix route: R (x) R acting factorwise,
+    # psi (x) psi on the left legs of its two copies and the product on
+    # their right legs (eq30), or the product on the left legs and
+    # psi (x) psi, flipped, on the right legs (eq31)
+    pp = kron(ps, ps)
+    yield ("eq30", D.kron_compose(al, rv), pp.pair_compose(M, rv, rv, n),
+           (), (n, n, n))
+    pp_flip = pp.permute_rows((n, n), (1, 0))
+    yield ("eq31", al.kron_compose(D, rv), M.pair_compose(pp_flip, rv, rv, n),
+           (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
     yield ("eq39", _element(H, _contract_coproduct_side(H, R, True, al)),
@@ -239,26 +237,10 @@ def _rem_qt_checks(H, R):
            _element(H, _contract_rr_side(H, R, "plain-right")), (), (n, n, n))
 
 
-def _left_mult_maps(M):
-    """Square matrices of the action by each algebra basis vector."""
-    dm = M.dim
-    return [LinMap.from_terms(M.field, dm, dm, (
-        (k, m, v) for m, col in enumerate(cols) for k, v in col))
-        for cols in M.action_columns()]
-
-
 def _swapped_r_action(R, U, V):
-    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip;
-    # summed per row of R as sum_i L_i (x) (sum_j R[i,j] L'_j), so scaling
-    # and summing happen on V's small factor and there is one kron per row
-    lu, lv = _left_mult_maps(U), _left_mult_maps(V)
-    acc = zero_map(U.dim * V.dim, U.dim * V.dim, R.field)
-    for i, row in groupby(R.nonzero(), key=itemgetter(0)):
-        right = zero_map(V.dim, V.dim, R.field)
-        for _, j, r in row:
-            right = right.add(lv[j].scale(r))
-        acc = acc.add(kron(lu[i], right))
-    return acc.permute_rows((U.dim, V.dim), (1, 0))
+    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip
+    return _pair_action(U, V, R.as_vector()).permute_rows(
+        (U.dim, V.dim), (1, 0))
 
 
 def braiding_from_r(H, R, U, V):
@@ -312,7 +294,8 @@ def _braiding_elementwise(H, R, U, V):
 def check_braiding_morphism(H, R, U, V, f=None, g=None):
     """Morphism properties of one braiding instance.
 
-    eq27: the kron-assembled map agrees with elementwise assembly.
+    eq27: the matrix-route map (the R-action through pair_compose, then
+      the flip) agrees with elementwise assembly.
     braiding-intertwine: it intertwines the tensor structure maps.
     braiding-h-linear: it is linear over the algebra action into the
       swapped twisted tensor module.

@@ -20,7 +20,9 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
-from .exact_tensor import Frozen, LinMap, identity, kron, zero_map
+from .exact_tensor import (
+    Frozen, LinMap, check_size, identity, kron, zero_map,
+)
 from .hom_structures import CheckReport, HomBialgebra, _run
 
 
@@ -197,28 +199,21 @@ def tensor_module(H, M, N):
     _require_same_field(H, N, "tensor_module")
     if M.hdim != H.dim or N.hdim != H.dim:
         raise ValueError("module algebra slots do not match H.dim")
-    n, dm, dn = H.dim, M.dim, N.dim
-    mcols = M.action_columns()
-    ncols = N.action_columns()
+    return HModule(H.field, _pair_action(M, N, H.comul_linmap),
+                   kron(M.alpha, N.alpha))
 
-    def terms():
-        for h in range(n):
-            pairs = [(h1, h2, v)
-                     for h1 in range(n) for h2 in range(n)
-                     if (v := H.comul[h][h1][h2])]
-            if not pairs:
-                continue
-            for u in range(dm):
-                for w in range(dn):
-                    c = (h * dm + u) * dn + w
-                    for h1, h2, v in pairs:
-                        for a, mv in mcols[h1][u]:
-                            coef = v * mv
-                            for b, nv in ncols[h2][w]:
-                                yield a * dn + b, c, coef * nv
 
-    action = LinMap.from_terms(H.field, dm * dn, n * dm * dn, terms())
-    return HModule(H.field, action, kron(M.alpha, N.alpha))
+def _pair_action(M, N, b):
+    """Column flat(j, u, w) is b(e_j), acting factorwise, on e_u (x) e_w.
+
+    b maps into the tensor square of the algebra both modules act over:
+    each e_k (x) e_k' of b(e_j) sends e_u (x) e_w to (e_k.e_u) (x)
+    (e_k'.e_w). The output is refused before the identity it composes
+    through is built.
+    """
+    d = M.dim * N.dim
+    check_size(d, b.cols * d, "pair_compose")
+    return M.action.pair_compose(N.action, b, identity(d, M.field), M.hdim)
 
 
 def twist_module(H, M, which):

@@ -26,6 +26,9 @@ from _frozen import FROZEN  # noqa: E402,F401
 from homcat.exact_tensor import QQ, LinMap, identity  # noqa: E402
 from homcat.hom_structures import HomBialgebra  # noqa: E402
 from homcat.qt_braiding import RMatrix  # noqa: E402
+from homcat.rep_theory import (  # noqa: E402
+    action_cube, coaction_cube, module_from_cube,
+)
 from homcat.yetter_drinfeld import yd_from_cubes  # noqa: E402
 
 
@@ -159,6 +162,38 @@ def drinfeld_double_s3(field=QQ):
                   for u in S3 for v in S3 for x in S3}, (36, 36, 36))
     return HomBialgebra(field, mul, comul, identity(36, field),
                         identity(36, field))
+
+
+def drinfeld_r_s3(field=QQ):
+    """R = sum over g of (delta_g (x) e) (x) (1 (x) g) in D(S_3).
+
+    Its unit is 1 = sum over a of delta_a (x) e.
+    """
+    idx = {g: i for i, g in enumerate(S3)}
+    e = S3[0]
+    coeffs = [0] * 36 ** 2
+    for g in S3:
+        for a in S3:
+            coeffs[(6 * idx[g] + idx[e]) * 36 + 6 * idx[a] + idx[g]] = 1
+    return RMatrix(field, 36, coeffs)
+
+
+def drinfeld_module_s3(M):
+    """A YD module over kS_3 with homogeneous basis as a D(S_3)-module.
+
+    Basis vector m has degree deg(m), the group element of its coaction
+    m -> deg(m) (x) m, and (delta_a (x) x).m is the degree-a part of x.m
+    (Kassel, Quantum Groups, GTM 155, IX.4 and XIII.5). It is built from
+    the action and coaction cubes alone, with the identity as structure
+    map.
+    """
+    dim = M.dim
+    coact = coaction_cube(M)
+    deg = [next(j for j in range(6) if coact[m][j][m]) for m in range(dim)]
+    act = action_cube(M.module)
+    cube = [[[act[x][m][k] if deg[k] == a else 0 for k in range(dim)]
+             for m in range(dim)] for a in range(6) for x in range(6)]
+    return module_from_cube(M.field, cube, identity(dim, M.field))
 
 
 # Q[x]/(x^2): e0 = 1, e1 = x; and the coalgebra with x primitive

@@ -328,15 +328,19 @@ def test_kron_mixed_product(data):
     assert kron(a, b).compose(kron(c, d)) == kron(a.compose(c), b.compose(d))
 
 
-def _draw_sparse_map(draw, field, rows, cols):
-    # mostly zeros, so whole columns and products are skipped; small
-    # values, so entries cancel to computed zeros; its own largest
-    # denominator, so the kernels' common denominators differ and sums
-    # need reducing
-    top = draw(st.integers(1, 6).filter(
-        lambda d: not field.char or d % field.char))
-    value = st.one_of(st.just(0), st.integers(-2 * top, 2 * top).map(
-        lambda k: Fraction(k, top)))
+# each operand of a drawn fused product gets its own prime denominator,
+# none of them 5, so in most draws the operands' common denominators are
+# distinct and above 1, and an output over the wrong one shows
+DENOMINATORS = (2, 3, 7, 11)
+
+
+def _draw_sparse_map(draw, field, rows, cols, top):
+    # zero in about half the entries, so whole columns and products are
+    # skipped; small values k/top, so entries cancel to computed zeros and
+    # sums need reducing; the simplest draw, every entry 1/top, still has
+    # the operand's own denominator
+    value = st.sampled_from([Fraction(k, top)
+                             for k in (1, -1, 2, top, 0, 0, 0, 0)])
     return LinMap(field, rows, cols,
                   [field.coerce(draw(value)) for _ in range(rows * cols)])
 
@@ -346,10 +350,12 @@ def _fused_operands(draw):
     # (field, b, c, after, before) for after . (b (x) c) and
     # (b (x) c) . before, with empty sides among the shapes
     field = draw(st.sampled_from([QQ, GF(5)]))
-    side = st.integers(0, 3)
+    # empty sides are drawn, but the simplest side is 1
+    side = st.sampled_from((1, 2, 3, 0))
+    tops = iter(draw(st.permutations(DENOMINATORS)))
 
     def draw_map(rows, cols):
-        return _draw_sparse_map(draw, field, rows, cols)
+        return _draw_sparse_map(draw, field, rows, cols, next(tops))
 
     br, bc, cr, cc, n = (draw(side) for _ in range(5))
     b, c = draw_map(br, bc), draw_map(cr, cc)
@@ -491,13 +497,13 @@ def test_fused_kron_kernels_refuse_an_oversized_product_before_allocating():
         assert peak < 1 << 20
 
 
-# ---------------------------------------------- products in the tensor square
+# ------------------------------------- a tensor-square element factorwise
 
-def _square_unfused(mul, b, c):
-    # (mul (x) mul) after the swap of the two middle factors, after b (x) c
-    n = mul.rows
-    return (kron(mul, mul).permute_cols((n, n, n, n), (0, 2, 1, 3))
-            .compose(kron(b, c)))
+def _pair_unfused(f, g, b, c, p):
+    # f (x) g after the swap of its two middle factors, after b (x) c
+    p2 = b.rows // p
+    dims = (p, p2, f.cols // p, g.cols // p2)
+    return kron(f, g).permute_cols(dims, (0, 2, 1, 3)).compose(kron(b, c))
 
 
 def _z2_mul(field=QQ):
@@ -507,75 +513,99 @@ def _z2_mul(field=QQ):
 
 
 @st.composite
-def _square_operands(draw):
-    # (field, mul, b, c): an n-dim multiplication and two maps into H (x) H
+def _pair_operands(draw):
+    # (field, f, g, b, c, p): f on P (x) Q, g on P2 (x) Q2, b into
+    # P (x) P2 and c into Q (x) Q2, each factor dim and each row count of
+    # f and g in 1-3, so p and q differ in most draws
     field = draw(st.sampled_from([QQ, GF(5)]))
-    n = draw(st.integers(1, 3))
-    mul = _draw_sparse_map(draw, field, n, n * n)
-    b, c = (_draw_sparse_map(draw, field, n * n, draw(st.integers(0, 3)))
-            for _ in range(2))
-    return field, mul, b, c
+    p, p2, q, q2, fr, gr = (draw(st.integers(1, 3)) for _ in range(6))
+    tops = iter(draw(st.permutations(DENOMINATORS)))
+
+    def draw_map(rows, cols):
+        return _draw_sparse_map(draw, field, rows, cols, next(tops))
+
+    f, g = draw_map(fr, p * q), draw_map(gr, p2 * q2)
+    ncols = st.sampled_from((1, 2, 3, 0))
+    b = draw_map(p * p2, draw(ncols))
+    c = draw_map(q * q2, draw(ncols))
+    return field, f, g, b, c, p
 
 
-@given(_square_operands())
-# b's denominator 2 and c's 3 meet in every product, and each of the four
-# outputs (-5/6, 1/6, 7/6, 1/6) is nonzero, so an output over the wrong
+@given(_pair_operands())
+# f's denominator 2, g's 3, b's 5 and c's 7 meet in every product, and
+# each output (7/30, 1/30, 3/10, 3/70) is nonzero, so one over the wrong
 # denominator fails
-@example((QQ, _z2_mul(),
-          LinMap.from_rows(QQ, [["1/2"], ["3/2"], ["1/2"], ["-1/2"]]),
-          LinMap.from_rows(QQ, [["1/3"], ["-2/3"], ["1/3"], ["1/3"]])))
-def test_square_compose_kron_matches_the_unfused_triple(operands):
-    field, mul, b, c = operands
-    _assert_same_scalars(field, mul.square_compose_kron(b, c),
-                         _square_unfused(mul, b, c), "square_compose_kron")
+@example((QQ, LinMap.from_rows(QQ, [["1/2", "3/2"], ["-1/2", "5/2"]]),
+          LinMap.from_rows(QQ, [["1/3", "2/3"], ["4/3", "-1/3"]]),
+          LinMap.from_rows(QQ, [["1/5"], ["2/5"]]),
+          LinMap.from_rows(QQ, [["1/7"], ["3/7"]]), 2))
+def test_pair_compose_matches_the_unfused_formula(operands):
+    field, f, g, b, c, p = operands
+    _assert_same_scalars(field, f.pair_compose(g, b, c, p),
+                         _pair_unfused(f, g, b, c, p), "pair_compose")
 
 
-def test_square_compose_kron_multiplies_in_the_tensor_square():
+def test_pair_compose_multiplies_in_the_tensor_square():
     # (e_0 (x) e_1 + e_1 (x) e_0)(e_1 (x) e_0) = e_1 (x) e_1 + e_0 (x) e_0
     # in kZ_2 (x) kZ_2, whose basis is flat(i, j) = 2 i + j
     x = LinMap.from_rows(QQ, [[0], [1], [1], [0]])
     y = LinMap.from_rows(QQ, [[0], [0], [1], [0]])
-    assert (_z2_mul().square_compose_kron(x, y)
+    mul = _z2_mul()
+    assert (mul.pair_compose(mul, x, y, 2)
             == LinMap.from_rows(QQ, [[1], [0], [0], [1]]))
 
 
-def test_square_compose_kron_refusals():
+def test_pair_compose_refusals():
     q, f = _z2_mul(), _z2_mul(GF(5))
     four = identity(4)
-    with pytest.raises(ValueError, match="^field mismatch in square_compose"):
-        q.square_compose_kron(four, identity(4, GF(5)))
-    with pytest.raises(ValueError, match="^field mismatch in square_compose"):
-        f.square_compose_kron(four, four)
-    with pytest.raises(ValueError, match=(
-            r"needs an n x n\^2 multiplication, got 2x2$")):
-        identity(2).square_compose_kron(identity(4), identity(4))
-    for b, c in ((identity(3), four), (four, zero_map(2, 1))):
-        with pytest.raises(ValueError, match="needs 4-row operands"):
-            q.square_compose_kron(b, c)
+    for args in ((q, four, identity(4, GF(5))), (f, four, four),
+                 (q, identity(4, GF(5)), four)):
+        with pytest.raises(ValueError, match=(
+                "^field mismatch in pair_compose$")):
+            q.pair_compose(*args, 2)
+    # b's 3 rows, f's 3 columns and g's 3 columns do not split at p = 2
+    # and p2 = 2, and c's 2 rows are not the q x q2 = 2 x 2 that the two
+    # multiplications ask for
+    odd = zero_map(2, 3)
+    for f_, g_, b, c in ((q, q, identity(3), four), (odd, q, four, four),
+                         (q, odd, four, four), (q, q, four, zero_map(2, 1))):
+        with pytest.raises(ValueError, match=(
+                "^pair_compose factor dims do not divide: .* split at 2$")):
+            f_.pair_compose(g_, b, c, 2)
 
 
-def test_square_compose_kron_refuses_an_oversized_output_before_allocating():
+def test_pair_compose_over_a_zero_dim_factor():
+    # actions of a 0-dim algebra on 2-dim modules and an element of its
+    # 0-dim tensor square: no term to split, so c's rows are not split
+    # either and the output is zero, as the tensor module over it is
+    act = zero_map(2, 0)
+    assert (act.pair_compose(act, zero_map(0, 1), identity(4), 0)
+            == zero_map(4, 4))
+
+
+def test_pair_compose_refuses_an_oversized_output_before_allocating():
     # the output would be 1 x 2**28; the operands are tiny
     row = zero_map(1, 2 ** 14)
+    one = identity(1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=(
-                "^square_compose_kron output 1x268435456 exceeds the cap")):
-            identity(1).square_compose_kron(row, row)
+                "^pair_compose output 1x268435456 exceeds the cap")):
+            one.pair_compose(one, row, row, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_square_compose_kron_admits_what_only_the_unfused_triple_stores():
+def test_pair_compose_admits_what_only_the_unfused_formula_stores():
     # mul (x) mul would be 2**12 x 2**24 entries and b (x) c 2**24 x 2**4,
     # both past the cap; the output has 2**16
     n, f = 64, GF(5)
     mul, b = zero_map(n, n * n, f), zero_map(n * n, 4, f)
     with pytest.raises(ValueError, match="^kron output 4096x16777216 exceeds"):
-        _square_unfused(mul, b, b)
-    assert mul.square_compose_kron(b, b) == zero_map(n * n, 16, f)
+        _pair_unfused(mul, mul, b, b, n)
+    assert mul.pair_compose(mul, b, b, n) == zero_map(n * n, 16, f)
 
 
 def test_kron_all_and_compose_all():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     DUAL_COMUL, DUAL_MUL, FROZEN, cube, freeze_cube, freeze_matrix,
     freeze_violations, group_alpha_map, group_comul_cube, group_mul_cube,
-    drinfeld_double_s3, map_sizes, z2_bialgebra,
+    drinfeld_double_s3, map_sizes, s3_bialgebra, sweedler_h4, z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
@@ -164,6 +164,15 @@ def test_tensor_algebra_matches_frozen():
     assert T.alpha == identity(4)
 
 
+def test_oversized_tensor_algebra_refused_at_its_product_map():
+    # dims 32 and 17: the 544 x 544^2 product map is above the cap, and it
+    # is refused before the 544^3 cube would be read back
+    A, B = (HomAlgebra(QQ, cube({}, (n, n, n)), identity(n)) for n in (32, 17))
+    with pytest.raises(ValueError, match=(
+            "^pair_compose output 544x295936 exceeds the cap")):
+        tensor_hom_algebra(A, B)
+
+
 def test_tensor_algebra_field_mismatch():
     A = HomAlgebra(QQ, group_mul_cube(2), identity(2))
     B = HomAlgebra(GF(3), group_mul_cube(2), identity(2, GF(3)))
@@ -175,6 +184,24 @@ def test_tensor_of_twisted_algebras_stays_hom_associative():
     A = yau_twist_algebra(group_mul_cube(3), group_alpha_map(3, 2))
     B = yau_twist_algebra(group_mul_cube(2), group_alpha_map(2, 1))
     assert check_hom_algebra(tensor_hom_algebra(A, B)).ok
+
+
+def test_tensor_and_twisted_products_keep_the_factor_order():
+    # H4 and kS_3 are not commutative, so a cube read back transposed
+    # (the opposite algebra) differs from the formulas
+    A, B = sweedler_h4().algebra, s3_bialgebra().algebra
+    T = tensor_hom_algebra(A, B)
+    nb = B.dim
+    assert all(T.mul[i * nb + j][i2 * nb + j2][k * nb + l]
+               == A.mul[i][i2][k] * B.mul[j][j2][l]
+               for i in range(A.dim) for i2 in range(A.dim)
+               for k in range(A.dim) for j in range(nb)
+               for j2 in range(nb) for l in range(nb))
+    # x -> -x fixes x^2 = 0 and xg = -gx, so it is an automorphism of H4
+    signs = (1, 1, -1, -1)
+    tw = yau_twist_algebra(A.mul, diag(signs))
+    assert tw.mul == tuple(tuple(tuple(v * s for v, s in zip(row, signs))
+                                 for row in plane) for plane in A.mul)
 
 
 # ------------------------------------------------------------- morphisms

@@ -1,5 +1,6 @@
 """Quasitriangular batteries, braidings, hexagons and braid relations."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    FROZEN, cube, group_comul_cube, group_mul_cube, map_sizes,
-    sparse_columns, sweedler_h4, sweedler_r, z2_bialgebra,
+    FROZEN, cube, drinfeld_double_s3, drinfeld_r_s3, group_comul_cube,
+    group_mul_cube, map_sizes, sparse_columns, sweedler_h4, sweedler_r,
+    z2_bialgebra,
 )
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
@@ -74,12 +76,33 @@ def test_sweedler_wrong_sign_pattern_fails_exactly_three_ids(field, t):
 
 def test_r_conditions_build_no_map_above_n4_entries():
     # eq29 multiplies in the tensor square without storing its 16 x 256
-    # product map; the largest maps left are eq30's and eq31's 256-entry
-    # R (x) R and psi (x) psi
+    # product map, and eq30 and eq31 apply R (x) R without storing it; the
+    # largest maps left are the 256-entry psi (x) psi and its row flip
     H, R = sweedler_h4(QQ), sweedler_r(QQ, 1)
     with map_sizes() as sizes:
         assert check_r_conditions(H, R).ok
     assert max(sizes) <= 4 ** 4
+
+
+def test_r_conditions_hold_on_the_drinfeld_double_of_s3():
+    # D(S_3) is quasitriangular with R = sum_g (delta_g (x) e) (x) (1 (x) g)
+    field = GF(5)
+    rep = check_r_conditions(drinfeld_double_s3(field), drinfeld_r_s3(field))
+    assert rep.ok and len(rep.checked) == 11
+
+
+def test_r_conditions_refuse_n43_at_eq30():
+    # eq30's left side composes through the virtual comul (x) alpha, 43^3 x
+    # 43^2, past the cap; gen_group_bialgebra(43, k) refuses earlier, at
+    # eq2, so the structure is built directly
+    n, field = 43, GF(5)
+    alpha = identity(n, field)
+    H = HomBialgebra(field, group_mul_cube(n), group_comul_cube(n), alpha,
+                     alpha)
+    R = RMatrix(field, n, [1] + [0] * (n * n - 1))
+    with pytest.raises(ValueError, match=(
+            "^kron output 79507x1849 exceeds the cap")):
+        check_r_conditions(H, R)
 
 
 def test_one_sided_r_fails_matching_frozen_pattern():
@@ -226,6 +249,24 @@ def test_oversized_hexagon_refused_at_its_first_lift():
     with pytest.raises(ValueError, match=(
             "^kron output 12167x12167 exceeds the cap")):
         check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
+
+
+def test_oversized_tensor_module_and_braiding_refused_before_allocating():
+    # two 108-dim modules: both maps are 11664 x 11664, above the cap; the
+    # refusal comes before the identity they compose through is built
+    H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
+    Z = zero_module(QQ, 1, identity(108))
+    for build in (lambda: tensor_module(H, Z, Z),
+                  lambda: braiding_from_r(H, RMatrix(QQ, 1, [1]), Z, Z)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    "^pair_compose output 11664x11664 exceeds the cap")):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------ B map

@@ -5,16 +5,20 @@ from itertools import product
 import pytest
 
 from conftest import (
-    FROZEN, cube, s3_bialgebra, s3_transposition_yd, sparse_columns,
-    z2_bialgebra,
+    FROZEN, cube, drinfeld_double_s3, drinfeld_module_s3, drinfeld_r_s3,
+    s3_bialgebra, s3_transposition_yd, sparse_columns, z2_bialgebra,
 )
 
 from homcat import dehomify, yetter_drinfeld
 from homcat.dehomify import cross_check_yd
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity
 from homcat.hom_structures import HomBialgebra
-from homcat.qt_braiding import check_hom_ybe, check_mixed_hom_ybe
-from homcat.rep_theory import check_comodule_morphism, check_module_morphism
+from homcat.qt_braiding import (
+    braiding_from_r, check_hom_ybe, check_mixed_hom_ybe,
+)
+from homcat.rep_theory import (
+    check_comodule_morphism, check_module, check_module_morphism,
+)
 from homcat.yetter_drinfeld import (
     YDModule, b_yd, check_yd, f_twist_yd, quasi_braiding_yd, yd_associator,
     yd_from_cubes, yd_tensor,
@@ -155,6 +159,20 @@ def test_ks3_dehomified_hexagons_hold(ks3):
     fam.add_pair_map(("U", "V"), "W", _b_yd_map(H3, yd_tensor(H3, U, V), W))
     rep = dehomify.check_hexagons(fam, fam, "U", "V", "W")
     assert rep.axiom_status == {"hex1": True, "hex2": True}
+
+
+def test_drinfeld_double_braiding_is_the_yd_braiding_over_ks3(ks3):
+    # D(S_3)-modules are the YD modules over kS_3, and the R-braiding of
+    # D(S_3) is their YD braiding: qt_braiding's pair_compose route and
+    # yetter_drinfeld's kron route share no assembly code
+    H3, signed, unsigned = ks3
+    D, R = drinfeld_double_s3(H3.field), drinfeld_r_s3(H3.field)
+    pool = (signed, unsigned, yd_tensor(H3, signed, unsigned))
+    as_d = [drinfeld_module_s3(M) for M in pool]
+    for M in as_d:
+        assert check_module(D, M).ok
+    for (M, MD), (N, ND) in product(zip(pool, as_d), repeat=2):
+        assert braiding_from_r(D, R, MD, ND).map == b_yd(H3, M, N)
 
 
 def test_tensor_gates_on_invalid_input(H, yd_regular):

@@ -14,6 +14,10 @@ that turns the multiplicativity hypotheses into construction facts. The
 checks then confirm Mac Lane pentagon and hexagon coherence exactly, and
 the cross check ties the builders to the Yetter-Drinfeld rebracketing and
 quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
+
+A Kronecker product composed only once (Phi_V^-1 (x) Phi_U^-1 in c, a
+constraint beside an identity in the pentagon and hexagons) goes through
+compose_kron or kron_compose and is never stored.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def build_c(phi_u, phi_v, d):
         iv = _cached_inverse(phi_v)
     except ValueError:
         raise ValueError("build_c needs invertible component maps") from None
-    return kron(iv, iu).compose(d)
+    return iv.kron_compose(iu, d)
 
 
 class ConstraintFamily:
@@ -124,9 +128,10 @@ def check_pentagon(b_family, U, V, W, X):
     du, dv = b_family.dim(U), b_family.dim(V)
     dw, dx = b_family.dim(W), b_family.dim(X)
     field = b_family.field
-    lhs = kron(identity(du, field), b_family.assoc(V, W, X)).compose(
-        b_family.assoc(U, (V, W), X)).compose(
-        kron(b_family.assoc(U, V, W), identity(dx, field)))
+    lhs = identity(du, field).kron_compose(
+        b_family.assoc(V, W, X),
+        b_family.assoc(U, (V, W), X).compose_kron(
+            b_family.assoc(U, V, W), identity(dx, field)))
     rhs = b_family.assoc(U, V, (W, X)).compose(b_family.assoc((U, V), W, X))
     return _run([("pentagon", lhs, rhs,
                   (du, dv, dw, dx), (du, dv, dw, dx))])
@@ -149,15 +154,17 @@ def check_hexagons(b_family, c_family, U, V, W):
     def checks():
         lhs1 = b_family.assoc(V, W, U).compose(
             c_family.braid(U, (V, W))).compose(b_family.assoc(U, V, W))
-        rhs1 = kron(idv, c_family.braid(U, W)).compose(
-            b_family.assoc(V, U, W)).compose(kron(c_family.braid(U, V), idw))
+        rhs1 = idv.kron_compose(
+            c_family.braid(U, W),
+            b_family.assoc(V, U, W).compose_kron(c_family.braid(U, V), idw))
         yield ("hex1", lhs1, rhs1, (du, dv, dw), (dv, dw, du))
         lhs2 = b_family.assoc(W, U, V).inverse().compose(
             c_family.braid((U, V), W)).compose(
             b_family.assoc(U, V, W).inverse())
-        rhs2 = kron(c_family.braid(U, W), idv).compose(
-            b_family.assoc(U, W, V).inverse()).compose(
-            kron(idu, c_family.braid(V, W)))
+        rhs2 = c_family.braid(U, W).kron_compose(
+            idv,
+            b_family.assoc(U, W, V).inverse().compose_kron(
+                idu, c_family.braid(V, W)))
         yield ("hex2", lhs2, rhs2, (du, dv, dw), (dw, du, dv))
     return _run(checks())
 

@@ -39,8 +39,9 @@ An element of a tensor square acting one factor at a time goes through
 f.pair_compose(g, b, c, p): f (x) g, after the swap of its two middle
 factors, composed with b (x) c, storing neither Kronecker product. The
 product of H (x) H (mul.pair_compose(mul, b, c, n)), the tensor product
-of modules, the R-braiding and the quasitriangularity laws eq30 and eq31
-all have this shape. Its integer multiply-adds are those of the two
+of modules, the R-braiding, the quasitriangularity laws eq30 and eq31,
+and the Yetter-Drinfeld tensor coaction, B-map and compatibility law
+homYD all have this shape. Its integer multiply-adds are those of the two
 kernels above, over four denominators. It refuses only what it
 allocates: a field mismatch, factor dims that do not divide, and an
 output above the cap.

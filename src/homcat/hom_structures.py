@@ -187,15 +187,16 @@ def mul_map(field, mul):
         for k, v in enumerate(mul[i][j]) if v))
 
 
-def _mul_cube(M):
-    # inverse of mul_map: cube[i][j][k] is the e_k coefficient of e_i e_j
-    n = M.rows
-    cube = [[[M.field.zero] * n for _ in range(n)] for _ in range(n)]
-    for col, nz in enumerate(M.columns()):
-        row = cube[col // n][col % n]
-        for k, v in nz:
-            row[k] = v
-    return cube
+def _map_cube(M):
+    # inverse of mul_map (n x n^2) and of comul_map (n^2 x n): entry (r, c)
+    # of M goes to flat position c * M.rows + r of the n x n x n cube
+    n, rows = min(M.rows, M.cols), M.rows
+    flat = [M.field.zero] * n ** 3
+    for c, nz in enumerate(M.columns()):
+        for r, v in nz:
+            flat[c * rows + r] = v
+    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
 
 
 def comul_map(field, comul):
@@ -425,7 +426,7 @@ def yau_twist_algebra(mul, alpha):
                               M.compose_kron(alpha, alpha), (n, n), (n,))
     if not endo_ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
-    return HomAlgebra(field, _mul_cube(alpha.compose(M)), alpha)
+    return HomAlgebra(field, _map_cube(alpha.compose(M)), alpha)
 
 
 def yau_twist_bialgebra(mul, comul, endo):
@@ -447,12 +448,7 @@ def yau_twist_bialgebra(mul, comul, endo):
         require(check_structure_morphism, endo, classical, classical, kind,
                 what="not-endomorphism: endo fails")
     alg = yau_twist_algebra(mul, endo)
-    # twisted coproduct cube: comul applied after endo
-    D = classical.comul_linmap.compose(endo)
-    twisted = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for k, col in enumerate(D.columns()):
-        for flat, v in col:
-            twisted[k][flat // n][flat % n] = v
+    twisted = _map_cube(classical.comul_linmap.compose(endo))
     return HomBialgebra(field, alg.mul, twisted, endo, endo)
 
 
@@ -462,7 +458,7 @@ def tensor_hom_algebra(A, B):
         raise ValueError("field mismatch in tensor_hom_algebra")
     idn = identity(A.dim * B.dim, A.field)
     mul = A.mul_linmap.pair_compose(B.mul_linmap, idn, idn, A.dim)
-    return HomAlgebra(A.field, _mul_cube(mul), kron(A.alpha, B.alpha))
+    return HomAlgebra(A.field, _map_cube(mul), kron(A.alpha, B.alpha))
 
 
 def check_hom_semigroup(S):

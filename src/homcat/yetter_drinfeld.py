@@ -9,6 +9,10 @@ by the compatibility law homYD (formula in docs/formats.md):
   sum (h1.m)_(-1) alpha^2(h2) (x) (h1.m)_(0)
     = sum alpha^2(h1) alpha(m_(-1)) (x) alpha(h2).m_(0)
 
+Both sides of homYD, the tensor coaction and the B-map apply a tensor
+square element (h1 (x) h2, m_(-1) (x) m_(0)) factorwise through
+LinMap.pair_compose; no Kronecker product is stored only to be composed.
+
 Every operation on Yetter-Drinfeld modules requires valid inputs. Through
 hom_structures.require the check_yd verdict is formed once per (bialgebra,
 module) pair and reused by later operations on the same objects (for the
@@ -94,28 +98,19 @@ def _yd_checks(H, M):
     idn = identity(n, field)
     idm = identity(dm, field)
 
-    start = kron(D, idm)
-    lhs = kron(Mm, idm).permute_cols((n, dm, n), (0, 2, 1)).compose(
-        kron(coact, idn)).compose(
-        kron(act, idn)).permute_cols((n, n, dm), (0, 2, 1)).compose(
-        kron(idn, kron(a2, idm))).compose(start)
-    rhs = kron(Mm, act).compose(
-        kron(a2, kron(a, kron(a, idm)))).permute_cols(
-        (n, n, n, dm), (0, 2, 1, 3)).compose(
-        kron(identity(n * n, field), coact)).compose(start)
+    # (h1.m) (x) alpha^2(h2), then its coaction multiplied into the H slot
+    lhs = Mm.pair_compose(idm, coact, idn, n).compose(
+        act.pair_compose(idn, idn.kron_compose(a2, D), idm, n))
+    rhs = Mm.compose_kron(a2, a).pair_compose(
+        act.compose_kron(a, idm), D, coact, n)
     yield ("homYD", lhs, rhs, (n, dm), (n, dm))
 
 
 def _yd_tensor_coaction(H, M, N):
     """Coaction m (x) n -> sum alpha^-2(m_(-1) n_(-1)) (x) (m_(0) (x) n_(0))."""
     _, ai2 = _yd_base(H)
-    field = H.field
-    n, dm, dn = H.dim, M.dim, N.dim
-    # (coactM (x) coactN) then regroup to (m-1, n-1, m0, n0), multiply, twist
-    regrouped = kron(M.coaction, N.coaction).permute_rows(
-        (n, dm, n, dn), (0, 2, 1, 3))
-    return kron(ai2.compose(H.mul_linmap), identity(dm * dn, field)).compose(
-        regrouped)
+    return ai2.compose(H.mul_linmap).pair_compose(
+        identity(M.dim * N.dim, H.field), M.coaction, N.coaction, H.dim)
 
 
 def yd_tensor(H, M, N):
@@ -134,12 +129,9 @@ def yd_tensor(H, M, N):
 def _b_yd_map(H, M, N):
     """Matrix of m (x) n -> sum alpha^-1(m_(-1)).n (x) m_(0); no validity gate."""
     ai, _ = _yd_base(H)
-    field = H.field
-    n, dm, dn = H.dim, M.dim, N.dim
-    return kron(N.action.compose(kron(ai, identity(dn, field))),
-                identity(dm, field)).compose(
-        kron(M.coaction, identity(dn, field)).permute_rows(
-            (n, dm, dn), (0, 2, 1)))
+    idn = identity(N.dim, H.field)
+    return N.action.compose_kron(ai, idn).pair_compose(
+        identity(M.dim, H.field), M.coaction, idn, H.dim)
 
 
 def b_yd(H, M, N):
@@ -151,8 +143,8 @@ def b_yd(H, M, N):
     for X in (M, N):
         require(check_yd, H, X, what="b_yd precondition fails:")
     b = _b_yd_map(H, M, N)
-    ok, _ = compare_maps("defB", kron(N.alpha, M.alpha).compose(b),
-                         b.compose(kron(M.alpha, N.alpha)),
+    ok, _ = compare_maps("defB", N.alpha.kron_compose(M.alpha, b),
+                         b.compose_kron(M.alpha, N.alpha),
                          (M.dim, N.dim), (N.dim, M.dim))
     if not ok:
         raise ValueError("defB intertwining failed on inputs that passed "
@@ -168,7 +160,7 @@ def quasi_braiding_yd(H, M, N):
     if not N.alpha.is_invertible():
         raise ValueError("quasi_braiding_yd needs invertible structure map on N")
     b = b_yd(H, M, N)
-    return kron(_cached_inverse(N.alpha), _cached_inverse(M.alpha)).compose(b)
+    return _cached_inverse(N.alpha).kron_compose(_cached_inverse(M.alpha), b)
 
 
 def yd_associator(M, N, P):
@@ -189,5 +181,5 @@ def f_twist_yd(H, M):
     ai, _ = _yd_base(H)
     require(check_yd, H, M, what="f_twist_yd precondition fails:")
     act = twist_module(H, M.module, "F").action
-    co = kron(ai, identity(M.dim, M.field)).compose(M.coaction)
+    co = ai.kron_compose(identity(M.dim, M.field), M.coaction)
     return YDModule(M.field, act, co, M.alpha)

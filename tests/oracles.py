@@ -927,6 +927,34 @@ def main():
         mixed[f1 + f2 + f3] = ok
     out["z2_yd_mixed_ybe_ok"] = mixed
 
+    # a twisted base, alpha = psi = [[1, 1], [0, 1]], whose powers alpha^t
+    # = [[1, t], [0, 1]] all differ, so a formula with the wrong power
+    # shows; with the same structure map, the pair below fails the module
+    # and comodule laws at five inputs (the YD formulas need no valid
+    # input) and homYD at all four, with both sides nonzero
+    def jordan(t):
+        return [[Fr(1), Fr(t)], [Fr(0), Fr(1)]]
+
+    def cube2(entries):
+        c = [[[Fr(0)] * 2 for _ in range(2)] for _ in range(2)]
+        for (i, j, k), v in entries.items():
+            c[i][j][k] = Fr(v)
+        return c
+
+    tw_mul = cube2({(1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1})
+    tw_comul = cube2({(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 2,
+                      (1, 0, 1): 1, (1, 1, 0): -1})
+    tw_act = cube2({(0, 1, 0): -1, (1, 0, 0): -1, (1, 1, 0): 1,
+                    (1, 1, 1): -1})
+    tw_coact = cube2({(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 1): 1})
+    out["jordan_yd_homyd_violations"] = freeze_violations(homyd_violations(
+        tw_mul, tw_comul, jordan(1), tw_act, tw_coact, jordan(1)))
+    tco = yd_tensor_coact(tw_mul, jordan(-2), tw_coact, tw_coact)
+    out["jordan_yd_tensor_coact"] = {k: freeze_vec(v) for k, v in tco.items()}
+    B = b_yd_fn(tw_mul, jordan(-1), tw_coact, tw_act)
+    out["jordan_b_yd"] = {(m, n): freeze_vec(B(m, n))
+                          for m, n in product(range(2), repeat=2)}
+
     print("# generated by oracles.py; do not edit by hand")
     print("from fractions import Fraction\n")
     print("FROZEN = {")

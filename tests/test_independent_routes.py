@@ -53,3 +53,22 @@ def test_scan_sees_calls_and_method_calls():
     (f, n) for f, names in sorted(ROUTES.items()) for n in names])
 def test_contraction_route_uses_no_map_algebra(filename, name):
     assert called_names(functions(filename)[name]) & MAP_ALGEBRA == set()
+
+
+def imported_names(filename, *modules):
+    """Names a source file imports from the given sibling modules."""
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {a.asname or a.name for n in tree.body
+            if isinstance(n, ast.ImportFrom) and n.module in modules
+            for a in n.names}
+
+
+def test_yd_braiding_calls_nothing_from_the_r_braiding_route():
+    # _b_yd_map is the second route to the R-braiding of the Drinfeld
+    # double (test_drinfeld_double_braiding_is_the_yd_braiding_over_ks3),
+    # so it builds the braiding without rep_theory or qt_braiding
+    shared = imported_names("yetter_drinfeld.py", "rep_theory", "qt_braiding")
+    assert "tensor_module" in shared
+    assert called_names(functions("yetter_drinfeld.py")["_b_yd_map"]) \
+        & shared == set()

@@ -55,16 +55,15 @@ def test_module_leaves_map_storage_to_exact_tensor(name):
 
 
 # A Kronecker product built only to be composed once goes through
-# LinMap.compose_kron or LinMap.kron_compose, which never store it. The
-# Yetter-Drinfeld and dehomify assemblies still build theirs: the
-# yd-coherence benchmark runs them, and its peak RSS grows with the number
-# of ops the benchmark logs, so a faster pass reads as a bigger one. They
-# are exempt until the benchmark's op log stops growing with the op count.
-UNFUSED_EXEMPT = {"yetter_drinfeld.py", "dehomify.py"}
-
-
+# LinMap.compose_kron, kron_compose or pair_compose, which never store it.
 def _is_kron(node):
+    # a Kronecker product built in place, seen through any permute_rows
+    # or permute_cols applied to it
     f = node.func if isinstance(node, ast.Call) else None
+    while (isinstance(f, ast.Attribute)
+           and f.attr in ("permute_rows", "permute_cols")
+           and isinstance(f.value, ast.Call)):
+        f = f.value.func
     return (isinstance(f, ast.Name) and f.id == "kron"
             or isinstance(f, ast.Attribute) and f.attr == "kron")
 
@@ -95,7 +94,13 @@ def test_scan_flags_krons_built_to_be_composed():
                          "e = m.compose_kron(f, g)\n"
                          "h = f.kron_compose(g, m)\n"
                          "k = kron(f, g)\n"
-                         "x = k.compose(k)\n") == [1, 2, 3, 4]
+                         "x = k.compose(k)\n"
+                         "y = kron(f, g).permute_rows(d, p).compose(m)\n"
+                         "z = m.compose(kron(f, g).permute_cols(d, p)\n"
+                         "              .permute_rows(d, p))\n"
+                         "w = m.permute_cols(d, p).compose(k)\n"
+                         "v = f.pair_compose(g, m, k, 2)\n") == [
+                             1, 2, 3, 4, 9, 10]
 
 
 def _source(name):
@@ -104,13 +109,6 @@ def _source(name):
 
 
 @pytest.mark.parametrize("name", sorted(
-    f for f in os.listdir(SRC) if f.endswith(".py")
-    and f not in UNFUSED_EXEMPT))
+    f for f in os.listdir(SRC) if f.endswith(".py")))
 def test_module_builds_no_kron_only_to_compose_it(name):
     assert kron_composed(_source(name)) == [], name
-
-
-@pytest.mark.parametrize("name", sorted(UNFUSED_EXEMPT))
-def test_exempt_modules_still_need_their_exemption(name):
-    # drop a module from UNFUSED_EXEMPT once it is converted
-    assert kron_composed(_source(name)), name

@@ -6,13 +6,14 @@ import pytest
 
 from conftest import (
     FROZEN, cube, drinfeld_double_s3, drinfeld_module_s3, drinfeld_r_s3,
-    s3_bialgebra, s3_transposition_yd, sparse_columns, z2_bialgebra,
+    map_sizes, s3_bialgebra, s3_transposition_yd, sparse_columns,
+    z2_bialgebra,
 )
 
 from homcat import dehomify, yetter_drinfeld
 from homcat.dehomify import cross_check_yd
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity
-from homcat.hom_structures import HomBialgebra
+from homcat.hom_structures import VIOLATION_CAP, HomBialgebra
 from homcat.qt_braiding import (
     braiding_from_r, check_hom_ybe, check_mixed_hom_ybe,
 )
@@ -128,14 +129,16 @@ def test_tensor_closure(H, pool):
     assert got == FROZEN["z2_yd_tensor_closure_ok"]
 
 
-# kS_3 is not commutative, so these see the factor order of the tensor
-# coaction; over GF(5), where check_yd on the dim-9 tensor costs about half
-# what it does over Q
-@pytest.fixture(scope="module")
-def ks3():
-    field = GF(5)
+def _ks3(field):
     return (s3_bialgebra(field), s3_transposition_yd(1, field),
             s3_transposition_yd(0, field))
+
+
+# kS_3 is not commutative, so these see the factor order of the tensor
+# coaction
+@pytest.fixture(scope="module", params=[QQ, GF(5)], ids=["Q", "GF5"])
+def ks3(request):
+    return _ks3(request.param)
 
 
 def test_ks3_transposition_modules_and_their_tensor_are_yd(ks3):
@@ -161,11 +164,23 @@ def test_ks3_dehomified_hexagons_hold(ks3):
     assert rep.axiom_status == {"hex1": True, "hex2": True}
 
 
-def test_drinfeld_double_braiding_is_the_yd_braiding_over_ks3(ks3):
+def test_ks3_yd_check_builds_no_map_above_its_homyd_square():
+    # the homYD sides are (n dm)^2 = 2916 entries on the dim-9 tensor; no
+    # Kronecker product with an identity on H (x) H is stored
+    H3, signed, unsigned = _ks3(QQ)
+    T = yd_tensor(H3, signed, unsigned)
+    with map_sizes() as sizes:
+        assert check_yd(H3, T).ok
+    assert max(sizes) <= (H3.dim * T.dim) ** 2 == 2916
+
+
+def test_drinfeld_double_braiding_is_the_yd_braiding_over_ks3():
     # D(S_3)-modules are the YD modules over kS_3, and the R-braiding of
-    # D(S_3) is their YD braiding: qt_braiding's pair_compose route and
-    # yetter_drinfeld's kron route share no assembly code
-    H3, signed, unsigned = ks3
+    # D(S_3) is their YD braiding. The two sides are written separately:
+    # _b_yd_map calls nothing from rep_theory or qt_braiding, and the two
+    # share only exact_tensor kernels, each checked against its unfused
+    # formula in test_exact_tensor
+    H3, signed, unsigned = _ks3(GF(5))
     D, R = drinfeld_double_s3(H3.field), drinfeld_r_s3(H3.field)
     pool = (signed, unsigned, yd_tensor(H3, signed, unsigned))
     as_d = [drinfeld_module_s3(M) for M in pool]
@@ -273,6 +288,46 @@ def test_f_twist_is_identity_over_classical_base(H, pool):
 def test_f_twist_preserves_b(H, pool):
     A, B = pool["A"], pool["B"]
     assert b_yd(H, f_twist_yd(H, A), f_twist_yd(H, B)) == b_yd(H, A, B)
+
+
+# ---------------------------------------------------------- twisted base
+
+# alpha = psi = [[1, 1], [0, 1]], so alpha, alpha^2, alpha^-1 and alpha^-2
+# all differ and each formula's power of the twist map shows; the module
+# has the same structure map and fails homYD with both sides nonzero
+JORDAN = LinMap.from_rows(QQ, [[1, 1], [0, 1]])
+JMUL = cube({(1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1}, (2, 2, 2))
+JCOMUL = cube({(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 2, (1, 0, 1): 1,
+               (1, 1, 0): -1}, (2, 2, 2))
+JACT = cube({(0, 1, 0): -1, (1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1},
+            (2, 2, 2))
+JCOACT = cube({(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 1): 1}, (2, 2, 2))
+
+
+@pytest.fixture(scope="module")
+def jordan():
+    return (HomBialgebra(QQ, JMUL, JCOMUL, JORDAN, JORDAN),
+            yd_from_cubes(QQ, JACT, JCOACT, JORDAN))
+
+
+def test_twisted_base_homyd_violations_match_frozen(jordan):
+    H, M = jordan
+    rep = check_yd(H, M)
+    assert len(rep.violations) < VIOLATION_CAP    # so none is cut
+    assert ([v for v in viol_freeze(rep.violations) if v[0] == "homYD"]
+            == FROZEN["jordan_yd_homyd_violations"])
+
+
+def test_twisted_base_tensor_coaction_matches_frozen(jordan):
+    H, M = jordan
+    assert (sparse_columns(_yd_tensor_coaction(H, M, M), (2, 2), (2, 2, 2))
+            == FROZEN["jordan_yd_tensor_coact"])
+
+
+def test_twisted_base_b_map_matches_frozen(jordan):
+    H, M = jordan
+    assert (sparse_columns(_b_yd_map(H, M, M), (2, 2), (2, 2))
+            == FROZEN["jordan_b_yd"])
 
 
 # ------------------------------------------------------------ entry gates

@@ -1,9 +1,11 @@
-"""Pure-Python matrix kernels.
+"""Pure-Python matrix kernels on flat row-major tuples of exact scalars.
 
-The matrix kernels behind LinMap: dense matrix multiply, Kronecker
-product and matrix-vector product on flat row-major tuples of exact
-scalars. Scalars are either rational objects (characteristic 0, modulus
-None) or plain ints reduced into [0, p) when a prime modulus is given.
+kron is the kernel behind LinMap.kron. mat_mul and mat_vec have no
+caller in the library, since LinMap.compose multiplies integer numerators
+itself: mat_mul is kept as the reference the tests compare LinMap.compose
+with, and perfbench/kernel_probe.py times both. Scalars are either
+rational objects (characteristic 0, modulus None) or plain ints reduced
+into [0, p) when a prime modulus is given.
 """
 
 

@@ -17,12 +17,13 @@ quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 
 A Kronecker product composed only once (Phi_V^-1 (x) Phi_U^-1 in c, a
 constraint beside an identity in the pentagon and hexagons) goes through
-compose_kron or kron_compose and is never stored.
+compose_kron or kron_compose and is never stored. No associator is
+inverted: its inverse is assembled from the inverses of the components.
 """
 
 from __future__ import annotations
 
-from .exact_tensor import identity, kron
+from .exact_tensor import check_size, identity, kron, kron_all
 from .hom_structures import _run, require
 from .yetter_drinfeld import (
     _cached_inverse, b_yd, check_yd, quasi_braiding_yd, yd_associator,
@@ -118,6 +119,39 @@ class ConstraintFamily:
         return build_b(self.component(u), self.component(w),
                        (self.dim(u), self.dim(v), self.dim(w)))
 
+    def _inverse_component(self, obj):
+        """The inverse of component(obj); ValueError if it is singular.
+
+        A composite's inverse is the Kronecker product of its atoms'
+        inverses, so no map larger than an atomic component is inverted.
+        """
+        if isinstance(obj, tuple) and self.dim(obj):
+            return kron_all(*(self._inverse_component(o) for o in obj))
+        return _cached_inverse(self.component(obj))
+
+    def assoc_inverse(self, u, v, w):
+        """assoc(u, v, w).inverse() = Theta_u (x) id_v (x) Theta_w^-1.
+
+        Built from the atoms' inverses, with assoc's refusals in its order
+        (a missing entry, a singular Theta_u, an output above the cap),
+        then inverse's "map is singular" for a singular Theta_w unless the
+        associator is 0x0.
+        """
+        theta_u, theta_w = self.component(u), self.component(w)
+        dv = self.dim(v)
+        try:
+            _cached_inverse(theta_u)
+        except ValueError:
+            raise ValueError("build_b needs invertible theta_u") from None
+        side = dv * theta_w.rows
+        size = theta_u.rows * side
+        check_size(side, side, "kron")
+        check_size(size, size, "kron")
+        if not size:
+            return identity(0, self.field)
+        return kron(theta_u, kron(identity(dv, self.field),
+                                  self._inverse_component(w)))
+
     def braid(self, u, v):
         return build_c(self.component(u), self.component(v),
                        self.pair_map(u, v))
@@ -141,7 +175,7 @@ def check_hexagons(b_family, c_family, U, V, W):
     """Both classical hexagons for the derived (b, c) pair.
 
     hex1: b(V,W,U) c(U, V(x)W) b(U,V,W) = (id (x) c(U,W)) b(V,U,W) (c(U,V) (x) id)
-    hex2: the mirror with inverse associators:
+    hex2: the mirror with inverse associators (assoc_inverse):
           b(W,U,V)^-1 c(U(x)V, W) b(U,V,W)^-1
           = (c(U,W) (x) id) b(U,W,V)^-1 (id (x) c(V,W))
     """
@@ -158,12 +192,12 @@ def check_hexagons(b_family, c_family, U, V, W):
             c_family.braid(U, W),
             b_family.assoc(V, U, W).compose_kron(c_family.braid(U, V), idw))
         yield ("hex1", lhs1, rhs1, (du, dv, dw), (dv, dw, du))
-        lhs2 = b_family.assoc(W, U, V).inverse().compose(
+        lhs2 = b_family.assoc_inverse(W, U, V).compose(
             c_family.braid((U, V), W)).compose(
-            b_family.assoc(U, V, W).inverse())
+            b_family.assoc_inverse(U, V, W))
         rhs2 = c_family.braid(U, W).kron_compose(
             idv,
-            b_family.assoc(U, W, V).inverse().compose_kron(
+            b_family.assoc_inverse(U, W, V).compose_kron(
                 idu, c_family.braid(V, W)))
         yield ("hex2", lhs2, rhs2, (du, dv, dw), (dw, du, dv))
     return _run(checks())

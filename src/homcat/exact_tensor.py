@@ -22,18 +22,26 @@ operand is nonzero: a zero entry takes the other operand's scalar as it
 is, so a sum of sparse maps costs a scan of its entries plus one scalar
 operation per nonzero.
 
+compose and the fused kernels below multiply and add Python ints. Over Q
+each operand is scaled to integer numerators over one common denominator
+(the lcm of its nonzero denominators), and each nonzero output sum becomes
+one rational over the product of the operands' denominators; over F_p
+each sum is reduced mod p once. a.compose(b) reads the nonzero columns of
+both operands and does one multiply-add for each pair of nonzeros that
+meet, a nonzero b[t, j] and a nonzero of a's column t, so it costs a scan
+of both operands and its output plus one multiply-add per such pair. kron,
+which stores one product per pair of nonzeros and sums none, multiplies
+the scalars themselves.
+
 A Kronecker product built only to be composed once is never stored:
 a.compose_kron(b, c) equals a.compose(kron(b, c)) and b.kron_compose(c, a)
 equals kron(b, c).compose(a). Each reads the nonzero columns of its three
-operands once and does one multiply-add per triple of nonzeros that meet,
-so it costs a scan of its operands and its output plus the products, never
-a scan of b (x) c. The multiply-adds are on Python ints: over Q each
-operand is scaled to integer numerators over one common denominator (the
-lcm of its nonzero denominators), and each nonzero output sum becomes one
-rational over the product of the three denominators; over F_p each sum is
-reduced mod p once. It refuses what the unfused pair refuses, with the same
-messages and in the same order: kron's field check and cap on the virtual
-b (x) c first (kron_shape), then compose's field, dimension and cap checks.
+operands once and does one integer multiply-add per triple of nonzeros
+that meet, over the three operands' denominators, so it costs a scan of
+its operands and its output plus the products, never a scan of b (x) c.
+It refuses what the unfused pair refuses, with the same messages and in
+the same order: kron's field check and cap on the virtual b (x) c first
+(kron_shape), then compose's field, dimension and cap checks.
 
 An element of a tensor square acting one factor at a time goes through
 f.pair_compose(g, b, c, p): f (x) g, after the swap of its two middle
@@ -286,13 +294,25 @@ class LinMap(Frozen):
                 for j in range(c)]
 
     def compose(self, other):
-        """self after other: (self.compose(f))(v) = self(f(v))."""
+        """self after other: (self.compose(f))(v) = self(f(v)).
+
+        One integer multiply-add for each nonzero other[t, j] and each
+        nonzero of self's column t, on numerators over one common
+        denominator per operand, and one scalar formed per output entry:
+        a scan of both operands plus one multiply-add per pair of nonzeros
+        that meet.
+        """
         _compose_check(self.field, (self.rows, self.cols),
                        other.field, (other.rows, other.cols))
-        flat = _K.mat_mul(self.data, self.rows, self.cols,
-                          other.data, other.rows, other.cols,
-                          self.field.zero, self.field.modulus)
-        return LinMap._wrap(self.field, self.rows, other.cols, flat)
+        rows, cols = self.rows, other.cols
+        acols, da = self._int_columns()
+        bcols, db = other._int_columns()
+        flat = [0] * (rows * cols)
+        for j, bcol in enumerate(bcols):
+            for t, bv in bcol:
+                for r, av in acols[t]:
+                    flat[r * cols + j] += av * bv
+        return self._from_int_sums(rows, cols, flat, da * db)
 
     def compose_kron(self, b, c):
         """self.compose(kron(b, c)), without storing b (x) c.

@@ -14,6 +14,7 @@ from homcat.dehomify import (
     cross_check_yd,
 )
 from homcat.yetter_drinfeld import b_yd, check_yd, yd_from_cubes, yd_tensor
+from homcat.yetter_drinfeld import _cached_inverse as cached_inverse
 
 Z2MUL = cube({(i, j, (i + j) % 2): 1 for i in range(2) for j in range(2)},
              (2, 2, 2))
@@ -131,6 +132,64 @@ def test_hexagons_with_zero_braidings():
     assert check_hexagons(cz, cz, "U", "V", "W").ok
     with pytest.raises(ValueError, match="missing family entry"):
         cz.braid("V", "U")
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("triple", [
+    ("U", "V", "W"), ("W", "U", "V"), (("U", "V"), "W", ("W", "U")),
+    ("S", "U", "V"), ("U", "V", "S"), ("U", ("V", "S"), "W"),
+    ("U", "V", ("W", "S")), ("O", "V", "S"), ("U", "O", "S"),
+    ("U", "V", ("S", "O")), ("Y", "V", "S"), ("S", "Y", "Q"),
+    ("B", "B", "Z"), (("B", "V"), "U", "Z"),
+])
+def test_assoc_inverse_is_the_inverted_associator(triple):
+    # the same map, or the same refusal: a missing entry, a singular
+    # Theta_u, a singular Theta_w, an output above the cap before a
+    # singular Theta_w, and a 0x0 associator beside a singular component,
+    # which has an inverse
+    fam = ConstraintFamily(QQ)
+    fam.add_module("U", LinMap.from_rows(QQ, [[1, 1], [0, 2]]))
+    fam.add_module("V", diag([3]))
+    fam.add_module("W", LinMap.from_rows(QQ, [[0, 1], [1, 0]]))
+    fam.add_module("S", diag([1, 0]))
+    fam.add_module("O", identity(0))
+    # (200 * 200)^2 and (200 * 2 * 200)^2 entries exceed the cap
+    fam.add_module("B", identity(200))
+    fam.add_module("Z", zero_map(200, 200, QQ))
+    assert (_outcome(lambda: fam.assoc_inverse(*triple))
+            == _outcome(lambda: fam.assoc(*triple).inverse()))
+
+
+def test_hexagons_invert_no_map_larger_than_a_component(H, pool,
+                                                        monkeypatch):
+    # the dim-4 YD tensor, cubed: each associator is 64x64, its components
+    # 4x4 and, for a pair of objects, 16x16
+    T = yd_tensor(H, pool["A"], pool["B"])
+    fam = ConstraintFamily(QQ)
+    fam.add_module("T", T.alpha)
+    TT = yd_tensor(H, T, T)
+    fam.add_pair_map("T", "T", b_yd(H, T, T))
+    fam.add_pair_map("T", ("T", "T"), b_yd(H, T, TT))
+    fam.add_pair_map(("T", "T"), "T", b_yd(H, TT, T))
+    sizes = []
+    real = LinMap.inverse
+
+    def recording(m):
+        sizes.append(m.rows * m.cols)
+        return real(m)
+    cached_inverse.cache_clear()
+    monkeypatch.setattr(LinMap, "inverse", recording)
+    rep = check_hexagons(fam, fam, "T", "T", "T")
+    monkeypatch.undo()
+    cached_inverse.cache_clear()
+    assert rep.axiom_status == {"hex1": True, "hex2": True}
+    assert sizes and max(sizes) <= fam.dim(("T", "T")) ** 2 == 256
 
 
 def test_family_validation():

@@ -282,16 +282,34 @@ def test_compose_shapes_checked():
     assert compose(identity(2), identity(2)) == identity(2)
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
-def test_compose_matches_naive(n, m, k, data):
-    ents = st.integers(-4, 4)
-    a = LinMap(QQ, n, m, [data.draw(ents) for _ in range(n * m)])
-    b = LinMap(QQ, m, k, [data.draw(ents) for _ in range(m * k)])
-    c = a.compose(b)
-    for i in range(n):
-        for j in range(k):
-            want = sum(a.entry(i, t) * b.entry(t, j) for t in range(m))
-            assert c.entry(i, j) == QQ.coerce(want)
+def _naive_compose(a, b):
+    # the textbook row-times-column product, one scalar operation at a time
+    f = a.field
+    return LinMap(f, a.rows, b.cols, [
+        sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), f.zero)
+        for i in range(a.rows) for j in range(b.cols)])
+
+
+@st.composite
+def _compose_operands(draw):
+    # (field, a, b) for a . b, each operand over its own prime denominator
+    # (see _draw_sparse_map), with empty sides among the shapes
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    n, m, k = (draw(st.sampled_from((1, 2, 3, 0))) for _ in range(3))
+    top_a, top_b = draw(st.permutations(DENOMINATORS))[:2]
+    return (field, _draw_sparse_map(draw, field, n, m, top_a),
+            _draw_sparse_map(draw, field, m, k, top_b))
+
+
+@given(_compose_operands())
+# denominators 2 and 3 meet at the one output entry, 1/2 + 1/3 = 5/6, so
+# an output over a wrong common denominator fails
+@example((QQ, LinMap.from_rows(QQ, [["1/2", 1]]),
+          LinMap.from_rows(QQ, [[1], ["1/3"]])))
+def test_compose_matches_naive(operands):
+    field, a, b = operands
+    _assert_same_scalars(field, a.compose(b), _naive_compose(a, b),
+                         "compose")
 
 
 # ----------------------------------------------------------------- kron
@@ -415,22 +433,24 @@ def test_fused_kron_kernels_reduce_a_sum_over_two_denominators():
 
 
 def test_fused_kron_kernels_multiply_and_add_no_fractions(monkeypatch):
-    # dense operands, no entry an integer: every product and sum is on
-    # integer numerators
+    # dense operands, no entry an integer: every product and sum of the
+    # fused kernels and of compose is on integer numerators
     def dense(rows, cols, shift):
         return LinMap(QQ, rows, cols, [Fraction(k + shift, k + shift + 1)
                                        for k in range(rows * cols)])
 
     b, c = dense(2, 3, 1), dense(3, 2, 2)
     after, before = dense(4, 6, 3), dense(6, 5, 4)
-    want = (after.compose(kron(b, c)), kron(b, c).compose(before))
+    want = (after.compose(kron(b, c)), kron(b, c).compose(before),
+            _naive_compose(after, before))
     counts = Counter()
     for name in ("__mul__", "__add__"):
         def counting(x, y, real=getattr(Fraction, name), name=name):
             counts[name] += 1
             return real(x, y)
         monkeypatch.setattr(Fraction, name, counting)
-    got = (after.compose_kron(b, c), b.kron_compose(c, before))
+    got = (after.compose_kron(b, c), b.kron_compose(c, before),
+           after.compose(before))
     monkeypatch.undo()
     assert counts["__mul__"] == 0
     assert counts["__add__"] == 0

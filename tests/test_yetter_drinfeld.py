@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (
     FROZEN, cube, drinfeld_double_s3, drinfeld_module_s3, drinfeld_r_s3,
-    map_sizes, s3_bialgebra, s3_transposition_yd, sparse_columns,
-    z2_bialgebra,
+    freeze_violations, map_sizes, s3_bialgebra, s3_transposition_yd,
+    sparse_columns, z2_bialgebra,
 )
 
 from homcat import dehomify, yetter_drinfeld
@@ -55,19 +55,13 @@ def pool():
     }
 
 
-def viol_freeze(vs):
-    return [(v.axiom, v.index,
-             [(i, str(c)) for i, c in v.lhs],
-             [(i, str(c)) for i, c in v.rhs]) for v in vs]
-
-
 # ---------------------------------------------------------- compatibility
 
 def test_regular_grading_pair_fails_homyd(H, yd_regular):
     rep = check_yd(H, yd_regular)
     assert rep.ok == FROZEN["z2_yd_regular_ok"]
     assert list(rep.failed_axioms) == ["homYD"]
-    assert (viol_freeze(rep.violations)[:1]
+    assert (freeze_violations(rep.violations)[:1]
             == FROZEN["z2_yd_regular_first_violation"])
 
 
@@ -314,7 +308,7 @@ def test_twisted_base_homyd_violations_match_frozen(jordan):
     H, M = jordan
     rep = check_yd(H, M)
     assert len(rep.violations) < VIOLATION_CAP    # so none is cut
-    assert ([v for v in viol_freeze(rep.violations) if v[0] == "homYD"]
+    assert ([v for v in freeze_violations(rep.violations) if v[0] == "homYD"]
             == FROZEN["jordan_yd_homyd_violations"])
 
 

@@ -39,9 +39,10 @@ equals kron(b, c).compose(a). Each reads the nonzero columns of its three
 operands once and does one integer multiply-add per triple of nonzeros
 that meet, over the three operands' denominators, so it costs a scan of
 its operands and its output plus the products, never a scan of b (x) c.
-It refuses what the unfused pair refuses, with the same messages and in
-the same order: kron's field check and cap on the virtual b (x) c first
-(kron_shape), then compose's field, dimension and cap checks.
+Like every product here, each refuses only what it allocates: b and c
+over different fields (kron's message), then compose's field, dimension
+and cap checks on the product's own shape. A b (x) c above the cap is
+no refusal, since it is never stored.
 
 An element of a tensor square acting one factor at a time goes through
 f.pair_compose(g, b, c, p): f (x) g, after the swap of its two middle
@@ -321,12 +322,14 @@ class LinMap(Frozen):
         integer multiply-add for each nonzero b[k, j], each nonzero c[m, l]
         and each nonzero of self's column flat(k, m), on numerators over
         one common denominator per operand, and one scalar formed per
-        output entry. The refusals are those of the unfused pair, in its
-        order.
+        output entry. It refuses b and c over different fields, then as
+        compose refuses the product, never an oversized b (x) c.
         """
-        kshape = kron_shape(b, c)
-        _compose_check(self.field, (self.rows, self.cols), b.field, kshape)
-        rows, cols, cr = self.rows, kshape[1], c.rows
+        if b.field != c.field:
+            raise ValueError("field mismatch in kron")
+        rows, cols, cr = self.rows, b.cols * c.cols, c.rows
+        _compose_check(self.field, (rows, self.cols),
+                       b.field, (b.rows * cr, cols))
         acols, da = self._int_columns()
         bcols, db = b._int_columns()
         ccols, dc = c._int_columns()
@@ -353,12 +356,15 @@ class LinMap(Frozen):
         c(e_l) to output column t: one integer multiply-add for each such
         nonzero and each pair of nonzeros of those two columns, on
         numerators over one common denominator per operand, and one scalar
-        formed per output entry. The refusals are those of the unfused
-        pair, in its order.
+        formed per output entry. It refuses self and c over different
+        fields, then as compose refuses the product, never an oversized
+        self (x) c.
         """
-        kshape = kron_shape(self, c)
-        _compose_check(self.field, kshape, a.field, (a.rows, a.cols))
-        rows, cols, cc, cr = kshape[0], a.cols, c.cols, c.rows
+        if self.field != c.field:
+            raise ValueError("field mismatch in kron")
+        rows, cols, cc, cr = self.rows * c.rows, a.cols, c.cols, c.rows
+        _compose_check(self.field, (rows, self.cols * cc),
+                       a.field, (a.rows, cols))
         bcols, db = self._int_columns()
         ccols, dc = c._int_columns()
         acols, da = a._int_columns()
@@ -451,11 +457,10 @@ class LinMap(Frozen):
         f = self.field
         p = f.modulus
         if p is not None:
-            flat = [s % p for s in flat]
-        else:
-            zero = f.zero
-            for x, s in enumerate(flat):
-                flat[x] = Fraction(s, den) if s else zero
+            return LinMap._wrap(f, rows, cols, tuple(s % p for s in flat))
+        zero = f.zero
+        for x, s in enumerate(flat):
+            flat[x] = Fraction(s, den) if s else zero
         return LinMap._wrap(f, rows, cols, tuple(flat))
 
     def permute_rows(self, dims, perm):
@@ -475,7 +480,10 @@ class LinMap(Frozen):
         return LinMap._wrap(self.field, self.rows, c, flat)
 
     def kron(self, other):
-        rows, cols = kron_shape(self, other)
+        if self.field != other.field:
+            raise ValueError("field mismatch in kron")
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        check_size(rows, cols, "kron")
         flat = _K.kron(self.data, self.rows, self.cols,
                        other.data, other.rows, other.cols,
                        self.field.zero, self.field.modulus)
@@ -593,19 +601,6 @@ def diag(scalars, field=QQ):
     n = len(scalars)
     return LinMap.from_terms(field, n, n, (
         (i, i, field.coerce(s)) for i, s in enumerate(scalars)))
-
-
-def kron_shape(f, g):
-    """The shape of kron(f, g), refused as kron refuses it.
-
-    Raises ValueError over different fields or above the cap, before
-    anything is allocated.
-    """
-    if f.field != g.field:
-        raise ValueError("field mismatch in kron")
-    shape = (f.rows * g.rows, f.cols * g.cols)
-    check_size(*shape, "kron")
-    return shape
 
 
 def _compose_check(f_field, f_shape, g_field, g_shape):

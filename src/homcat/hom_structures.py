@@ -447,9 +447,10 @@ def yau_twist_bialgebra(mul, comul, endo):
     for kind in ("algebra", "coalgebra"):
         require(check_structure_morphism, endo, classical, classical, kind,
                 what="not-endomorphism: endo fails")
-    alg = yau_twist_algebra(mul, endo)
-    twisted = _map_cube(classical.comul_linmap.compose(endo))
-    return HomBialgebra(field, alg.mul, twisted, endo, endo)
+    return HomBialgebra(field,
+                        _map_cube(endo.compose(classical.mul_linmap)),
+                        _map_cube(classical.comul_linmap.compose(endo)),
+                        endo, endo)
 
 
 def tensor_hom_algebra(A, B):

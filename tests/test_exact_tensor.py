@@ -8,7 +8,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import FROZEN, freeze_matrix
+from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
 
 from homcat import _kernels_py
 from homcat.exact_tensor import (
@@ -312,6 +312,20 @@ def test_compose_matches_naive(operands):
                          "compose")
 
 
+def test_compose_over_a_prime_field_holds_two_output_sized_arrays():
+    # D(S_3)'s comul . mul is 1296 x 1296: the kernel's sums and the
+    # stored tuple are alive together, never a reduced copy besides
+    H = drinfeld_double_s3(GF(5))
+    tracemalloc.start()
+    try:
+        out = H.comul_linmap.compose(H.mul_linmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.rows, out.cols) == (1296, 1296)
+    assert peak < 2.5 * 8 * 1296 ** 2
+
+
 # ----------------------------------------------------------------- kron
 
 def test_kron_of_swaps_matches_frozen():
@@ -475,10 +489,6 @@ def _fused_and_unfused_refusals():
                       lambda: identity(3).compose(kron(q, q)),
                       lambda: q.kron_compose(q, identity(3)),
                       lambda: kron(q, q).compose(identity(3))),
-        "kron cap": (lambda: one.compose_kron(row, row),
-                     lambda: one.compose(kron(row, row)),
-                     lambda: row.kron_compose(row, one),
-                     lambda: kron(row, row).compose(one)),
         "compose cap": (lambda: col.compose_kron(one, row),
                         lambda: col.compose(kron(one, row)),
                         lambda: col.kron_compose(one, row),
@@ -500,21 +510,29 @@ def test_fused_kron_kernels_refuse_as_the_unfused_pair(case):
 
 
 def test_fused_kron_kernels_refuse_an_oversized_product_before_allocating():
-    # b (x) c would be 1 x 2**28; the fused kernels never store it, but
-    # refuse it exactly as kron does, before allocating anything
-    row = zero_map(1, 2 ** 14)
-    one = zero_map(1, 1)
-    for fused in (lambda: one.compose_kron(row, row),
-                  lambda: row.kron_compose(row, one)):
+    # the output would be 2**14 x 2**14, past the cap; the operands are tiny
+    col, one, row = zero_map(2 ** 14, 1), zero_map(1, 1), zero_map(1, 2 ** 14)
+    for fused in (lambda: col.compose_kron(one, row),
+                  lambda: col.kron_compose(one, row)):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
-                    "^kron output 1x268435456 exceeds the cap")):
+                    "^compose output 16384x16384 exceeds the cap")):
                 fused()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_fused_kron_kernels_admit_what_only_the_unfused_pair_stores():
+    # b (x) b would be 2**14 x 2**14, past the cap; each output has 2**14
+    b = zero_map(2 ** 7, 2 ** 7)
+    row, col = zero_map(1, 2 ** 14), zero_map(2 ** 14, 1)
+    with pytest.raises(ValueError, match="^kron output 16384x16384 exceeds"):
+        row.compose(kron(b, b))
+    assert row.compose_kron(b, b) == row
+    assert b.kron_compose(b, col) == col
 
 
 # ------------------------------------- a tensor-square element factorwise

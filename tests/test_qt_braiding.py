@@ -91,18 +91,15 @@ def test_r_conditions_hold_on_the_drinfeld_double_of_s3():
     assert rep.ok and len(rep.checked) == 11
 
 
-def test_r_conditions_refuse_n43_at_eq30():
-    # eq30's left side composes through the virtual comul (x) alpha, 43^3 x
-    # 43^2, past the cap; gen_group_bialgebra(43, k) refuses earlier, at
-    # eq2, so the structure is built directly
+def test_r_conditions_hold_at_n43():
+    # eq30's comul (x) alpha would have 43^5 entries, past the cap, but is
+    # never stored; the largest map built is the n^4-entry psi (x) psi
     n, field = 43, GF(5)
     alpha = identity(n, field)
     H = HomBialgebra(field, group_mul_cube(n), group_comul_cube(n), alpha,
                      alpha)
-    R = RMatrix(field, n, [1] + [0] * (n * n - 1))
-    with pytest.raises(ValueError, match=(
-            "^kron output 79507x1849 exceeds the cap")):
-        check_r_conditions(H, R)
+    rep = check_r_conditions(H, RMatrix(field, n, [1] + [0] * (n * n - 1)))
+    assert rep.ok and len(rep.checked) == 11
 
 
 def test_one_sided_r_fails_matching_frozen_pattern():
@@ -243,12 +240,14 @@ def test_hexagons_match_frozen():
 
 def test_oversized_hexagon_refused_at_its_first_lift():
     # three 23-dim modules: eq45's maps are 12167 x 12167, above the cap;
-    # the refusal names the lift id (x) alpha_U, before any braiding is built
+    # the braiding that the lift id (x) alpha_U composes with refuses first,
+    # and no map larger than the 529-dim tensor modules has been built
     H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
     Z = zero_module(QQ, 1, identity(23))
-    with pytest.raises(ValueError, match=(
-            "^kron output 12167x12167 exceeds the cap")):
+    with map_sizes() as sizes, pytest.raises(ValueError, match=(
+            "^pair_compose output 12167x12167 exceeds the cap")):
         check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
+    assert max(sizes) == 529 ** 2
 
 
 def test_oversized_tensor_module_and_braiding_refused_before_allocating():

@@ -23,7 +23,7 @@ inverted: its inverse is assembled from the inverses of the components.
 
 from __future__ import annotations
 
-from .exact_tensor import check_size, identity, kron, kron_all
+from .exact_tensor import check_size, identity, kron, kron_all, lazy
 from .hom_structures import _run, require
 from .yetter_drinfeld import (
     _cached_inverse, b_yd, check_yd, quasi_braiding_yd, yd_associator,
@@ -162,11 +162,11 @@ def check_pentagon(b_family, U, V, W, X):
     du, dv = b_family.dim(U), b_family.dim(V)
     dw, dx = b_family.dim(W), b_family.dim(X)
     field = b_family.field
-    lhs = identity(du, field).kron_compose(
+    lhs = lazy(identity(du, field)).kron_compose(
         b_family.assoc(V, W, X),
         b_family.assoc(U, (V, W), X).compose_kron(
             b_family.assoc(U, V, W), identity(dx, field)))
-    rhs = b_family.assoc(U, V, (W, X)).compose(b_family.assoc((U, V), W, X))
+    rhs = lazy(b_family.assoc(U, V, (W, X))).compose(b_family.assoc((U, V), W, X))
     return _run([("pentagon", lhs, rhs,
                   (du, dv, dw, dx), (du, dv, dw, dx))])
 
@@ -186,16 +186,16 @@ def check_hexagons(b_family, c_family, U, V, W):
     idw = identity(dw, field)
 
     def checks():
-        lhs1 = b_family.assoc(V, W, U).compose(
-            c_family.braid(U, (V, W))).compose(b_family.assoc(U, V, W))
-        rhs1 = idv.kron_compose(
+        lhs1 = lazy(b_family.assoc(V, W, U).compose(
+            c_family.braid(U, (V, W)))).compose(b_family.assoc(U, V, W))
+        rhs1 = lazy(idv).kron_compose(
             c_family.braid(U, W),
             b_family.assoc(V, U, W).compose_kron(c_family.braid(U, V), idw))
         yield ("hex1", lhs1, rhs1, (du, dv, dw), (dv, dw, du))
-        lhs2 = b_family.assoc_inverse(W, U, V).compose(
-            c_family.braid((U, V), W)).compose(
+        lhs2 = lazy(b_family.assoc_inverse(W, U, V).compose(
+            c_family.braid((U, V), W))).compose(
             b_family.assoc_inverse(U, V, W))
-        rhs2 = c_family.braid(U, W).kron_compose(
+        rhs2 = lazy(c_family.braid(U, W)).kron_compose(
             idv,
             b_family.assoc_inverse(U, W, V).compose_kron(
                 idu, c_family.braid(V, W)))

@@ -18,42 +18,24 @@ the structure-file codec.
 
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
 never tolerance based. add, sub and scale do arithmetic only where an
-operand is nonzero: a zero entry takes the other operand's scalar as it
-is, so a sum of sparse maps costs a scan of its entries plus one scalar
-operation per nonzero.
+operand is nonzero; kron multiplies the scalars themselves.
 
-compose and the fused kernels below multiply and add Python ints. Over Q
-each operand is scaled to integer numerators over one common denominator
-(the lcm of its nonzero denominators), and each nonzero output sum becomes
-one rational over the product of the operands' denominators; over F_p
-each sum is reduced mod p once. a.compose(b) reads the nonzero columns of
-both operands and does one multiply-add for each pair of nonzeros that
-meet, a nonzero b[t, j] and a nonzero of a's column t, so it costs a scan
-of both operands and its output plus one multiply-add per such pair. kron,
-which stores one product per pair of nonzeros and sums none, multiplies
-the scalars themselves.
+Each product has one body, a method of lazy(m) returning an unformed
+Product: compose, compose_kron (m after b (x) c), kron_compose (m (x) c
+after a) and pair_compose (a tensor-square element applied one factor at
+a time, as in the product of H (x) H, tensor modules, R-braidings and the
+Yetter-Drinfeld maps). It reads its operands' nonzero columns as integer
+numerators over one denominator each, never a Kronecker product, and
+yields one column of integer sums at a time, with one multiply-add per
+tuple of nonzeros that meet. The LinMap method of the same name stores
+the sums, each reduced mod p once or made one rational. compare_columns
+compares two sides, stored or unformed, without forming a scalar outside
+the columns that differ.
 
-A Kronecker product built only to be composed once is never stored:
-a.compose_kron(b, c) equals a.compose(kron(b, c)) and b.kron_compose(c, a)
-equals kron(b, c).compose(a). Each reads the nonzero columns of its three
-operands once and does one integer multiply-add per triple of nonzeros
-that meet, over the three operands' denominators, so it costs a scan of
-its operands and its output plus the products, never a scan of b (x) c.
-Like every product here, each refuses only what it allocates: b and c
-over different fields (kron's message), then compose's field, dimension
-and cap checks on the product's own shape. A b (x) c above the cap is
-no refusal, since it is never stored.
-
-An element of a tensor square acting one factor at a time goes through
-f.pair_compose(g, b, c, p): f (x) g, after the swap of its two middle
-factors, composed with b (x) c, storing neither Kronecker product. The
-product of H (x) H (mul.pair_compose(mul, b, c, n)), the tensor product
-of modules, the R-braiding, the quasitriangularity laws eq30 and eq31,
-and the Yetter-Drinfeld tensor coaction, B-map and compatibility law
-homYD all have this shape. Its integer multiply-adds are those of the two
-kernels above, over four denominators. It refuses only what it
-allocates: a field mismatch, factor dims that do not divide, and an
-output above the cap.
+A product refuses operands over different fields, then shapes that do not
+fit, and, only when formed, an output above MAX_MAP_ENTRIES, all before
+it reads an operand; one without entries reads none. The cap bounds
+stored maps only: an unformed product of any size can be compared.
 """
 
 from __future__ import annotations
@@ -61,15 +43,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
+from typing import Callable, NamedTuple
 
 from . import _kernels_py as _K
 
 # the one kernel backend, reported in benchmark and environment labels
 KERNEL_BACKEND = "python"
 
-# the most entries one map may have (about 1 GiB of pointers); compose,
-# kron and from_terms (so identity, zero_map, diag and permute_tensor too)
-# refuse a larger output before allocating it
+# the most entries one stored map may have (about 1 GiB of pointers); a
+# formed product, kron and from_terms (so identity, zero_map, diag and
+# permute_tensor too) refuse a larger output before allocating it
 MAX_MAP_ENTRIES = 1 << 27
 
 
@@ -295,149 +278,20 @@ class LinMap(Frozen):
                 for j in range(c)]
 
     def compose(self, other):
-        """self after other: (self.compose(f))(v) = self(f(v)).
-
-        One integer multiply-add for each nonzero other[t, j] and each
-        nonzero of self's column t, on numerators over one common
-        denominator per operand, and one scalar formed per output entry:
-        a scan of both operands plus one multiply-add per pair of nonzeros
-        that meet.
-        """
-        _compose_check(self.field, (self.rows, self.cols),
-                       other.field, (other.rows, other.cols))
-        rows, cols = self.rows, other.cols
-        acols, da = self._int_columns()
-        bcols, db = other._int_columns()
-        flat = [0] * (rows * cols)
-        for j, bcol in enumerate(bcols):
-            for t, bv in bcol:
-                for r, av in acols[t]:
-                    flat[r * cols + j] += av * bv
-        return self._from_int_sums(rows, cols, flat, da * db)
+        """self after other: (self.compose(f))(v) = self(f(v))."""
+        return lazy(self).compose(other).form()
 
     def compose_kron(self, b, c):
-        """self.compose(kron(b, c)), without storing b (x) c.
-
-        Output column flat(j, l) is self applied to b(e_j) (x) c(e_l): one
-        integer multiply-add for each nonzero b[k, j], each nonzero c[m, l]
-        and each nonzero of self's column flat(k, m), on numerators over
-        one common denominator per operand, and one scalar formed per
-        output entry. It refuses b and c over different fields, then as
-        compose refuses the product, never an oversized b (x) c.
-        """
-        if b.field != c.field:
-            raise ValueError("field mismatch in kron")
-        rows, cols, cr = self.rows, b.cols * c.cols, c.rows
-        _compose_check(self.field, (rows, self.cols),
-                       b.field, (b.rows * cr, cols))
-        acols, da = self._int_columns()
-        bcols, db = b._int_columns()
-        ccols, dc = c._int_columns()
-        flat = [0] * (rows * cols)
-        for j, bcol in enumerate(bcols):
-            if not bcol:
-                continue
-            for col, ccol in enumerate(ccols, j * c.cols):
-                for k, bv in bcol:
-                    base = k * cr
-                    for m, cv in ccol:
-                        acol = acols[base + m]
-                        if not acol:
-                            continue
-                        w = bv * cv
-                        for r, av in acol:
-                            flat[r * cols + col] += w * av
-        return self._from_int_sums(rows, cols, flat, da * db * dc)
+        """self.compose(kron(b, c)), without storing b (x) c."""
+        return lazy(self).compose_kron(b, c).form()
 
     def kron_compose(self, c, a):
-        """kron(self, c).compose(a), without storing self (x) c.
-
-        Each nonzero a[flat(j, l), t] adds its multiple of self(e_j) (x)
-        c(e_l) to output column t: one integer multiply-add for each such
-        nonzero and each pair of nonzeros of those two columns, on
-        numerators over one common denominator per operand, and one scalar
-        formed per output entry. It refuses self and c over different
-        fields, then as compose refuses the product, never an oversized
-        self (x) c.
-        """
-        if self.field != c.field:
-            raise ValueError("field mismatch in kron")
-        rows, cols, cc, cr = self.rows * c.rows, a.cols, c.cols, c.rows
-        _compose_check(self.field, (rows, self.cols * cc),
-                       a.field, (a.rows, cols))
-        bcols, db = self._int_columns()
-        ccols, dc = c._int_columns()
-        acols, da = a._int_columns()
-        flat = [0] * (rows * cols)
-        for t, acol in enumerate(acols):
-            for i, av in acol:
-                j, l = divmod(i, cc)
-                ccol = ccols[l]
-                if not ccol:
-                    continue
-                for k, bv in bcols[j]:
-                    w = av * bv
-                    base = k * cr
-                    for m, cv in ccol:
-                        flat[(base + m) * cols + t] += w * cv
-        return self._from_int_sums(rows, cols, flat, da * db * dc)
+        """kron(self, c).compose(a), without storing self (x) c."""
+        return lazy(self).kron_compose(c, a).form()
 
     def pair_compose(self, g, b, c, p):
-        """self and g applied factorwise to b (x) c, storing no kron.
-
-        b's rows split as P (x) P2 with p = dim P, self's columns as
-        P (x) Q, g's as P2 (x) Q2 and c's rows as Q (x) Q2. The result
-        equals kron(self, g).permute_cols((p, p2, q, q2), (0, 2, 1, 3))
-        .compose(kron(b, c)): output column flat(j, l) sends each
-        e_k (x) e_k' (x) e_m (x) e_m' of b(e_j) (x) c(e_l) to
-        self(e_k (x) e_m) (x) g(e_k' (x) e_m'). It does one integer
-        multiply-add for each nonzero b[flat(k, k'), j], each nonzero
-        c[flat(m, m'), l] and each pair of nonzeros of self's column
-        flat(k, m) and g's column flat(k', m'), on numerators over one
-        common denominator per operand. It refuses a field mismatch,
-        factor dims that do not divide and an output above the cap, and
-        nothing else.
-        """
-        if not self.field == g.field == b.field == c.field:
-            raise ValueError("field mismatch in pair_compose")
-        p2 = b.rows // p if p else 0
-        q = self.cols // p if p else 0
-        # a b without rows has no term to split, so it leaves q2 free
-        q2 = g.cols // p2 if p2 else 1
-        if ((p * p2, p * q) != (b.rows, self.cols)
-                or b.rows and (p2 * q2, q * q2) != (g.cols, c.rows)):
-            raise ValueError(
-                f"pair_compose factor dims do not divide: {self.rows}x"
-                f"{self.cols} and {g.rows}x{g.cols} after {b.rows}x{b.cols}"
-                f" (x) {c.rows}x{c.cols} split at {p}")
-        gr = g.rows
-        rows, cols = self.rows * gr, b.cols * c.cols
-        check_size(rows, cols, "pair_compose")
-        fcols, df = self._int_columns()
-        gcols, dg = g._int_columns()
-        bcols, db = b._int_columns()
-        ccols, dc = c._int_columns()
-        # each row index of b and c as its two tensor factors
-        bcols = [[(*divmod(k, p2), v) for k, v in col] for col in bcols]
-        ccols = [[(*divmod(m, q2), v) for m, v in col] for col in ccols]
-        flat = [0] * (rows * cols)
-        for j, bcol in enumerate(bcols):
-            if not bcol:
-                continue
-            for col, ccol in enumerate(ccols, j * c.cols):
-                for k, k2, bv in bcol:
-                    for m, m2, cv in ccol:
-                        left = fcols[k * q + m]
-                        right = gcols[k2 * q2 + m2]
-                        if not (left and right):
-                            continue
-                        w = bv * cv
-                        for r, fv in left:
-                            wf = w * fv
-                            base = r * gr
-                            for r2, gv in right:
-                                flat[(base + r2) * cols + col] += wf * gv
-        return self._from_int_sums(rows, cols, flat, df * dg * db * dc)
+        """self and g applied factorwise to b (x) c, storing no kron."""
+        return lazy(self).pair_compose(g, b, c, p).form()
 
     def _int_columns(self):
         # (columns(), d) with each value v replaced, column by column, by
@@ -451,17 +305,13 @@ class LinMap(Frozen):
             col[:] = [(i, v.numerator * (d // v.denominator)) for i, v in col]
         return cols, d
 
-    def _from_int_sums(self, rows, cols, flat, den):
-        # wrap integer sums of products over den: each reduced mod p once,
-        # or, in place, each nonzero made the one rational sum / den
-        f = self.field
-        p = f.modulus
-        if p is not None:
-            return LinMap._wrap(f, rows, cols, tuple(s % p for s in flat))
-        zero = f.zero
-        for x, s in enumerate(flat):
-            flat[x] = Fraction(s, den) if s else zero
-        return LinMap._wrap(f, rows, cols, tuple(flat))
+    def _sums(self):
+        # the stored map as a Product's sums (an int is its own numerator)
+        c, data = self.cols, self.data
+        d = lcm(*{v.denominator for v in data})
+        yield d
+        for j in range(c):
+            yield [v.numerator * (d // v.denominator) for v in data[j::c]]
 
     def permute_rows(self, dims, perm):
         """permute_tensor(dims, perm) after self, by moving whole rows."""
@@ -589,6 +439,214 @@ class LinMap(Frozen):
         return f"LinMap({self.field!r}, {self.rows}x{self.cols})"
 
 
+class Product(NamedTuple):
+    """A product named but not formed (see lazy). Each call of sums()
+    yields, from the start, its denominator d, then its columns in order,
+    each a list of integer sums over d (over F_p d is 1 and the sums are
+    unreduced); no operand is read before that generator is advanced."""
+
+    field: Field
+    rows: int
+    cols: int
+    what: str
+    sums: Callable
+
+    def form(self):
+        """The product stored as a LinMap, refused first if above the cap."""
+        rows, cols, f = self.rows, self.cols, self.field
+        check_size(rows, cols, self.what)
+        flat = [0] * (rows * cols)
+        # a product without entries reads no operand; 1 stands for its d
+        sums = self.sums() if flat else iter((1,))
+        den = next(sums)
+        for j, col in enumerate(sums):
+            flat[j::cols] = col
+        # each sum reduced mod p once, or, in place, made one rational
+        p = f.modulus
+        if p is not None:
+            return LinMap._wrap(f, rows, cols, tuple(s % p for s in flat))
+        zero = f.zero
+        for x, s in enumerate(flat):
+            flat[x] = Fraction(s, den) if s else zero
+        return LinMap._wrap(f, rows, cols, tuple(flat))
+
+
+class lazy(NamedTuple):
+    """The products of a map m, named but not formed: lazy(m).compose(f).
+
+    Each method refuses as the LinMap method of its name but for the cap,
+    which waits for Product.form(); its sums are over the product of the
+    operands' denominators, each the lcm of one operand's."""
+
+    m: LinMap
+
+    def compose(self, other):
+        """m after other: one integer multiply-add for each nonzero
+        other[t, j] and each nonzero of m's column t."""
+        a = self.m
+        _compose_check(a.field, (a.rows, a.cols),
+                       other.field, (other.rows, other.cols))
+        rows = a.rows
+
+        def sums():
+            (acols, da), (bcols, db) = a._int_columns(), other._int_columns()
+            yield da * db
+            for bcol in bcols:
+                out = [0] * rows
+                for t, bv in bcol:
+                    for r, av in acols[t]:
+                        out[r] += av * bv
+                yield out
+        return Product(a.field, rows, other.cols, "compose", sums)
+
+    def compose_kron(self, b, c):
+        """m after kron(b, c), never reading or storing b (x) c.
+
+        Column flat(j, l) is m applied to b(e_j) (x) c(e_l), one integer
+        multiply-add per nonzero b[k, j], c[r, l] and m[i, flat(k, r)]. It
+        refuses b and c over different fields, then as compose does.
+        """
+        a = self.m
+        if b.field != c.field:
+            raise ValueError("field mismatch in kron")
+        rows, cr = a.rows, c.rows
+        _compose_check(a.field, (rows, a.cols),
+                       b.field, (b.rows * cr, b.cols * c.cols))
+
+        def sums():
+            (acols, da), (bcols, db), (ccols, dc) = map(
+                LinMap._int_columns, (a, b, c))
+            yield da * db * dc
+            for bcol in bcols:
+                for ccol in ccols:
+                    out = [0] * rows
+                    for k, bv in bcol:
+                        base = k * cr
+                        for m, cv in ccol:
+                            acol = acols[base + m]
+                            if not acol:
+                                continue
+                            w = bv * cv
+                            for r, av in acol:
+                                out[r] += w * av
+                    yield out
+        return Product(a.field, rows, b.cols * c.cols, "compose", sums)
+
+    def kron_compose(self, c, a):
+        """kron(m, c) after a, never reading or storing m (x) c.
+
+        Each nonzero a[flat(j, l), t] adds its multiple of m(e_j) (x) c(e_l)
+        to column t, one integer multiply-add per nonzero of each factor. It
+        refuses m and c over different fields, then as compose does.
+        """
+        b = self.m
+        if b.field != c.field:
+            raise ValueError("field mismatch in kron")
+        rows, cc, cr = b.rows * c.rows, c.cols, c.rows
+        _compose_check(b.field, (rows, b.cols * cc), a.field, (a.rows, a.cols))
+
+        def sums():
+            (bcols, db), (ccols, dc), (acols, da) = map(
+                LinMap._int_columns, (b, c, a))
+            yield da * db * dc
+            for acol in acols:
+                out = [0] * rows
+                for i, av in acol:
+                    j, l = divmod(i, cc)
+                    ccol = ccols[l]
+                    if not ccol:
+                        continue
+                    for k, bv in bcols[j]:
+                        w = av * bv
+                        base = k * cr
+                        for m, cv in ccol:
+                            out[base + m] += w * cv
+                yield out
+        return Product(b.field, rows, a.cols, "compose", sums)
+
+    def pair_compose(self, g, b, c, p):
+        """m and g applied factorwise to b (x) c, storing no kron.
+
+        b's rows split as P (x) P2 with p = dim P, m's columns as P (x) Q,
+        g's as P2 (x) Q2 and c's rows as Q (x) Q2. The result equals
+        kron(m, g).permute_cols((p, p2, q, q2), (0, 2, 1, 3))
+        .compose(kron(b, c)): column flat(j, l) sends each e_k (x) e_k' (x)
+        e_r (x) e_r' of b(e_j) (x) c(e_l) to m(e_k (x) e_r) (x) g(e_k' (x)
+        e_r'), one integer multiply-add per quadruple of nonzeros that meet.
+        It refuses a field mismatch and factor dims that do not divide.
+        """
+        f = self.m
+        if not f.field == g.field == b.field == c.field:
+            raise ValueError("field mismatch in pair_compose")
+        p2 = b.rows // p if p else 0
+        q = f.cols // p if p else 0
+        # a b without rows has no term to split, so it leaves q2 free
+        q2 = g.cols // p2 if p2 else 1
+        if ((p * p2, p * q) != (b.rows, f.cols)
+                or b.rows and (p2 * q2, q * q2) != (g.cols, c.rows)):
+            raise ValueError(
+                f"pair_compose factor dims do not divide: {f.rows}x"
+                f"{f.cols} and {g.rows}x{g.cols} after {b.rows}x{b.cols}"
+                f" (x) {c.rows}x{c.cols} split at {p}")
+        rows, gr = f.rows * g.rows, g.rows
+
+        def sums():
+            (fcols, df), (gcols, dg), (bcols, db), (ccols, dc) = map(
+                LinMap._int_columns, (f, g, b, c))
+            yield df * dg * db * dc
+            # each row index of b and c as its two tensor factors
+            bcols = [[(*divmod(k, p2), v) for k, v in col] for col in bcols]
+            ccols = [[(*divmod(m, q2), v) for m, v in col] for col in ccols]
+            for bcol in bcols:
+                for ccol in ccols:
+                    out = [0] * rows
+                    for k, k2, bv in bcol:
+                        for m, m2, cv in ccol:
+                            left = fcols[k * q + m]
+                            right = gcols[k2 * q2 + m2]
+                            if not (left and right):
+                                continue
+                            w = bv * cv
+                            for r, fv in left:
+                                wf = w * fv
+                                base = r * gr
+                                for r2, gv in right:
+                                    out[base + r2] += wf * gv
+                    yield out
+        return Product(f.field, rows, b.cols * c.cols, "pair_compose", sums)
+
+
+def compare_columns(lhs, rhs):
+    """The columns where two sides of one field and shape differ, in order.
+
+    A side is a LinMap or a Product, which is never formed. Yields (j, lhs
+    column, rhs column) with each column's nonzeros as columns() lists
+    them, forming scalars only there. Over Q the sums are compared
+    cross-multiplied by the other side's denominator, over F_p reduced.
+    """
+    if not lhs.rows * lhs.cols or lhs == rhs:  # or two equal stored maps
+        return
+    ls = lhs.sums() if isinstance(lhs, Product) else lhs._sums()
+    rs = rhs.sums() if isinstance(rhs, Product) else rhs._sums()
+    dl, dr = next(ls), next(rs)
+    p = lhs.field.modulus
+    for j, (x, y) in enumerate(zip(ls, rs)):
+        if x == y and dl == dr:
+            continue
+        if p is not None:
+            x, y = [s % p for s in x], [s % p for s in y]
+            if x == y:
+                continue
+        elif [s * dr for s in x] == [s * dl for s in y]:
+            continue
+        yield j, _scalars(x, dl, p), _scalars(y, dr, p)
+
+
+def _scalars(col, den, p):
+    # a column of integer sums over den, reduced over F_p, as columns() does
+    return [(i, s if p else Fraction(s, den)) for i, s in enumerate(col) if s]
+
+
 def identity(n, field=QQ):
     return LinMap.from_terms(field, n, n, ((i, i, field.one) for i in range(n)))
 
@@ -604,14 +662,13 @@ def diag(scalars, field=QQ):
 
 
 def _compose_check(f_field, f_shape, g_field, g_shape):
-    # compose's preflight for an f after a g of the given fields and shapes
+    # compose's refusals but the cap, for f after g of these fields and shapes
     if f_field != g_field:
         raise ValueError("field mismatch in compose")
     if f_shape[1] != g_shape[0]:
         raise ValueError(
             f"dimension mismatch in compose: {f_shape[0]}x{f_shape[1]} after "
             f"{g_shape[0]}x{g_shape[1]}")
-    check_size(f_shape[0], g_shape[1], "compose")
 
 
 def compose(g, f):

@@ -4,9 +4,9 @@ Structures are plain structure-constant containers; nothing is validated at
 construction time, so invalid instances are legitimate checker inputs. Each
 defining identity has a short stable id (eq1, eq2, ...) used in reports and
 documented with its formula in docs/formats.md. Checks compare the two sides
-of an identity as matrices assembled from the structure constants, then scan
-columns (= source basis vectors, lexicographic multi-index order) for
-disagreements.
+of an identity, products of maps assembled from the structure constants and
+left unformed (exact_tensor.lazy), one column (= source basis vector, in
+lexicographic multi-index order) at a time.
 
 Identity vocabulary used here:
   eq1   alpha(a b) = alpha(a) alpha(b)
@@ -25,11 +25,12 @@ Identity vocabulary used here:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .exact_tensor import (
-    Frozen, LinMap, QQ, identity, kron, unflatten_index,
+    Frozen, LinMap, QQ, compare_columns, identity, kron, lazy,
+    unflatten_index,
 )
 
 # the most violations a report keeps; verdicts are decided on every input
@@ -105,36 +106,33 @@ def _sparse(col, dims):
 
 
 def compare_maps(axiom, lhs, rhs, src_dims, dst_dims):
-    """Columnwise comparison of two equal-shaped maps.
+    """Columnwise comparison of two equal-shaped sides.
 
-    Returns (held_everywhere, violations). The scan is lexicographic over
-    source multi-indices. It records at most VIOLATION_CAP violations, the
-    first ones met; held_everywhere is exact either way.
+    A side is a LinMap or an unformed product (exact_tensor.lazy), never
+    stored, so MAX_MAP_ENTRIES bounds only the stored maps. Returns
+    (held_everywhere, violations). The scan is lexicographic over source
+    multi-indices and stops at VIOLATION_CAP violations, the first ones
+    met; held_everywhere is exact either way.
     """
     if lhs.field != rhs.field:
         raise ValueError(f"field mismatch comparing {axiom}")
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         raise ValueError(f"shape mismatch comparing {axiom}")
-    if lhs == rhs:
-        return True, []
-    violations = []
-    for c, (lcol, rcol) in enumerate(zip(lhs.columns(), rhs.columns())):
-        if lcol != rcol:
-            violations.append(Violation(
-                axiom, unflatten_index(c, src_dims),
-                _sparse(lcol, dst_dims), _sparse(rcol, dst_dims)))
-            if len(violations) >= VIOLATION_CAP:
-                break
-    return False, violations
+    violations = [
+        Violation(axiom, unflatten_index(c, src_dims),
+                  _sparse(lcol, dst_dims), _sparse(rcol, dst_dims))
+        for c, lcol, rcol in islice(compare_columns(lhs, rhs), VIOLATION_CAP)]
+    return not violations, violations
 
 
 def _run(checks):
     """The one check runner: compare each spec's two sides into a report.
 
     checks is an iterable of (axiom, lhs, rhs, src_dims, dst_dims); pass a
-    generator to build and compare one identity at a time. An element
-    identity (one tensor vector, not a map) is a one-column map compared
-    with src_dims=(), which reports its violation at index ().
+    generator to build and compare one identity at a time. A side is a
+    LinMap or an unformed product, never stored (see compare_maps). An
+    element identity (one tensor vector, not a map) is a one-column map
+    compared with src_dims=(), which reports its violation at index ().
     """
     status = {}
     violations = []
@@ -293,8 +291,8 @@ def _algebra_checks(A):
     n = A.dim
     M = A.mul_linmap
     al = A.alpha
-    yield ("eq1", al.compose(M), M.compose_kron(al, al), (n, n), (n,))
-    yield ("eq2", M.compose_kron(al, M), M.compose_kron(M, al),
+    yield ("eq1", lazy(al).compose(M), lazy(M).compose_kron(al, al), (n, n), (n,))
+    yield ("eq2", lazy(M).compose_kron(al, M), lazy(M).compose_kron(M, al),
            (n, n, n), (n,))
 
 
@@ -307,8 +305,8 @@ def _coalgebra_checks(C):
     n = C.dim
     D = C.comul_linmap
     ps = C.psi
-    yield ("eq3", ps.kron_compose(ps, D), D.compose(ps), (n,), (n, n))
-    yield ("eq4", D.kron_compose(ps, D), ps.kron_compose(D, D),
+    yield ("eq3", lazy(ps).kron_compose(ps, D), lazy(D).compose(ps), (n,), (n, n))
+    yield ("eq4", lazy(D).kron_compose(ps, D), lazy(ps).kron_compose(D, D),
            (n,), (n, n, n))
 
 
@@ -363,11 +361,12 @@ def _bialgebra_extra_checks(H):
     yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
     # comul(e_i) comul(e_j), multiplied in H (x) H without storing the
     # n^2 x n^4 product map of H (x) H
-    yield ("eq6", D.compose(M), M.pair_compose(M, D, D, n), (n, n), (n, n))
-    yield ("eq7", D.compose(al), al.kron_compose(al, D), (n,), (n, n))
-    yield ("eq7111", D.compose(ps), ps.kron_compose(ps, D), (n,), (n, n))
-    yield ("eq7112", ps.compose(M), M.compose_kron(ps, ps), (n, n), (n,))
-    yield ("alpha-psi-commute", al.compose(ps), ps.compose(al), (n,), (n,))
+    yield ("eq6", lazy(D).compose(M), lazy(M).pair_compose(M, D, D, n),
+           (n, n), (n, n))
+    yield ("eq7", lazy(D).compose(al), lazy(al).kron_compose(al, D), (n,), (n, n))
+    yield ("eq7111", lazy(D).compose(ps), lazy(ps).kron_compose(ps, D), (n,), (n, n))
+    yield ("eq7112", lazy(ps).compose(M), lazy(M).compose_kron(ps, ps), (n, n), (n,))
+    yield ("alpha-psi-commute", lazy(al).compose(ps), lazy(ps).compose(al), (n,), (n,))
 
 
 def check_hom_bialgebra(H):
@@ -389,17 +388,17 @@ def check_structure_morphism(f, src, dst, kind):
     n, m = src.dim, dst.dim
     if kind == "algebra":
         checks = [
-            ("morphism-twist", f.compose(src.alpha), dst.alpha.compose(f),
-             (n,), (m,)),
-            ("morphism-mul", f.compose(src.mul_linmap),
-             dst.mul_linmap.compose_kron(f, f), (n, n), (m,)),
+            ("morphism-twist", lazy(f).compose(src.alpha),
+             lazy(dst.alpha).compose(f), (n,), (m,)),
+            ("morphism-mul", lazy(f).compose(src.mul_linmap),
+             lazy(dst.mul_linmap).compose_kron(f, f), (n, n), (m,)),
         ]
     else:
         checks = [
-            ("morphism-twist", f.compose(src.psi), dst.psi.compose(f),
-             (n,), (m,)),
-            ("morphism-comul", f.kron_compose(f, src.comul_linmap),
-             dst.comul_linmap.compose(f), (n,), (m, m)),
+            ("morphism-twist", lazy(f).compose(src.psi),
+             lazy(dst.psi).compose(f), (n,), (m,)),
+            ("morphism-comul", lazy(f).kron_compose(f, src.comul_linmap),
+             lazy(dst.comul_linmap).compose(f), (n,), (m, m)),
         ]
     return _run(checks)
 
@@ -418,12 +417,12 @@ def yau_twist_algebra(mul, alpha):
     _check_square(field, alpha, n, "endo")
     M = mul_map(field, cube)
     idn = identity(n, field)
-    assoc_ok, _ = compare_maps("assoc", M.compose_kron(M, idn),
-                               M.compose_kron(idn, M), (n, n, n), (n,))
+    assoc_ok, _ = compare_maps("assoc", lazy(M).compose_kron(M, idn),
+                               lazy(M).compose_kron(idn, M), (n, n, n), (n,))
     if not assoc_ok:
         raise ValueError("not-associative: input multiplication is not associative")
-    endo_ok, _ = compare_maps("endo", alpha.compose(M),
-                              M.compose_kron(alpha, alpha), (n, n), (n,))
+    endo_ok, _ = compare_maps("endo", lazy(alpha).compose(M),
+                              lazy(M).compose_kron(alpha, alpha), (n, n), (n,))
     if not endo_ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
     return HomAlgebra(field, _map_cube(alpha.compose(M)), alpha)

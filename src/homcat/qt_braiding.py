@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_tensor import Frozen, LinMap, identity, kron
+from .exact_tensor import Frozen, LinMap, identity, kron, lazy
 from .hom_structures import (
     CheckReport, _run, check_hom_bialgebra, compare_maps, require,
 )
@@ -195,16 +195,16 @@ def _r_condition_checks(H, R):
     n = H.dim
     rv = R.as_vector()
     al, ps = H.alpha, H.psi
-    yield ("r-alpha-invariance", al.kron_compose(al, rv), rv, (), (n, n))
-    yield ("r-psi-invariance", ps.kron_compose(ps, rv), rv, (), (n, n))
+    yield ("r-alpha-invariance", lazy(al).kron_compose(al, rv), rv, (), (n, n))
+    yield ("r-psi-invariance", lazy(ps).kron_compose(ps, rv), rv, (), (n, n))
 
     # exchange law, matrix route: R comul(e_h) and comul-op(e_h) R,
     # multiplied in the tensor square without storing its product map
     M = H.mul_linmap
     D = H.comul_linmap
     d_cop = D.permute_rows((n, n), (1, 0))
-    yield ("eq29", M.pair_compose(M, rv, D, n),
-           M.pair_compose(M, d_cop, rv, n), (n,), (n, n))
+    yield ("eq29", lazy(M).pair_compose(M, rv, D, n),
+           lazy(M).pair_compose(M, d_cop, rv, n), (n,), (n, n))
     # exchange law, contraction route
     lhs38, rhs38 = _contract_eq38(H, R)
     yield ("eq38", lhs38, rhs38, (n,), (n, n))
@@ -214,11 +214,11 @@ def _r_condition_checks(H, R):
     # their right legs (eq30), or the product on the left legs and
     # psi (x) psi, flipped, on the right legs (eq31)
     pp = kron(ps, ps)
-    yield ("eq30", D.kron_compose(al, rv), pp.pair_compose(M, rv, rv, n),
-           (), (n, n, n))
+    yield ("eq30", lazy(D).kron_compose(al, rv),
+           lazy(pp).pair_compose(M, rv, rv, n), (), (n, n, n))
     pp_flip = pp.permute_rows((n, n), (1, 0))
-    yield ("eq31", al.kron_compose(D, rv), M.pair_compose(pp_flip, rv, rv, n),
-           (), (n, n, n))
+    yield ("eq31", lazy(al).kron_compose(D, rv),
+           lazy(M).pair_compose(pp_flip, rv, rv, n), (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
     yield ("eq39", _element(H, _contract_coproduct_side(H, R, True, al)),
@@ -310,22 +310,22 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None):
         yield ("eq27", c.map, _braiding_elementwise(H, R, U, V),
                (dU, dV), (dV, dU))
         yield ("braiding-intertwine",
-               V.alpha.kron_compose(U.alpha, c.map),
-               c.map.compose_kron(U.alpha, V.alpha), (dU, dV), (dV, dU))
+               lazy(V.alpha).kron_compose(U.alpha, c.map),
+               lazy(c.map).compose_kron(U.alpha, V.alpha), (dU, dV), (dV, dU))
         gu = twist_module(H, U, "G")
         gv = twist_module(H, V, "G")
         src_t = tensor_module(H, U, V)
         dst_t = tensor_module(H, gv, gu)
         yield ("braiding-h-linear",
-               c.map.compose(src_t.action),
-               dst_t.action.compose_kron(identity(n, H.field), c.map),
+               lazy(c.map).compose(src_t.action),
+               lazy(dst_t.action).compose_kron(identity(n, H.field), c.map),
                (n, dU, dV), (dV, dU))
         fm, U2 = (U.alpha, gu) if f is None else f
         gm, V2 = (V.alpha, gv) if g is None else g
         c2 = braiding_from_r(H, R, U2, V2)
         yield ("braiding-natural",
-               c2.map.compose_kron(fm, gm),
-               gm.kron_compose(fm, c.map), (dU, dV), (V2.dim, U2.dim))
+               lazy(c2.map).compose_kron(fm, gm),
+               lazy(gm).kron_compose(fm, c.map), (dU, dV), (V2.dim, U2.dim))
         cg = braiding_from_r(H, R, gu, gv)
         yield ("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
     return _run(checks())
@@ -348,15 +348,15 @@ def check_hexagon_instances(H, R, U, V, W):
     uv = tensor_module(H, U, V)
 
     def checks():
-        lhs45 = identity(dV * dW, field).kron_compose(
+        lhs45 = lazy(identity(dV * dW, field)).kron_compose(
             U.alpha, braiding_from_r(H, R, fu, vw).map)
-        rhs45 = identity(dV, field).kron_compose(
+        rhs45 = lazy(identity(dV, field)).kron_compose(
             braiding_from_r(H, R, gu, W).map,
             kron(braiding_from_r(H, R, U, V).map, identity(dW, field)))
         yield ("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU))
-        lhs50 = W.alpha.kron_compose(identity(dU * dV, field),
-                                     braiding_from_r(H, R, uv, fw).map)
-        rhs50 = braiding_from_r(H, R, U, gw).map.kron_compose(
+        lhs50 = lazy(W.alpha).kron_compose(identity(dU * dV, field),
+                                           braiding_from_r(H, R, uv, fw).map)
+        rhs50 = lazy(braiding_from_r(H, R, U, gw).map).kron_compose(
             identity(dV, field),
             kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
         yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
@@ -376,10 +376,10 @@ def check_hom_ybe(B, alpha):
     ab = kron(alpha, B)
 
     def checks():
-        yield ("ybe-compat", alpha.kron_compose(alpha, B),
-               B.compose_kron(alpha, alpha), (d, d), (d, d))
-        yield ("eq145", ba.compose(ab).compose(ba),
-               ab.compose(ba).compose(ab), (d, d, d), (d, d, d))
+        yield ("ybe-compat", lazy(alpha).kron_compose(alpha, B),
+               lazy(B).compose_kron(alpha, alpha), (d, d), (d, d))
+        yield ("eq145", lazy(ba.compose(ab)).compose(ba),
+               lazy(ab.compose(ba)).compose(ab), (d, d, d), (d, d, d))
     return _run(checks())
 
 
@@ -398,8 +398,8 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w):
         raise ValueError("b_uw shape mismatch")
     if b_vw.rows != dW * dV or b_vw.cols != dV * dW:
         raise ValueError("b_vw shape mismatch")
-    lhs = a_w.kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
-    rhs = b_vw.kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
+    lhs = lazy(a_w).kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
+    rhs = lazy(b_vw).kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
     return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))])
 
 
@@ -429,14 +429,14 @@ def ybe_yau_twist(B, alpha):
     idd = identity(d, alpha.field)
     bi = kron(B, idd)
     ib = kron(idd, B)
-    ok, _ = compare_maps("classical-ybe", bi.compose(ib).compose(bi),
-                         ib.compose(bi).compose(ib), (d, d, d), (d, d, d))
+    ok, _ = compare_maps("classical-ybe", lazy(bi.compose(ib)).compose(bi),
+                         lazy(ib.compose(bi)).compose(ib), (d, d, d), (d, d, d))
     if not ok:
         raise ValueError("classical-ybe fails: input does not satisfy the "
                          "untwisted braid relation")
     aa = kron(alpha, alpha)
-    ok, _ = compare_maps("ybe-compat", aa.compose(B), B.compose(aa),
-                         (d, d), (d, d))
+    ok, _ = compare_maps("ybe-compat", lazy(aa).compose(B),
+                         lazy(B).compose(aa), (d, d), (d, d))
     if not ok:
         raise ValueError("compatibility fails: alpha (x) alpha does not "
                          "commute with B")

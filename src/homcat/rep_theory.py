@@ -21,7 +21,7 @@ Identity vocabulary (formulas in docs/formats.md):
 from __future__ import annotations
 
 from .exact_tensor import (
-    Frozen, LinMap, check_size, identity, kron, zero_map,
+    Frozen, LinMap, check_size, identity, kron, lazy, zero_map,
 )
 from .hom_structures import CheckReport, HomBialgebra, _run
 
@@ -167,10 +167,10 @@ def check_module(H, M):
     n, dm = H.dim, M.dim
     act = M.action
     checks = [
-        ("eq8", M.alpha.compose(act),
-         act.compose_kron(H.alpha, M.alpha), (n, dm), (dm,)),
-        ("eq9", act.compose_kron(H.alpha, act),
-         act.compose_kron(H.mul_linmap, M.alpha), (n, n, dm), (dm,)),
+        ("eq8", lazy(M.alpha).compose(act),
+         lazy(act).compose_kron(H.alpha, M.alpha), (n, dm), (dm,)),
+        ("eq9", lazy(act).compose_kron(H.alpha, act),
+         lazy(act).compose_kron(H.mul_linmap, M.alpha), (n, n, dm), (dm,)),
     ]
     return _run(checks)
 
@@ -183,10 +183,10 @@ def check_comodule(C, M):
     n, dm = C.dim, M.dim
     co = M.coaction
     checks = [
-        ("comodul1", C.psi.kron_compose(M.psi, co),
-         co.compose(M.psi), (dm,), (n, dm)),
-        ("comodul2", C.comul_linmap.kron_compose(M.psi, co),
-         C.psi.kron_compose(co, co), (dm,), (n, n, dm)),
+        ("comodul1", lazy(C.psi).kron_compose(M.psi, co),
+         lazy(co).compose(M.psi), (dm,), (n, dm)),
+        ("comodul2", lazy(C.comul_linmap).kron_compose(M.psi, co),
+         lazy(C.psi).kron_compose(co, co), (dm,), (n, n, dm)),
     ]
     return _run(checks)
 
@@ -239,10 +239,10 @@ def check_module_morphism(f, H, M, N):
         raise ValueError("modules live over algebras of different dims")
     n, dm, dn = M.hdim, M.dim, N.dim
     checks = [
-        ("module-morphism-twist", f.compose(M.alpha), N.alpha.compose(f),
-         (dm,), (dn,)),
-        ("module-morphism-action", f.compose(M.action),
-         N.action.compose_kron(identity(n, M.field), f), (n, dm), (dn,)),
+        ("module-morphism-twist", lazy(f).compose(M.alpha),
+         lazy(N.alpha).compose(f), (dm,), (dn,)),
+        ("module-morphism-action", lazy(f).compose(M.action),
+         lazy(N.action).compose_kron(identity(n, M.field), f), (n, dm), (dn,)),
     ]
     return _run(checks)
 
@@ -255,11 +255,11 @@ def check_comodule_morphism(f, C, M, N):
         raise ValueError("comodules live over coalgebras of different dims")
     n, dm, dn = M.cdim, M.dim, N.dim
     checks = [
-        ("comodule-morphism-twist", f.compose(M.psi), N.psi.compose(f),
-         (dm,), (dn,)),
+        ("comodule-morphism-twist", lazy(f).compose(M.psi),
+         lazy(N.psi).compose(f), (dm,), (dn,)),
         ("comodule-morphism-coaction",
-         identity(n, M.field).kron_compose(f, M.coaction),
-         N.coaction.compose(f), (dm,), (n, dn)),
+         lazy(identity(n, M.field)).kron_compose(f, M.coaction),
+         lazy(N.coaction).compose(f), (dm,), (n, dn)),
     ]
     return _run(checks)
 
@@ -276,8 +276,8 @@ def phi_check(H, M, f=None, N=None):
         return rep
     if N is None:
         N = M
-    natural = _run([("phi-natural", f.compose(M.alpha), N.alpha.compose(f),
-                     (M.dim,), (N.dim,))])
+    natural = _run([("phi-natural", lazy(f).compose(M.alpha),
+                     lazy(N.alpha).compose(f), (M.dim,), (N.dim,))])
     return CheckReport.merge(rep, natural)
 
 
@@ -310,8 +310,8 @@ def check_module_hom_algebra(H, A, act_module):
     if act_module.alpha != A.alpha:
         raise ValueError("module structure map must equal the algebra twist map")
     n, da = H.dim, A.dim
-    lhs = act_module.action.compose_kron(
+    lhs = lazy(act_module.action).compose_kron(
         H.alpha.compose(H.psi), A.mul_linmap)
     tens = tensor_module(H, act_module, act_module)
-    rhs = A.mul_linmap.compose(tens.action)
+    rhs = lazy(A.mul_linmap).compose(tens.action)
     return _run([("compmodulealgebra", lhs, rhs, (n, da, da), (da,))])

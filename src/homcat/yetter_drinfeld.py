@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_tensor import Frozen, identity, kron
+from .exact_tensor import Frozen, identity, kron, lazy
 from .hom_structures import CheckReport, _run, compare_maps, require
 from .rep_theory import (
     HComodule, HModule, check_comodule, check_module, comodule_from_cube,
@@ -99,9 +99,9 @@ def _yd_checks(H, M):
     idm = identity(dm, field)
 
     # (h1.m) (x) alpha^2(h2), then its coaction multiplied into the H slot
-    lhs = Mm.pair_compose(idm, coact, idn, n).compose(
+    lhs = lazy(Mm.pair_compose(idm, coact, idn, n)).compose(
         act.pair_compose(idn, idn.kron_compose(a2, D), idm, n))
-    rhs = Mm.compose_kron(a2, a).pair_compose(
+    rhs = lazy(Mm.compose_kron(a2, a)).pair_compose(
         act.compose_kron(a, idm), D, coact, n)
     yield ("homYD", lhs, rhs, (n, dm), (n, dm))
 
@@ -143,8 +143,8 @@ def b_yd(H, M, N):
     for X in (M, N):
         require(check_yd, H, X, what="b_yd precondition fails:")
     b = _b_yd_map(H, M, N)
-    ok, _ = compare_maps("defB", N.alpha.kron_compose(M.alpha, b),
-                         b.compose_kron(M.alpha, N.alpha),
+    ok, _ = compare_maps("defB", lazy(N.alpha).kron_compose(M.alpha, b),
+                         lazy(b).compose_kron(M.alpha, N.alpha),
                          (M.dim, N.dim), (N.dim, M.dim))
     if not ok:
         raise ValueError("defB intertwining failed on inputs that passed "

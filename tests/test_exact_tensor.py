@@ -13,11 +13,12 @@ from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
 from homcat import _kernels_py
 from homcat.exact_tensor import (
     GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, LinMap, compose, compose_all,
-    diag, flatten_index, flip_map, identity, kron, kron_all, permute_tensor,
-    unflatten_index, zero_map,
+    diag, flatten_index, flip_map, identity, kron, kron_all, lazy,
+    permute_tensor, unflatten_index, zero_map,
 )
 from homcat.hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, HomSemigroup,
+    compare_maps,
 )
 from homcat.qt_braiding import RMatrix
 from homcat.rep_theory import HComodule, HModule
@@ -523,6 +524,44 @@ def test_fused_kron_kernels_refuse_an_oversized_product_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("product", [
+    lambda wide, tall: wide.compose(tall),
+    lambda wide, tall: wide.compose_kron(zero_map(2 ** 10, 0),
+                                         zero_map(2 ** 10, 1)),
+    lambda wide, tall: wide.kron_compose(zero_map(1, 1), tall),
+    lambda wide, tall: wide.pair_compose(zero_map(0, 1), zero_map(1, 0),
+                                         tall, 1),
+], ids=["compose", "compose_kron", "kron_compose", "pair_compose"])
+def test_product_without_entries_reads_no_operand(product):
+    # each output is 0x0; reading the 0 x 2**20 operand's columns would
+    # build a list per column, past a MiB
+    wide, tall = zero_map(0, 2 ** 20), zero_map(2 ** 20, 0)
+    tracemalloc.start()
+    try:
+        out = product(wide, tall)
+        ok, _ = compare_maps("x", out, out, (), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.rows, out.cols) == (0, 0) and ok
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_a_product_reads_from_the_start_each_time(field):
+    # 40 columns differ, so a comparison stops after 16 of them; forming
+    # the same Product afterwards, or comparing it again, starts over
+    a = LinMap(field, 2, 3, ["1/2", "2", "-1", "3", "0", "1/3"])
+    b = LinMap(field, 3, 40, [(i * j) % 7 - 2 for i in range(3)
+                              for j in range(40)])
+    p = lazy(a).compose(b)
+    first = compare_maps("x", p, zero_map(2, 40, field), (40,), (2,))
+    assert not first[0] and len(first[1]) == 16
+    assert p.form() == a.compose(b) == p.form()
+    assert compare_maps("x", p, zero_map(2, 40, field), (40,), (2,)) == first
+    assert compare_maps("x", p, p.form(), (40,), (2,)) == (True, [])
 
 
 def test_fused_kron_kernels_admit_what_only_the_unfused_pair_stores():

@@ -21,7 +21,7 @@ ROUTES = {
 }
 
 MAP_ALGEBRA = {"compose", "compose_all", "compose_kron", "kron",
-               "kron_all", "kron_compose", "pair_compose",
+               "kron_all", "kron_compose", "lazy", "pair_compose",
                "permute_rows", "permute_cols", "permute_tensor", "flip_map"}
 
 

@@ -15,7 +15,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 
 OWNERS = {"exact_tensor.py", "_kernels_py.py"}
-STORAGE_ATTRS = {"_wrap", "data", "modulus", "_int_columns", "_from_int_sums"}
+STORAGE_ATTRS = {"_wrap", "data", "modulus", "_int_columns", "_sums"}
 
 
 def storage_uses(source):
@@ -58,8 +58,10 @@ def test_module_leaves_map_storage_to_exact_tensor(name):
 # LinMap.compose_kron, kron_compose or pair_compose, which never store it.
 def _is_kron(node):
     # a Kronecker product built in place, seen through any permute_rows
-    # or permute_cols applied to it
+    # or permute_cols applied to it and through lazy(...)
     f = node.func if isinstance(node, ast.Call) else None
+    if isinstance(f, ast.Name) and f.id == "lazy" and node.args:
+        return _is_kron(node.args[0])
     while (isinstance(f, ast.Attribute)
            and f.attr in ("permute_rows", "permute_cols")
            and isinstance(f.value, ast.Call)):
@@ -99,8 +101,10 @@ def test_scan_flags_krons_built_to_be_composed():
                          "z = m.compose(kron(f, g).permute_cols(d, p)\n"
                          "              .permute_rows(d, p))\n"
                          "w = m.permute_cols(d, p).compose(k)\n"
-                         "v = f.pair_compose(g, m, k, 2)\n") == [
-                             1, 2, 3, 4, 9, 10]
+                         "v = f.pair_compose(g, m, k, 2)\n"
+                         "u = lazy(kron(f, g)).compose(m)\n"
+                         "t = lazy(m).compose(k)\n") == [
+                             1, 2, 3, 4, 9, 10, 14]
 
 
 def _source(name):

@@ -47,15 +47,15 @@ def test_mismatched_structure_map_fails_as_frozen():
 
 def test_module_check_builds_no_map_above_the_eq9_sides():
     # the 64-dim regular (x) regular (x) regular module over the n = 4 group
-    # bialgebra with twist e_i -> e_3i: eq9's sides are 64 x 1024, so the
-    # 256 x 1024 product alpha (x) act its left side composes through must
-    # not be stored
+    # bialgebra with twist e_i -> e_3i: eq9's sides are 64 x 1024 and the
+    # 256 x 1024 product alpha (x) act its left side composes through; both
+    # sides of eq8 and eq9 are compared unformed, so no map is stored
     H, _ = gen_group_bialgebra(4, 3)
     reg = regular_module(H)
     M = tensor_module(H, tensor_module(H, reg, reg), reg)
     with map_sizes() as sizes:
         assert check_module(H, M).ok
-    assert max(sizes) <= 64 * 1024
+    assert max(sizes, default=0) == 0
 
 
 def test_module_field_mismatch():

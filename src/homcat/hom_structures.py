@@ -6,15 +6,16 @@ defining identity has a short stable id (eq1, eq2, ...) used in reports and
 documented with its formula in docs/formats.md. Checks compare the two sides
 of an identity, products of maps assembled from the structure constants and
 left unformed (exact_tensor.lazy), one column (= source basis vector, in
-lexicographic multi-index order) at a time.
+lexicographic multi-index order) at a time. _intertwining is the one spec
+of the law that ybe-compat, defB and braiding-intertwine share.
 
 Identity vocabulary used here:
   eq1   alpha(a b) = alpha(a) alpha(b)
   eq2   alpha(a)(b c) = (a b) alpha(c)            (twisted associativity)
   eq3   (psi (x) psi) comul = comul psi
   eq4   (comul (x) psi) comul = (psi (x) comul) comul   (twisted coassociativity)
-  eq5   same identity as eq4, evaluated by direct structure-constant
-        contraction instead of matrix composition (independent route)
+  eq5   eq4 again by an independent route: _contract_comul, the one
+        coproduct contraction (also of eq39, eq60 and remQT)
   eq6   comul(b b') = comul(b) comul(b') in the tensor-square algebra
   eq7   comul(alpha(b)) = (alpha (x) alpha)(comul(b))
   eq7111 comul(psi(b)) = (psi (x) psi)(comul(b))
@@ -143,6 +144,14 @@ def _run(checks):
     return CheckReport(status, violations)
 
 
+def _intertwining(axiom, b, a_u, a_v):
+    """The _run spec of (a_v (x) a_u) b = b (a_u (x) a_v) for b: U (x) V
+    -> V (x) U, the law of ybe-compat, defB and braiding-intertwine."""
+    du, dv = a_u.rows, a_v.rows
+    return (axiom, lazy(a_v).kron_compose(a_u, b),
+            lazy(b).compose_kron(a_u, a_v), (du, dv), (dv, du))
+
+
 def require(check, *args, what):
     """The one precondition gate: raise ValueError unless check(*args) holds.
 
@@ -162,8 +171,15 @@ def _failed_axioms(check, *args):
 
 
 def coerce_cube(field, cube):
-    """Coerce a dim^3 nested sequence of scalars; returns nested tuples."""
+    """Coerce a dim^3 nested sequence of scalars; returns nested tuples.
+
+    Each distinct entry is coerced once per cube, keyed by type and value
+    (by value alone, 0.5 would pass as Fraction(1, 2)); an entry of the
+    field's scalar type, whose hash costs more, is coerced where it is.
+    """
     n = len(cube)
+    memo = lru_cache(maxsize=None, typed=True)(field.coerce)
+    scalar = type(field.zero)
     out = []
     for plane in cube:
         if len(plane) != n:
@@ -172,7 +188,11 @@ def coerce_cube(field, cube):
         for row in plane:
             if len(row) != n:
                 raise ValueError("cube is not dim x dim x dim")
-            rows.append(tuple(field.coerce(v) for v in row))
+            try:
+                rows.append(tuple(field.coerce(v) if type(v) is scalar
+                                  else memo(v) for v in row))
+            except TypeError:  # an unhashable entry, which coerce refuses
+                rows.append(tuple(map(field.coerce, row)))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -316,40 +336,35 @@ def check_hom_coalgebra(C):
 
 
 def _contraction_coassoc(field, comul, psi):
-    # eq5: both sides of twisted coassociativity assembled entry by entry
-    # from the cube, bypassing the matrix kernels
+    # eq5 bypassing the matrix kernels: column k of each side applies
+    # comul (x) psi (lhs) or psi (x) comul (rhs) to comul(e_k) by contraction
     n = len(comul)
-    lhs = LinMap.from_terms(field, n ** 3, n, _contract5(comul, psi, True))
-    rhs = LinMap.from_terms(field, n ** 3, n, _contract5(comul, psi, False))
-    return lhs, rhs
+    elements = [[(u, v, d) for u, row in enumerate(dk)
+                 for v, d in enumerate(row) if d] for dk in comul]
+    return tuple(LinMap.from_terms(field, n ** 3, n, _contract_comul(
+        comul, psi.columns(), left, elements)) for left in (True, False))
 
 
-def _contract5(comul, psi, left):
+def _contract_comul(comul, tcols, left, elements):
+    """comul (x) t, or t (x) comul when not left, applied entry by entry
+    to tensor-square elements, element c given by its terms r e_u (x) e_v
+    as (u, v, r); tcols is t.columns(). Yields (flat(x, y, z), c, value).
+    The one coproduct contraction: eq5's, eq39's, eq60's and remQT's."""
     n = len(comul)
-    pcols = psi.columns()
-    for k in range(n):
-        for u in range(n):
-            for v in range(n):
-                duv = comul[k][u][v]
-                if not duv:
-                    continue
-                if left:
-                    # comul again on the first leg, psi on the second
-                    for x in range(n):
-                        for y in range(n):
-                            dxy = comul[u][x][y]
-                            if not dxy:
-                                continue
-                            for z, pz in pcols[v]:
-                                yield (x * n + y) * n + z, k, duv * dxy * pz
-                else:
-                    # psi on the first leg, comul again on the second
-                    for x, px in pcols[u]:
-                        for y in range(n):
-                            for z in range(n):
-                                dyz = comul[v][y][z]
-                                if dyz:
-                                    yield (x * n + y) * n + z, k, duv * px * dyz
+    for c, terms in enumerate(elements):
+        for u, v, r in terms:
+            if left:
+                for x in range(n):
+                    for y, d in enumerate(comul[u][x]):
+                        if d:
+                            for z, t in tcols[v]:
+                                yield (x * n + y) * n + z, c, r * d * t
+            else:
+                for x, t in tcols[u]:
+                    for y in range(n):
+                        for z, d in enumerate(comul[v][y]):
+                            if d:
+                                yield (x * n + y) * n + z, c, r * t * d
 
 
 def _bialgebra_extra_checks(H):
@@ -415,17 +430,12 @@ def yau_twist_algebra(mul, alpha):
     cube = coerce_cube(field, mul)
     n = len(cube)
     _check_square(field, alpha, n, "endo")
-    M = mul_map(field, cube)
-    idn = identity(n, field)
-    assoc_ok, _ = compare_maps("assoc", lazy(M).compose_kron(M, idn),
-                               lazy(M).compose_kron(idn, M), (n, n, n), (n,))
-    if not assoc_ok:
+    A = HomAlgebra(field, cube, identity(n, field))
+    if not check_hom_algebra(A).ok:
         raise ValueError("not-associative: input multiplication is not associative")
-    endo_ok, _ = compare_maps("endo", lazy(alpha).compose(M),
-                              lazy(M).compose_kron(alpha, alpha), (n, n), (n,))
-    if not endo_ok:
+    if not check_structure_morphism(alpha, A, A, "algebra").ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
-    return HomAlgebra(field, _map_cube(alpha.compose(M)), alpha)
+    return HomAlgebra(field, _map_cube(alpha.compose(A.mul_linmap)), alpha)
 
 
 def yau_twist_bialgebra(mul, comul, endo):

@@ -3,8 +3,9 @@
 An R-matrix is stored as its coefficient vector on the flattened tensor
 square. Each defining condition is verified twice where feasible: once by
 matrix composition (ids eq29, eq30, eq31) and once by direct contraction of
-structure constants (ids eq38, eq39, eq60). The two routes must agree; they
-share no assembly code, so each guards the other against indexing mistakes.
+structure constants (ids eq38, eq39, eq60, the latter two by eq5's coproduct
+contraction). The two routes must agree; they share no assembly code, so
+each guards the other against indexing mistakes.
 
 Identity vocabulary (formulas in docs/formats.md):
   r-alpha-invariance  (alpha (x) alpha)(R) = R
@@ -18,10 +19,10 @@ Identity vocabulary (formulas in docs/formats.md):
   eq27          braiding dual-route agreement
   braiding-intertwine / braiding-h-linear / braiding-natural / braiding-g-compat
   eq45 / eq50   the two hexagon instances
-  eq145         (B (x) a)(a (x) B)(B (x) a) = (a (x) B)(B (x) a)(a (x) B)
-  ybe-compat    (a (x) a) B = B (a (x) a)
-  classical-ybe untwisted braid relation, used as a twisting precondition
-  hYBeB         three-module mixed hom-Yang-Baxter relation
+  hYBeB         three-module mixed hom-Yang-Baxter relation (_braid_sides)
+  eq145         hYBeB on one space, sides swapped: (B (x) a)(a (x) B)(B (x) a)
+                = (a (x) B)(B (x) a)(a (x) B); classical-ybe is eq145 at a = id
+  ybe-compat    (a (x) a) B = B (a (x) a), hom_structures._intertwining
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 from .exact_tensor import Frozen, LinMap, identity, kron, lazy
 from .hom_structures import (
-    CheckReport, _run, check_hom_bialgebra, compare_maps, require,
+    CheckReport, _contract_comul, _intertwining, _run, check_hom_bialgebra,
+    require,
 )
 from .rep_theory import _pair_action, check_module, tensor_module, twist_module
 
@@ -96,70 +98,30 @@ def _contract_eq38(H, R):
             LinMap.from_terms(H.field, n * n, n, rhs))
 
 
-def _contract_coproduct_side(H, R, left_slot, twist):
-    # (comul (x) twist)(R) when left_slot, else (twist (x) comul)(R)
-    n = H.dim
-    comul = H.comul
-    tcols = twist.columns()
-    for u, v, r in R.nonzero():
-        if left_slot:
-            for x in range(n):
-                for y in range(n):
-                    d = comul[u][x][y]
-                    if not d:
-                        continue
-                    for z, t in tcols[v]:
-                        yield (x * n + y) * n + z, r * d * t
-        else:
-            for y in range(n):
-                for z in range(n):
-                    d = comul[v][y][z]
-                    if not d:
-                        continue
-                    for x, t in tcols[u]:
-                        yield (x * n + y) * n + z, r * t * d
-
-
-def _contract_rr_side(H, R, variant):
-    # the double-R sides of eq39/eq60 and their remQT analogues
-    if variant not in ("eq39", "eq60", "plain-left", "plain-right"):
-        raise ValueError(f"unknown variant {variant!r}")
+def _contract_rr_side(H, R, tcols, left):
+    # the double-R side of eq39 (left) or eq60 as one-column terms, with
+    # tcols the columns of psi, or of the identity for remQT-a and -b
     n = H.dim
     mul = H.mul
-    pcols = H.psi.columns()
     nz = R.nonzero()
     for u, v, r1 in nz:
         for q, w, r2 in nz:
             r = r1 * r2
-            if variant == "eq39":
+            if left:
                 # psi(s_i) (x) psi(s_j) (x) t_i t_j ; i = (u,v), j = (q,w)
-                for x, a in pcols[u]:
-                    for y, b in pcols[q]:
-                        for z in range(n):
-                            m = mul[v][w][z]
+                for x, a in tcols[u]:
+                    for y, b in tcols[q]:
+                        for z, m in enumerate(mul[v][w]):
                             if m:
-                                yield (x * n + y) * n + z, r * a * b * m
-            elif variant == "eq60":
+                                yield (x * n + y) * n + z, 0, r * a * b * m
+            else:
                 # s_i s_j (x) psi(t_j) (x) psi(t_i)
-                for x in range(n):
-                    m = mul[u][q][x]
+                for x, m in enumerate(mul[u][q]):
                     if not m:
                         continue
-                    for y, b in pcols[w]:
-                        for z, a in pcols[v]:
-                            yield (x * n + y) * n + z, r * m * b * a
-            elif variant == "plain-left":
-                # s_i (x) s_j (x) t_i t_j
-                for z in range(n):
-                    m = mul[v][w][z]
-                    if m:
-                        yield (u * n + q) * n + z, r * m
-            else:
-                # s_i s_j (x) t_j (x) t_i
-                for x in range(n):
-                    m = mul[u][q][x]
-                    if m:
-                        yield (x * n + w) * n + v, r * m
+                    for y, b in tcols[w]:
+                        for z, a in tcols[v]:
+                            yield (x * n + y) * n + z, 0, r * m * b * a
 
 
 def check_r_conditions(H, R):
@@ -178,17 +140,14 @@ def check_r_conditions(H, R):
     qt = _run(_r_condition_checks(H, R))
     if not qt.axiom_status["r-psi-invariance"]:
         return qt
-    rem = _run(_rem_qt_checks(H, R))
+    # the simplified splitting laws, valid once R is psi-invariant
+    rem = _run(_splitting_contractions(H, R, ("remQT-a", "remQT-b"),
+                                       H.alpha.compose(H.psi),
+                                       identity(H.dim, H.field)))
     s, r = qt.axiom_status, rem.axiom_status
     consistent = r["remQT-a"] == s["eq30"] and r["remQT-b"] == s["eq31"]
     return CheckReport.merge(
         qt, rem, CheckReport({"remQT-consistency": consistent}, ()))
-
-
-def _element(H, terms):
-    # one tensor element of H^(x)3 as a one-column map, from (index, value)
-    return LinMap.from_terms(H.field, H.dim ** 3, 1,
-                             ((i, 0, v) for i, v in terms))
 
 
 def _r_condition_checks(H, R):
@@ -221,20 +180,19 @@ def _r_condition_checks(H, R):
            lazy(M).pair_compose(pp_flip, rv, rv, n), (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
-    yield ("eq39", _element(H, _contract_coproduct_side(H, R, True, al)),
-           _element(H, _contract_rr_side(H, R, "eq39")), (), (n, n, n))
-    yield ("eq60", _element(H, _contract_coproduct_side(H, R, False, al)),
-           _element(H, _contract_rr_side(H, R, "eq60")), (), (n, n, n))
+    yield from _splitting_contractions(H, R, ("eq39", "eq60"), al, ps)
 
 
-def _rem_qt_checks(H, R):
-    # the simplified splitting laws, valid once R is psi-invariant
+def _splitting_contractions(H, R, axioms, t, u):
+    # (comul (x) t)(R), then (t (x) comul)(R), each against its double-R
+    # side with u on the two legs left unmultiplied, all by contraction
     n = H.dim
-    alps = H.alpha.compose(H.psi)
-    yield ("remQT-a", _element(H, _contract_coproduct_side(H, R, True, alps)),
-           _element(H, _contract_rr_side(H, R, "plain-left")), (), (n, n, n))
-    yield ("remQT-b", _element(H, _contract_coproduct_side(H, R, False, alps)),
-           _element(H, _contract_rr_side(H, R, "plain-right")), (), (n, n, n))
+    tcols, ucols = t.columns(), u.columns()
+    for axiom, left in zip(axioms, (True, False)):
+        lhs = _contract_comul(H.comul, tcols, left, [R.nonzero()])
+        rhs = _contract_rr_side(H, R, ucols, left)
+        yield (axiom, LinMap.from_terms(H.field, n ** 3, 1, lhs),
+               LinMap.from_terms(H.field, n ** 3, 1, rhs), (), (n, n, n))
 
 
 def _swapped_r_action(R, U, V):
@@ -309,9 +267,7 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None):
         dU, dV, n = U.dim, V.dim, H.dim
         yield ("eq27", c.map, _braiding_elementwise(H, R, U, V),
                (dU, dV), (dV, dU))
-        yield ("braiding-intertwine",
-               lazy(V.alpha).kron_compose(U.alpha, c.map),
-               lazy(c.map).compose_kron(U.alpha, V.alpha), (dU, dV), (dV, dU))
+        yield _intertwining("braiding-intertwine", c.map, U.alpha, V.alpha)
         gu = twist_module(H, U, "G")
         gv = twist_module(H, V, "G")
         src_t = tensor_module(H, U, V)
@@ -372,15 +328,22 @@ def check_hom_ybe(B, alpha):
         raise ValueError("B must be square of size alpha-dim squared")
     if B.field != alpha.field:
         raise ValueError("field mismatch in check_hom_ybe")
-    ba = kron(B, alpha)
-    ab = kron(alpha, B)
+    return _run([_intertwining("ybe-compat", B, alpha, alpha),
+                 _eq145("eq145", B, alpha)])
 
-    def checks():
-        yield ("ybe-compat", lazy(alpha).kron_compose(alpha, B),
-               lazy(B).compose_kron(alpha, alpha), (d, d), (d, d))
-        yield ("eq145", lazy(ba.compose(ab)).compose(ba),
-               lazy(ab.compose(ba)).compose(ab), (d, d, d), (d, d, d))
-    return _run(checks())
+
+def _braid_sides(b_uv, b_uw, b_vw, a_u, a_v, a_w):
+    # both composites of hYBeB, unformed; each stores its inner two factors
+    lhs = lazy(a_w).kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
+    rhs = lazy(b_vw).kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
+    return lhs, rhs
+
+
+def _eq145(axiom, B, alpha):
+    # eq145 is hYBeB on one space, with one map and one twist, sides swapped
+    d = alpha.rows
+    rhs, lhs = _braid_sides(B, B, B, alpha, alpha, alpha)
+    return axiom, lhs, rhs, (d, d, d), (d, d, d)
 
 
 def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w):
@@ -398,8 +361,7 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w):
         raise ValueError("b_uw shape mismatch")
     if b_vw.rows != dW * dV or b_vw.cols != dV * dW:
         raise ValueError("b_vw shape mismatch")
-    lhs = lazy(a_w).kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
-    rhs = lazy(b_vw).kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
+    lhs, rhs = _braid_sides(b_uv, b_uw, b_vw, a_u, a_v, a_w)
     return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))])
 
 
@@ -426,18 +388,10 @@ def ybe_yau_twist(B, alpha):
     d = alpha.rows
     if alpha.cols != d or B.rows != d * d or B.cols != d * d:
         raise ValueError("shape mismatch in ybe_yau_twist")
-    idd = identity(d, alpha.field)
-    bi = kron(B, idd)
-    ib = kron(idd, B)
-    ok, _ = compare_maps("classical-ybe", lazy(bi.compose(ib)).compose(bi),
-                         lazy(ib.compose(bi)).compose(ib), (d, d, d), (d, d, d))
-    if not ok:
+    if not _run([_eq145("classical-ybe", B, identity(d, alpha.field))]).ok:
         raise ValueError("classical-ybe fails: input does not satisfy the "
                          "untwisted braid relation")
-    aa = kron(alpha, alpha)
-    ok, _ = compare_maps("ybe-compat", lazy(aa).compose(B),
-                         lazy(B).compose(aa), (d, d), (d, d))
-    if not ok:
+    if not _run([_intertwining("ybe-compat", B, alpha, alpha)]).ok:
         raise ValueError("compatibility fails: alpha (x) alpha does not "
                          "commute with B")
-    return aa.compose(B)
+    return alpha.kron_compose(alpha, B)

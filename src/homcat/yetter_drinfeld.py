@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_tensor import Frozen, identity, kron, lazy
-from .hom_structures import CheckReport, _run, compare_maps, require
+from .hom_structures import CheckReport, _intertwining, _run, require
 from .rep_theory import (
     HComodule, HModule, check_comodule, check_module, comodule_from_cube,
     module_from_cube, tensor_module, twist_module,
@@ -62,7 +62,7 @@ def yd_from_cubes(field, act_cube, coact_cube, alpha):
 
 
 def _yd_base(H):
-    """Validate the standing hypotheses; return (alpha_inv, alpha_inv_sq)."""
+    """Validate the standing hypotheses; return alpha's inverse."""
     if H.alpha != H.psi:
         raise ValueError("Yetter-Drinfeld operations need equal twist maps "
                          "on the bialgebra")
@@ -71,7 +71,7 @@ def _yd_base(H):
     except ValueError:
         raise ValueError("Yetter-Drinfeld operations need an invertible "
                          "twist map") from None
-    return ai, ai.compose(ai)
+    return ai
 
 
 def check_yd(H, M):
@@ -108,8 +108,8 @@ def _yd_checks(H, M):
 
 def _yd_tensor_coaction(H, M, N):
     """Coaction m (x) n -> sum alpha^-2(m_(-1) n_(-1)) (x) (m_(0) (x) n_(0))."""
-    _, ai2 = _yd_base(H)
-    return ai2.compose(H.mul_linmap).pair_compose(
+    ai = _yd_base(H)
+    return ai.compose(ai).compose(H.mul_linmap).pair_compose(
         identity(M.dim * N.dim, H.field), M.coaction, N.coaction, H.dim)
 
 
@@ -128,7 +128,7 @@ def yd_tensor(H, M, N):
 
 def _b_yd_map(H, M, N):
     """Matrix of m (x) n -> sum alpha^-1(m_(-1)).n (x) m_(0); no validity gate."""
-    ai, _ = _yd_base(H)
+    ai = _yd_base(H)
     idn = identity(N.dim, H.field)
     return N.action.compose_kron(ai, idn).pair_compose(
         identity(M.dim, H.field), M.coaction, idn, H.dim)
@@ -143,10 +143,7 @@ def b_yd(H, M, N):
     for X in (M, N):
         require(check_yd, H, X, what="b_yd precondition fails:")
     b = _b_yd_map(H, M, N)
-    ok, _ = compare_maps("defB", lazy(N.alpha).kron_compose(M.alpha, b),
-                         lazy(b).compose_kron(M.alpha, N.alpha),
-                         (M.dim, N.dim), (N.dim, M.dim))
-    if not ok:
+    if not _run([_intertwining("defB", b, M.alpha, N.alpha)]).ok:
         raise ValueError("defB intertwining failed on inputs that passed "
                          "check_yd; inputs are inconsistent")
     return b
@@ -178,7 +175,7 @@ def f_twist_yd(H, M):
     releases one through the inverse on its algebra output. Identities on
     morphisms: the underlying matrix of a twisted morphism is unchanged.
     """
-    ai, _ = _yd_base(H)
+    ai = _yd_base(H)
     require(check_yd, H, M, what="f_twist_yd precondition fails:")
     act = twist_module(H, M.module, "F").action
     co = ai.kron_compose(identity(M.dim, M.field), M.coaction)

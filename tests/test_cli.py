@@ -317,9 +317,10 @@ def test_twist_commands(ws):
     # non-endomorphism is a usage error, not a failed check
     write("Ebad.json", {"kind": "linmap", "field": "Q", "rows": 2, "cols": 2,
                         "matrix": [["1", "1"], ["0", "1"]]})
-    code, _, _ = run(["twist", "--algebra", path("Alg.json"),
-                      "--endo", path("Ebad.json")])
-    assert code == 2
+    assert run(["twist", "--algebra", path("Alg.json"),
+                "--endo", path("Ebad.json")]) == (
+        2, "", "error: not-endomorphism: alpha is not an algebra "
+               "endomorphism\n")
 
 
 @pytest.mark.parametrize("source,dim", [("algebra", 3), ("bialgebra", 2)])

@@ -1,6 +1,7 @@
 """Algebra, coalgebra and bialgebra laws, twists, morphisms, semigroups."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,28 @@ from homcat.hom_structures import (
     yau_twist_bialgebra,
 )
 from homcat.workbench_cli import gen_group_bialgebra, report_to_dict
+
+
+# ------------------------------------------------------------ construction
+
+def test_cube_coerces_each_distinct_entry_once():
+    # the n = 60 group algebra's cube holds 216,000 ints of two values;
+    # coercing entry by entry kept one Fraction each (13.4 MB retained)
+    mul, alpha = group_mul_cube(60), identity(60)
+    tracemalloc.start()
+    try:
+        A = HomAlgebra(QQ, mul, alpha)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert A.dim == 60 and retained < 5 << 20
+    # 1 == 1.0 and Fraction(1, 2) == 0.5, yet the memo, keyed by type
+    # and value, must not let the float through
+    for field, first, float_ in ((QQ, 1, 1.0), (GF(5), Fraction(1, 2), 0.5)):
+        entries = [[[first, float_], [0, 0]], [[0, 0], [0, 0]]]
+        with pytest.raises(ValueError, match=(
+                "^floating point scalars are not accepted")):
+            HomAlgebra(field, entries, identity(2, field))
 
 
 # -------------------------------------------------------- algebra checks
@@ -103,13 +126,15 @@ def test_yau_twist_dual_numbers_matches_frozen():
 
 def test_yau_twist_rejects_nonassociative_input():
     bad = cube({(0, 0, 1): 1, (1, 0, 0): 1}, (2, 2, 2))
-    with pytest.raises(ValueError, match="not-associative"):
+    with pytest.raises(ValueError, match=(
+            "^not-associative: input multiplication is not associative$")):
         yau_twist_algebra(bad, identity(2))
 
 
 def test_yau_twist_rejects_non_endomorphism():
     skew = LinMap.from_rows(QQ, [[1, 1], [0, 1]])
-    with pytest.raises(ValueError, match="not-endomorphism"):
+    with pytest.raises(ValueError, match=(
+            "^not-endomorphism: alpha is not an algebra endomorphism$")):
         yau_twist_algebra(group_mul_cube(2), skew)
 
 

@@ -1,5 +1,6 @@
 """Quasitriangular batteries, braidings, hexagons and braid relations."""
 
+import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -336,6 +337,22 @@ def test_flip_twisted_by_diagonal_matches_frozen():
             rep.axiom_status["ybe-compat"]) == FROZEN["flip_diag12_twist_ybe_ok"]
 
 
+def test_eq145_is_hybeb_on_one_space_with_its_sides_swapped():
+    B = monomial_map({(0, 0): {(0, 1): 1}, (1, 0): {(0, 0): 1}})
+    a = diag([1, 2])
+    one = check_hom_ybe(B, a)
+    mixed = check_mixed_hom_ybe(B, B, B, a, a, a)
+    assert one.axiom_status["eq145"] is mixed.axiom_status["hYBeB"] is False
+
+    def dump(v, first, second):
+        ce = v.counterexample()
+        return json.dumps([ce["index"], ce[first], ce[second]])
+
+    want = [dump(v, "rhs", "lhs") for v in mixed.violations]
+    assert want and want == [dump(v, "lhs", "rhs") for v in one.violations
+                             if v.axiom == "eq145"]
+
+
 def test_flip_passes_every_dimension():
     for d in (1, 2, 3):
         assert check_hom_ybe(flip_map(d, d), identity(d)).ok
@@ -343,12 +360,16 @@ def test_flip_passes_every_dimension():
 
 def test_ybe_yau_twist_gates():
     bad = monomial_map({(0, 0): {(0, 1): 1}, (1, 0): {(0, 0): 1}})
-    with pytest.raises(ValueError, match="classical-ybe"):
+    with pytest.raises(ValueError, match=(
+            "^classical-ybe fails: input does not satisfy the untwisted "
+            "braid relation$")):
         ybe_yau_twist(bad, identity(2))
     scaled_flip = monomial_map({(0, 0): {(0, 0): 1}, (0, 1): {(1, 0): 2},
                                 (1, 0): {(0, 1): 3}, (1, 1): {(1, 1): 1}})
     skew = LinMap.from_rows(QQ, [[1, 1], [0, 1]])
-    with pytest.raises(ValueError, match="compatibility fails"):
+    with pytest.raises(ValueError, match=(
+            r"^compatibility fails: alpha \(x\) alpha does not commute "
+            r"with B$")):
         ybe_yau_twist(scaled_flip, skew)
 
 

@@ -141,9 +141,9 @@ def check_r_conditions(H, R):
     if not qt.axiom_status["r-psi-invariance"]:
         return qt
     # the simplified splitting laws, valid once R is psi-invariant
-    rem = _run(_splitting_contractions(H, R, ("remQT-a", "remQT-b"),
-                                       H.alpha.compose(H.psi),
-                                       identity(H.dim, H.field)))
+    rem = _run(_contract_coproduct_splitting(
+        H, R, ("remQT-a", "remQT-b"), H.alpha.compose(H.psi),
+        identity(H.dim, H.field)))
     s, r = qt.axiom_status, rem.axiom_status
     consistent = r["remQT-a"] == s["eq30"] and r["remQT-b"] == s["eq31"]
     return CheckReport.merge(
@@ -180,10 +180,10 @@ def _r_condition_checks(H, R):
            lazy(M).pair_compose(pp_flip, rv, rv, n), (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
-    yield from _splitting_contractions(H, R, ("eq39", "eq60"), al, ps)
+    yield from _contract_coproduct_splitting(H, R, ("eq39", "eq60"), al, ps)
 
 
-def _splitting_contractions(H, R, axioms, t, u):
+def _contract_coproduct_splitting(H, R, axioms, t, u):
     # (comul (x) t)(R), then (t (x) comul)(R), each against its double-R
     # side with u on the two legs left unmultiplied, all by contraction
     n = H.dim

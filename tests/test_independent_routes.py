@@ -16,8 +16,8 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 
 ROUTES = {
     "hom_structures.py": ("_contraction_coassoc", "_contract_comul"),
-    "qt_braiding.py": ("_contract_eq38", "_contract_rr_side",
-                       "_braiding_elementwise"),
+    "qt_braiding.py": ("_contract_eq38", "_contract_coproduct_splitting",
+                       "_contract_rr_side", "_braiding_elementwise"),
 }
 
 MAP_ALGEBRA = {"compose", "compose_all", "compose_kron", "kron",

@@ -30,7 +30,7 @@ from .rep_theory import (
     zero_module,
 )
 from .qt_braiding import (
-    BraidMap, RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
+    RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
     check_hexagon_instances, check_hom_ybe, check_mixed_hom_ybe,
     check_r_conditions, ybe_yau_twist,
 )

@@ -11,10 +11,12 @@ act on a map by reindexing its rows or columns (LinMap.permute_rows and
 permute_cols), never through a product with a permutation matrix.
 
 Only this module knows how a LinMap is stored and when a sum of prime
-field scalars is reduced mod p. Other modules build a map from
-(row, col, value) terms with LinMap.from_terms and read it back as sparse
-columns with LinMap.columns(); entry and row_lists are dense readers for
-the structure-file codec.
+field scalars is reduced mod p, and only eight of its methods read the
+layout: entry, row_lists, columns, _sums, permute_rows, kron, __eq__ and
+__hash__. The rest (add, scale, permute_cols, the elimination behind rank
+and inverse) and other modules build a map from (row, col, value) terms
+with LinMap.from_terms and read it as sparse columns with columns();
+entry and row_lists are dense readers for the structure-file codec.
 
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
 never tolerance based. add, sub and scale do arithmetic only where an
@@ -41,6 +43,7 @@ stored maps only: an unformed product of any size can be compared.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import lcm, prod
 from typing import Callable, NamedTuple
@@ -83,18 +86,26 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
-    # deterministic Miller-Rabin, valid far beyond any modulus used here
+    # Miller-Rabin on these bases decides primality below _MR_BOUND =
+    # psi_13 (Sorenson and Webster, Math. Comp. 2017); at or above, refuse
+    if n >= _MR_BOUND:
+        raise ValueError(f"modulus {n} is at or above {_MR_BOUND}, where "
+                         f"primality is not decided")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -118,9 +129,8 @@ class Field(Frozen):
     __slots__ = ("char", "zero", "one")
 
     def __init__(self, char):
-        if char != 0:
-            if not _is_prime(char):
-                raise ValueError(f"field characteristic must be 0 or prime, got {char}")
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"field characteristic must be 0 or prime, got {char}")
         zero, one = (Fraction(0), Fraction(1)) if char == 0 else (0, 1)
         self._init(char=char, zero=zero, one=one)
 
@@ -324,10 +334,10 @@ class LinMap(Frozen):
 
     def permute_cols(self, dims, perm):
         """self after permute_tensor(dims, perm), by picking columns."""
-        c, data = self.cols, self.data
-        targets = _perm_targets(dims, perm, c)
-        flat = tuple(data[i * c + t] for i in range(self.rows) for t in targets)
-        return LinMap._wrap(self.field, self.rows, c, flat)
+        targets = _perm_targets(dims, perm, self.cols)
+        cols = self.columns()
+        return LinMap.from_terms(self.field, self.rows, self.cols, (
+            (i, j, v) for j, t in enumerate(targets) for i, v in cols[t]))
 
     def kron(self, other):
         if self.field != other.field:
@@ -345,18 +355,9 @@ class LinMap(Frozen):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         # a zero entry passes the other operand's scalar through unchanged
-        flat = list(self.data)
-        p = self.field.modulus
-        for k, b in enumerate(other.data):
-            if b:
-                a = flat[k]
-                if not a:
-                    flat[k] = b
-                elif p is None:
-                    flat[k] = a + b
-                else:
-                    flat[k] = (a + b) % p
-        return LinMap._wrap(self.field, self.rows, self.cols, tuple(flat))
+        return LinMap.from_terms(self.field, self.rows, self.cols, (
+            (i, j, v) for m in (self, other)
+            for j, col in enumerate(m.columns()) for i, v in col))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -365,50 +366,37 @@ class LinMap(Frozen):
         c = self.field.coerce(c)
         if not c:
             return zero_map(self.rows, self.cols, self.field)
-        p = self.field.modulus
-        if p is None:
-            flat = tuple(c * v if v else v for v in self.data)
-        else:
-            flat = tuple(c * v % p if v else v for v in self.data)
-        return LinMap._wrap(self.field, self.rows, self.cols, flat)
+        return LinMap.from_terms(self.field, self.rows, self.cols, (
+            (i, j, c * v)
+            for j, col in enumerate(self.columns()) for i, v in col))
 
     def is_zero(self):
-        return not any(self.data)
+        return not any(self.columns())
 
     def _echelon(self, augment=None):
-        # returns (rank, reduced rows) of [self | augment]
-        f = self.field
-        p = f.modulus
-        c = self.cols
-        width = c + (augment.cols if augment is not None else 0)
-        rows = []
-        for i in range(self.rows):
-            r = list(self.data[i * c:(i + 1) * c])
-            if augment is not None:
-                r += list(augment.data[i * augment.cols:(i + 1) * augment.cols])
-            rows.append(r)
+        # returns (rank, reduced rows) of [self | augment]; field.coerce
+        # reduces each new scalar mod p and passes a rational through
+        f, n = self.field, self.rows
+        rows = self.row_lists()
+        if augment is not None:
+            rows = [r + a for r, a in zip(rows, augment.row_lists())]
         rank = 0
-        for col in range(c):
-            piv = next((r for r in range(rank, self.rows) if rows[r][col]), None)
+        for col in range(self.cols):
+            piv = next((r for r in range(rank, n) if rows[r][col]), None)
             if piv is None:
                 continue
             rows[rank], rows[piv] = rows[piv], rows[rank]
             inv = f.inv(rows[rank][col])
-            if p is None:
-                rows[rank] = [v * inv for v in rows[rank]]
-            else:
-                rows[rank] = [v * inv % p for v in rows[rank]]
-            for r in range(self.rows):
+            rows[rank] = [f.coerce(v * inv) for v in rows[rank]]
+            for r in range(n):
                 if r != rank and rows[r][col]:
                     m = rows[r][col]
-                    if p is None:
-                        rows[r] = [a - m * b for a, b in zip(rows[r], rows[rank])]
-                    else:
-                        rows[r] = [(a - m * b) % p for a, b in zip(rows[r], rows[rank])]
+                    rows[r] = [f.coerce(a - m * b)
+                               for a, b in zip(rows[r], rows[rank])]
             rank += 1
-            if rank == self.rows:
+            if rank == n:
                 break
-        return rank, rows, width
+        return rank, rows
 
     def rank(self):
         return self._echelon()[0]
@@ -417,12 +405,10 @@ class LinMap(Frozen):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square map")
         n = self.rows
-        rank, rows, width = self._echelon(identity(n, self.field))
+        rank, rows = self._echelon(identity(n, self.field))
         if rank < n:
             raise ValueError("map is singular")
-        flat = tuple(self.field.coerce(rows[i][n + j])
-                     for i in range(n) for j in range(n))
-        return LinMap._wrap(self.field, n, n, flat)
+        return LinMap.from_rows(self.field, [r[n:] for r in rows])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -680,10 +666,7 @@ def compose_all(*maps):
     """Compose left to right as written: compose_all(f, g, h) = f . g . h."""
     if not maps:
         raise ValueError("compose_all needs at least one map")
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m)
-    return out
+    return reduce(LinMap.compose, maps)
 
 
 def kron(f, g):
@@ -694,10 +677,7 @@ def kron(f, g):
 def kron_all(*maps):
     if not maps:
         raise ValueError("kron_all needs at least one map")
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.kron(m)
-    return out
+    return reduce(LinMap.kron, maps)
 
 
 def permute_tensor(dims, perm, field=QQ):

@@ -8,6 +8,9 @@ of an identity, products of maps assembled from the structure constants and
 left unformed (exact_tensor.lazy), one column (= source basis vector, in
 lexicographic multi-index order) at a time. _intertwining is the one spec
 of the law that ybe-compat, defB and braiding-intertwine share.
+_module_laws yields eq8/eq9, and eq1/eq2 as the regular module's;
+_comodule_laws yields comodul1/comodul2, and eq3/eq4 as the regular
+comodule's.
 
 Identity vocabulary used here:
   eq1   alpha(a b) = alpha(a) alpha(b)
@@ -307,32 +310,34 @@ class HomSemigroup(Frozen):
         self._init(n=n, table=table, alpha_table=alpha_table)
 
 
-def _algebra_checks(A):
-    n = A.dim
-    M = A.mul_linmap
-    al = A.alpha
-    yield ("eq1", lazy(al).compose(M), lazy(M).compose_kron(al, al), (n, n), (n,))
-    yield ("eq2", lazy(M).compose_kron(al, M), lazy(M).compose_kron(M, al),
-           (n, n, n), (n,))
+def _module_laws(A, act, alpha, axioms=("eq8", "eq9")):
+    """The _run specs of eq8 and eq9 (named axioms) for the action act:
+    A (x) M -> M with alpha on M; act = mul, alpha = A.alpha gives eq1/eq2."""
+    n, d, al = A.dim, alpha.rows, A.alpha
+    yield (axioms[0], lazy(alpha).compose(act),
+           lazy(act).compose_kron(al, alpha), (n, d), (d,))
+    yield (axioms[1], lazy(act).compose_kron(al, act),
+           lazy(act).compose_kron(A.mul_linmap, alpha), (n, n, d), (d,))
+
+
+def _comodule_laws(C, co, psi, axioms=("comodul1", "comodul2")):
+    """The _run specs of comodul1/comodul2 (named axioms) for the coaction
+    co: M -> C (x) M with psi on M; co = comul, psi = C.psi gives eq3/eq4."""
+    n, d, ps = C.dim, psi.rows, C.psi
+    yield (axioms[0], lazy(ps).kron_compose(psi, co), lazy(co).compose(psi),
+           (d,), (n, d))
+    yield (axioms[1], lazy(C.comul_linmap).kron_compose(psi, co),
+           lazy(ps).kron_compose(co, co), (d,), (n, n, d))
 
 
 def check_hom_algebra(A):
     """eq1 and eq2 over all basis pairs and triples."""
-    return _run(_algebra_checks(A))
-
-
-def _coalgebra_checks(C):
-    n = C.dim
-    D = C.comul_linmap
-    ps = C.psi
-    yield ("eq3", lazy(ps).kron_compose(ps, D), lazy(D).compose(ps), (n,), (n, n))
-    yield ("eq4", lazy(D).kron_compose(ps, D), lazy(ps).kron_compose(D, D),
-           (n,), (n, n, n))
+    return _run(_module_laws(A, A.mul_linmap, A.alpha, ("eq1", "eq2")))
 
 
 def check_hom_coalgebra(C):
     """eq3 and eq4 over all basis elements."""
-    return _run(_coalgebra_checks(C))
+    return _run(_comodule_laws(C, C.comul_linmap, C.psi, ("eq3", "eq4")))
 
 
 def _contraction_coassoc(field, comul, psi):
@@ -386,8 +391,10 @@ def _bialgebra_extra_checks(H):
 
 def check_hom_bialgebra(H):
     """Full battery: eq1-eq7112 plus commuting twists, aggregated."""
-    return _run(chain(_algebra_checks(H), _coalgebra_checks(H),
-                      _bialgebra_extra_checks(H)))
+    return _run(chain(
+        _module_laws(H, H.mul_linmap, H.alpha, ("eq1", "eq2")),
+        _comodule_laws(H, H.comul_linmap, H.psi, ("eq3", "eq4")),
+        _bialgebra_extra_checks(H)))
 
 
 def check_structure_morphism(f, src, dst, kind):

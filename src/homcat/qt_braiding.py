@@ -5,7 +5,8 @@ square. Each defining condition is verified twice where feasible: once by
 matrix composition (ids eq29, eq30, eq31) and once by direct contraction of
 structure constants (ids eq38, eq39, eq60, the latter two by eq5's coproduct
 contraction). The two routes must agree; they share no assembly code, so
-each guards the other against indexing mistakes.
+each guards the other against indexing mistakes. braiding_from_r returns
+the braiding as a plain LinMap.
 
 Identity vocabulary (formulas in docs/formats.md):
   r-alpha-invariance  (alpha (x) alpha)(R) = R
@@ -27,8 +28,6 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .exact_tensor import Frozen, LinMap, identity, kron, lazy
 from .hom_structures import (
     CheckReport, _contract_comul, _intertwining, _run, check_hom_bialgebra,
@@ -48,9 +47,6 @@ class RMatrix(Frozen):
             raise ValueError(f"expected {dim * dim} coefficients, got {len(flat)}")
         self._init(field=field, dim=dim, coeffs=flat)
 
-    def entry(self, i, j):
-        return self.coeffs[i * self.dim + j]
-
     def as_vector(self):
         """The element as a dim^2 x 1 map from the ground field."""
         return LinMap.from_cols(self.field, [self.coeffs], self.dim * self.dim)
@@ -58,14 +54,6 @@ class RMatrix(Frozen):
     def nonzero(self):
         n = self.dim
         return [(i // n, i % n, v) for i, v in enumerate(self.coeffs) if v]
-
-
-class BraidMap(NamedTuple):
-    """A braiding instance: matrix plus the two source modules."""
-
-    map: LinMap
-    src_u: object
-    src_v: object
 
 
 def _contract_eq38(H, R):
@@ -212,8 +200,8 @@ def braiding_from_r(H, R, U, V):
     if R.dim != H.dim or U.hdim != H.dim or V.hdim != H.dim:
         raise ValueError("dimension mismatch in braiding_from_r")
     # e_i acts on the twisted module G(U) as alpha(e_i) acts on U
-    return BraidMap(_swapped_r_action(R, twist_module(H, U, "G"),
-                                      twist_module(H, V, "G")), U, V)
+    return _swapped_r_action(R, twist_module(H, U, "G"),
+                             twist_module(H, V, "G"))
 
 
 def _braiding_elementwise(H, R, U, V):
@@ -265,25 +253,25 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None):
     def checks():
         c = braiding_from_r(H, R, U, V)
         dU, dV, n = U.dim, V.dim, H.dim
-        yield ("eq27", c.map, _braiding_elementwise(H, R, U, V),
+        yield ("eq27", c, _braiding_elementwise(H, R, U, V),
                (dU, dV), (dV, dU))
-        yield _intertwining("braiding-intertwine", c.map, U.alpha, V.alpha)
+        yield _intertwining("braiding-intertwine", c, U.alpha, V.alpha)
         gu = twist_module(H, U, "G")
         gv = twist_module(H, V, "G")
         src_t = tensor_module(H, U, V)
         dst_t = tensor_module(H, gv, gu)
         yield ("braiding-h-linear",
-               lazy(c.map).compose(src_t.action),
-               lazy(dst_t.action).compose_kron(identity(n, H.field), c.map),
+               lazy(c).compose(src_t.action),
+               lazy(dst_t.action).compose_kron(identity(n, H.field), c),
                (n, dU, dV), (dV, dU))
         fm, U2 = (U.alpha, gu) if f is None else f
         gm, V2 = (V.alpha, gv) if g is None else g
         c2 = braiding_from_r(H, R, U2, V2)
         yield ("braiding-natural",
-               lazy(c2.map).compose_kron(fm, gm),
-               lazy(gm).kron_compose(fm, c.map), (dU, dV), (V2.dim, U2.dim))
+               lazy(c2).compose_kron(fm, gm),
+               lazy(gm).kron_compose(fm, c), (dU, dV), (V2.dim, U2.dim))
         cg = braiding_from_r(H, R, gu, gv)
-        yield ("braiding-g-compat", cg.map, c.map, (dU, dV), (dV, dU))
+        yield ("braiding-g-compat", cg, c, (dU, dV), (dV, dU))
     return _run(checks())
 
 
@@ -305,16 +293,16 @@ def check_hexagon_instances(H, R, U, V, W):
 
     def checks():
         lhs45 = lazy(identity(dV * dW, field)).kron_compose(
-            U.alpha, braiding_from_r(H, R, fu, vw).map)
+            U.alpha, braiding_from_r(H, R, fu, vw))
         rhs45 = lazy(identity(dV, field)).kron_compose(
-            braiding_from_r(H, R, gu, W).map,
-            kron(braiding_from_r(H, R, U, V).map, identity(dW, field)))
+            braiding_from_r(H, R, gu, W),
+            kron(braiding_from_r(H, R, U, V), identity(dW, field)))
         yield ("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU))
         lhs50 = lazy(W.alpha).kron_compose(identity(dU * dV, field),
-                                           braiding_from_r(H, R, uv, fw).map)
-        rhs50 = lazy(braiding_from_r(H, R, U, gw).map).kron_compose(
+                                           braiding_from_r(H, R, uv, fw))
+        rhs50 = lazy(braiding_from_r(H, R, U, gw)).kron_compose(
             identity(dV, field),
-            kron(identity(dU, field), braiding_from_r(H, R, V, W).map))
+            kron(identity(dU, field), braiding_from_r(H, R, V, W)))
         yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
     return _run(checks())
 

@@ -4,7 +4,8 @@ A module action is one matrix (columns indexed by the flattened pair
 (algebra basis h, module basis m), rows by the module basis), a coaction is
 one matrix the other way around. Tensor modules, the two action-twisting
 endofunctors and the structure-map-as-morphism checks all reduce to matrix
-assembly from these plus the structure-constant cubes.
+assembly from these plus the structure-constant cubes. The (co)module laws
+are hom_structures._module_laws and _comodule_laws, which yield eq1-eq4 too.
 
 Identity vocabulary (formulas in docs/formats.md):
   eq8  alphaM(h.m) = alphaH(h).alphaM(m)
@@ -23,7 +24,9 @@ from __future__ import annotations
 from .exact_tensor import (
     Frozen, LinMap, check_size, identity, kron, lazy, zero_map,
 )
-from .hom_structures import CheckReport, HomBialgebra, _run
+from .hom_structures import (
+    CheckReport, HomBialgebra, _comodule_laws, _module_laws, _run,
+)
 
 
 class HModule(Frozen):
@@ -164,15 +167,7 @@ def check_module(H, M):
     _require_same_field(H, M, "check_module")
     if M.hdim != H.dim:
         raise ValueError("module action algebra slot does not match H.dim")
-    n, dm = H.dim, M.dim
-    act = M.action
-    checks = [
-        ("eq8", lazy(M.alpha).compose(act),
-         lazy(act).compose_kron(H.alpha, M.alpha), (n, dm), (dm,)),
-        ("eq9", lazy(act).compose_kron(H.alpha, act),
-         lazy(act).compose_kron(H.mul_linmap, M.alpha), (n, n, dm), (dm,)),
-    ]
-    return _run(checks)
+    return _run(_module_laws(H, M.action, M.alpha))
 
 
 def check_comodule(C, M):
@@ -180,15 +175,7 @@ def check_comodule(C, M):
     _require_same_field(C, M, "check_comodule")
     if M.cdim != C.dim:
         raise ValueError("coaction coalgebra slot does not match C.dim")
-    n, dm = C.dim, M.dim
-    co = M.coaction
-    checks = [
-        ("comodul1", lazy(C.psi).kron_compose(M.psi, co),
-         lazy(co).compose(M.psi), (dm,), (n, dm)),
-        ("comodul2", lazy(C.comul_linmap).kron_compose(M.psi, co),
-         lazy(C.psi).kron_compose(co, co), (dm,), (n, n, dm)),
-    ]
-    return _run(checks)
+    return _run(_comodule_laws(C, M.coaction, M.psi))
 
 
 def tensor_module(H, M, N):

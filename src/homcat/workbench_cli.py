@@ -425,7 +425,7 @@ def _cmd_braiding(args):
     artifacts = []
     if args.out:
         bm = braiding_from_r(H, R, U, V)
-        artifacts.append((args.out, structure_to_dict("linmap", bm.map)))
+        artifacts.append((args.out, structure_to_dict("linmap", bm)))
     return report, artifacts
 
 
@@ -493,13 +493,9 @@ def _cmd_dehomify(args):
         fam.add_pair_map(("0", "1"), "2", b_yd(H, yd_tensor(H, U, V), W))
         return check_hexagons(fam, fam, "0", "1", "2"), []
     # cross-check
-    if len(mods) == 2:
-        M, N = mods
-        return cross_check_yd(H, M, N), []
-    if len(mods) == 3:
-        M, N, P = mods
-        return cross_check_yd(H, M, N, P), []
-    raise ValueError("dehomify cross-check needs two or three --module files")
+    if len(mods) not in (2, 3):
+        raise ValueError("dehomify cross-check needs two or three --module files")
+    return cross_check_yd(H, *mods), []
 
 
 def _cmd_gen(args):

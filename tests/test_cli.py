@@ -438,7 +438,9 @@ def test_mixed_ybe_command(ws):
     assert code == 0
 
 
-def test_dehomify_commands(ws):
+def _write_dehomify_inputs(ws):
+    # H.json (kZ_2) and two Yetter-Drinfeld modules over it, YD.json and
+    # YDB.json
     path, write = ws
     run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
          "--out", path("H.json")])
@@ -459,6 +461,11 @@ def test_dehomify_commands(ws):
                        "coaction": [[["1", "0"], ["0", "0"]],
                                     [["0", "0"], ["0", "1"]]],
                        "alpha": [["1", "0"], ["0", "1"]]})
+
+
+def test_dehomify_commands(ws):
+    path, _ = ws
+    _write_dehomify_inputs(ws)
     code, _, _ = run(["dehomify", "pentagon", "--bialgebra", path("H.json"),
                       "--module", path("YD.json"), "--module", path("YDB.json"),
                       "--module", path("YD.json"), "--module", path("YDB.json")])
@@ -473,6 +480,60 @@ def test_dehomify_commands(ws):
     assert code == 0
     doc = json.loads(out)
     assert sorted(a["axiom"] for a in doc["axioms"]) == ["eq3333c", "eq9999d"]
+
+
+def test_dehomify_cross_check_with_three_modules(ws):
+    path, _ = ws
+    _write_dehomify_inputs(ws)
+    code, out, err = run(["dehomify", "cross-check",
+                          "--bialgebra", path("H.json"),
+                          "--module", path("YD.json"),
+                          "--module", path("YDB.json"),
+                          "--module", path("YD.json")])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert sorted(a["axiom"] for a in doc["axioms"]) == ["eq3333c", "eq9999d"]
+
+
+@pytest.mark.parametrize("command,count", [
+    ("tensor", 1), ("tensor", 3), ("braiding", 1), ("braiding", 3),
+    ("hexagons", 2), ("hexagons", 4), ("dehomify pentagon", 3),
+    ("dehomify hexagons", 2), ("dehomify hexagons", 4),
+    ("dehomify cross-check", 0), ("dehomify cross-check", 1),
+    ("dehomify cross-check", 4)])
+def test_wrong_module_count_exits_2(ws, command, count):
+    path, write = ws
+    _write_dehomify_inputs(ws)
+    H, R = gen_kz2_qt()
+    write("R.json", structure_to_dict("rmatrix", R))
+    if command.startswith("dehomify"):
+        module, extra = path("YD.json"), []
+    else:
+        module = write("M.json", structure_to_dict(
+            "module", regular_module(H), parent="H.json"))
+        extra = ["--r", path("R.json")] if command != "tensor" else []
+    argv = (command.split() + ["--bialgebra", path("H.json")] + extra
+            + ["--module", module] * count)
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {command} needs "), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", [318665857834031151167461,
+                               3317044064679887385961981])
+def test_structure_over_a_strong_pseudoprime_exits_2(ws, p):
+    # each passes Miller-Rabin on every prime base up to 37
+    path, write = ws
+    doc = {"kind": "algebra", "field": {"Fp": p}, "dim": 1,
+           "mul": [[["1"]]], "alpha": [["1"]]}
+    code, out, err = run(["check", "algebra", write("A.json", doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(p) in err
+    doc["field"] = {"Fp": 2 ** 61 - 1}
+    code, out, _ = run(["check", "algebra", write("A.json", doc)])
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_check_mha_flags_incompatible_action(ws):

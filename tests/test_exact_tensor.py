@@ -61,6 +61,25 @@ def test_composite_characteristic_rejected():
         GF(0)
 
 
+# the least strong pseudoprimes to all prime bases up to 37 and up to 41
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
+def test_strong_pseudoprimes_are_not_fields():
+    # base 41 unmasks psi_12; psi_13 and above are refused, undecided
+    assert 399165290221 * 798330580441 == PSI12
+    with pytest.raises(ValueError, match="needs a prime"):
+        GF(PSI12)
+    for p in (PSI13, PSI13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="at or above"):
+            GF(p)
+    p = 2 ** 61 - 1
+    assert GF(p).char == p and GF(p).inv(2) * 2 % p == 1
+    # the largest prime below the bound (sympy.prevprime agrees)
+    assert GF(PSI13 - 168).char == PSI13 - 168
+
+
 def test_field_identity_and_equality():
     assert GF(7) is GF(7)
     assert GF(7) != GF(5) and GF(7) != QQ
@@ -713,22 +732,26 @@ def test_inverse_over_prime_field():
 
 @given(st.integers(1, 3), st.data())
 def test_constructed_invertibles(n, data):
+    F = data.draw(st.sampled_from([QQ, GF(5)]))
     ents = st.integers(-2, 2)
-    lower = [[QQ.one if i == j else
-              (QQ.coerce(data.draw(ents)) if i > j else QQ.zero)
+    lower = [[F.one if i == j else
+              (F.coerce(data.draw(ents)) if i > j else F.zero)
               for j in range(n)] for i in range(n)]
-    upper = [[QQ.one if i == j else
-              (QQ.coerce(data.draw(ents)) if i < j else QQ.zero)
+    upper = [[F.one if i == j else
+              (F.coerce(data.draw(ents)) if i < j else F.zero)
               for j in range(n)] for i in range(n)]
-    m = LinMap.from_rows(QQ, lower).compose(LinMap.from_rows(QQ, upper))
+    m = LinMap.from_rows(F, lower).compose(LinMap.from_rows(F, upper))
     assert m.rank() == n
-    assert m.compose(m.inverse()) == identity(n)
+    assert m.compose(m.inverse()) == identity(n, F)
 
 
 def test_rank_and_is_zero():
     assert zero_map(2, 3).is_zero()
     assert zero_map(2, 3).rank() == 0
     assert LinMap.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
+    # det -3: invertible over Q, rank 1 once each step is reduced mod 3
+    assert LinMap.from_rows(QQ, [[1, 2], [2, 1]]).rank() == 2
+    assert LinMap.from_rows(GF(3), [[1, 2], [2, 1]]).rank() == 1
 
 
 def test_add_sub_scale():

@@ -54,6 +54,51 @@ def test_module_leaves_map_storage_to_exact_tensor(name):
         assert storage_uses(fh.read()) == [], name
 
 
+# Inside exact_tensor only these methods read the flat row-major tuple
+# .data; everything else builds through from_terms and reads columns() or
+# row_lists(), so a change of layout rewrites these alone. The writers
+# __init__, _wrap and Product.form set the tuple without reading it.
+LAYOUT_READERS = {
+    "LinMap.entry", "LinMap.row_lists", "LinMap.columns", "LinMap._sums",
+    "LinMap.permute_rows", "LinMap.kron", "LinMap.__eq__", "LinMap.__hash__",
+}
+LAYOUT_WRITERS = {"LinMap.__init__", "LinMap._wrap", "Product.form"}
+
+
+def data_readers(source):
+    """Qualified names of the top-level functions and methods (nested
+    functions count as their enclosing one) that read an attribute .data."""
+    found = set()
+    for top in ast.parse(source).body:
+        defs = ([(f"{top.name}.{d.name}", d) for d in top.body
+                 if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                if isinstance(top, ast.ClassDef) else [(None, top)])
+        for name, node in defs:
+            if any(isinstance(n, ast.Attribute) and n.attr == "data"
+                   for n in ast.walk(node)):
+                found.add(name or getattr(node, "name", "<module>"))
+    return found
+
+
+def test_scan_finds_data_reads_in_methods_and_nested_functions():
+    assert data_readers("class A:\n"
+                        "    def f(self):\n"
+                        "        def g():\n"
+                        "            return self.data\n"
+                        "        return g\n"
+                        "    def h(self):\n"
+                        "        return self.columns()\n"
+                        "def k(m):\n"
+                        "    return m.data[0]\n"
+                        "x = y.data\n") == {"A.f", "k", "<module>"}
+
+
+def test_only_the_layout_methods_read_linmap_data():
+    found = data_readers(_source("exact_tensor.py"))
+    assert found - LAYOUT_WRITERS <= LAYOUT_READERS, sorted(
+        found - LAYOUT_WRITERS - LAYOUT_READERS)
+
+
 # A Kronecker product built only to be composed once goes through
 # LinMap.compose_kron, kron_compose or pair_compose, which never store it.
 def _is_kron(node):

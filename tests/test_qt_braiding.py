@@ -17,7 +17,7 @@ from conftest import (
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
 from homcat.hom_structures import HomBialgebra, check_hom_bialgebra
 from homcat.qt_braiding import (
-    BraidMap, RMatrix, _braiding_elementwise, b_from_qt, braiding_from_r,
+    RMatrix, _braiding_elementwise, b_from_qt, braiding_from_r,
     check_braiding_morphism, check_hexagon_instances, check_hom_ybe,
     check_mixed_hom_ybe, check_r_conditions, ybe_yau_twist,
 )
@@ -25,6 +25,7 @@ from homcat.rep_theory import (
     conjugate_module, module_from_cube, regular_module, tensor_module,
     zero_module,
 )
+from homcat.workbench_cli import gen_kz2_qt
 
 R_KEYS = ("r-alpha-invariance", "r-psi-invariance", "eq38", "eq29",
           "eq39", "eq30", "eq60", "eq31")
@@ -149,9 +150,9 @@ def test_braiding_matrix_matches_frozen():
     H = z2_bialgebra()
     M = regular_module(H)
     c = braiding_from_r(H, triangular_r(), M, M)
-    assert isinstance(c, BraidMap)
-    assert sparse_columns(c.map, (2, 2), (2, 2)) == FROZEN["kz2_braiding"]
-    sq_id = c.map.compose(c.map) == identity(4)
+    assert isinstance(c, LinMap)
+    assert sparse_columns(c, (2, 2), (2, 2)) == FROZEN["kz2_braiding"]
+    sq_id = c.compose(c) == identity(4)
     assert sq_id == FROZEN["kz2_braiding_squares_to_id"]
 
 
@@ -164,12 +165,30 @@ def test_braiding_morphism_battery():
                            "braiding-intertwine", "braiding-natural", "eq27"]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_braiding_natural_against_supplied_morphisms(field):
+    # braiding-natural squares the braiding against f: U -> U2 and
+    # g: V -> V2 given as (map, target module); kz2-qt, U = V = regular
+    H, R = gen_kz2_qt(field)
+    U = regular_module(H)
+    k = LinMap.from_rows(field, [[1, 1], [0, 1]])
+    conj = (k, conjugate_module(U, k))  # a module isomorphism
+    rep = check_braiding_morphism(H, R, U, U, f=conj, g=conj)
+    assert rep.ok and len(rep.checked) == 5
+    # diag(1, 2) is no module map U -> U, so only the square fails
+    rep = check_braiding_morphism(H, R, U, U, f=(diag([1, 2], field), U),
+                                  g=(identity(2, field), U))
+    assert rep.failed_axioms == ["braiding-natural"]
+    assert len(rep.checked) == 5
+    assert {v.axiom for v in rep.violations} == {"braiding-natural"}
+
+
 def test_braiding_on_zero_module():
     H = z2_bialgebra()
     Z = zero_module(QQ, 2, diag([2, 3]))
     M = regular_module(H)
     c = braiding_from_r(H, triangular_r(), Z, M)
-    assert c.map.is_zero()
+    assert c.is_zero()
     assert check_braiding_morphism(H, triangular_r(), Z, M).ok
 
 
@@ -207,10 +226,10 @@ def test_r_action_does_arithmetic_on_nonzeros_only(monkeypatch):
         monkeypatch.setattr(Fraction, name, counting)
     c = braiding_from_r(H, triangular_r(), U, V)
     monkeypatch.undo()
-    assert (c.map.rows, c.map.cols) == (256, 256)
+    assert (c.rows, c.cols) == (256, 256)
     assert counts["__mul__"] < 5000
     assert counts["__add__"] < 5000
-    assert c.map == _braiding_elementwise(H, triangular_r(), U, V)
+    assert c == _braiding_elementwise(H, triangular_r(), U, V)
 
 
 def test_hexagons_match_frozen():

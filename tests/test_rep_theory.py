@@ -1,5 +1,7 @@
 """Module and comodule laws, tensor and twist constructions, morphisms."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,8 @@ from conftest import (
 
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
 from homcat.hom_structures import (
-    HomAlgebra, HomBialgebra, HomCoalgebra, yau_twist_bialgebra,
+    HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
+    check_hom_coalgebra, yau_twist_bialgebra,
 )
 from homcat.rep_theory import (
     action_cube, check_associator_instance, check_comodule,
@@ -23,9 +26,9 @@ from homcat.rep_theory import (
 from homcat.workbench_cli import gen_group_bialgebra
 
 
-def z3tw():
+def z3tw(field=QQ):
     return yau_twist_bialgebra(group_mul_cube(3), group_comul_cube(3),
-                               group_alpha_map(3, 2))
+                               group_alpha_map(3, 2, field))
 
 
 # ----------------------------------------------------------- module laws
@@ -125,6 +128,59 @@ def test_twist_functors_commute_and_split_tensor():
     lhs = twist_module(H, tensor_module(H, M, N), "F")
     rhs = tensor_module(H, twist_module(H, M, "F"), twist_module(H, N, "F"))
     assert lhs.action == rhs.action and lhs.alpha == rhs.alpha
+
+
+def _renamed(rep, ids):
+    # status and violations, scalars with type and str bytes, ids renamed
+    return ([(ids.get(a, a), ok) for a, ok in rep.axiom_status.items()],
+            [(ids.get(v.axiom, v.axiom), v.index,
+              [(ix, type(c), str(c)) for ix, c in v.lhs],
+              [(ix, type(c), str(c)) for ix, c in v.rhs])
+             for v in rep.violations])
+
+
+def _random_cube(field, n, seed):
+    rng = random.Random(seed)
+    vals = [0, 0, 1, -2, "3/2", "-1/3"]
+    return [[[field.coerce(rng.choice(vals)) for _ in range(n)]
+             for _ in range(n)] for _ in range(n)]
+
+
+def _random_square(field, n, seed):
+    rng = random.Random(seed)
+    return LinMap(field, n, n, [rng.choice([0, 1, 2, "1/2"])
+                                for _ in range(n * n)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_algebra_laws_are_the_regular_modules(field):
+    # eq1/eq2 of A are eq8/eq9 of A acting on itself by its product
+    algebras = [z3tw(field).algebra,
+                HomAlgebra(field, DUAL_MUL, diag([1, 3], field))]
+    algebras += [HomAlgebra(field, _random_cube(field, 3, s),
+                            _random_square(field, 3, s)) for s in range(4)]
+    assert algebras[0].dim == 3 and check_hom_algebra(algebras[0]).ok
+    assert sum(not check_hom_algebra(A).ok for A in algebras) == 5
+    ids = {"eq8": "eq1", "eq9": "eq2"}
+    for A in algebras:
+        assert (_renamed(check_hom_algebra(A), {})
+                == _renamed(check_module(A, regular_module(A)), ids))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_coalgebra_laws_are_the_regular_comodules(field):
+    # eq3/eq4 of C are comodul1/comodul2 of C coacting by its coproduct
+    coalgebras = [z3tw(field).coalgebra,
+                  HomCoalgebra(field, DUAL_COMUL, diag([1, 2], field))]
+    coalgebras += [HomCoalgebra(field, _random_cube(field, 3, s),
+                                _random_square(field, 3, s))
+                   for s in range(4)]
+    assert check_hom_coalgebra(coalgebras[0]).ok
+    assert sum(not check_hom_coalgebra(C).ok for C in coalgebras) == 5
+    ids = {"comodul1": "eq3", "comodul2": "eq4"}
+    for C in coalgebras:
+        assert (_renamed(check_hom_coalgebra(C), {})
+                == _renamed(check_comodule(C, regular_comodule(C)), ids))
 
 
 # ------------------------------------------------------------- comodules

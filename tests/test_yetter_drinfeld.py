@@ -181,7 +181,7 @@ def test_drinfeld_double_braiding_is_the_yd_braiding_over_ks3():
     for M in as_d:
         assert check_module(D, M).ok
     for (M, MD), (N, ND) in product(zip(pool, as_d), repeat=2):
-        assert braiding_from_r(D, R, MD, ND).map == b_yd(H3, M, N)
+        assert braiding_from_r(D, R, MD, ND) == b_yd(H3, M, N)
 
 
 def test_tensor_gates_on_invalid_input(H, yd_regular):

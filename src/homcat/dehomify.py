@@ -181,9 +181,7 @@ def check_hexagons(b_family, c_family, U, V, W):
     """
     du, dv, dw = b_family.dim(U), b_family.dim(V), b_family.dim(W)
     field = b_family.field
-    idu = identity(du, field)
-    idv = identity(dv, field)
-    idw = identity(dw, field)
+    idu, idv, idw = (identity(d, field) for d in (du, dv, dw))
 
     def checks():
         lhs1 = lazy(b_family.assoc(V, W, U).compose(

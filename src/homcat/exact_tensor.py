@@ -17,6 +17,11 @@ __hash__. The rest (add, scale, permute_cols, the elimination behind rank
 and inverse) and other modules build a map from (row, col, value) terms
 with LinMap.from_terms and read it as sparse columns with columns();
 entry and row_lists are dense readers for the structure-file codec.
+Every stored zero over Q is the one object field.zero: Field.coerce
+returns it for any zero, from_terms for a zero term or a cancelled sum,
+and kron and Product.form store it. So columns() finds the nonzeros in C,
+by identity with field.zero over Q and by truth over F_p, and runs Python
+once per nonzero, never once per entry.
 
 All arithmetic is exact. Equality of maps is entrywise scalar equality,
 never tolerance based. add, sub and scale do arithmetic only where an
@@ -44,8 +49,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import lcm, prod
+from operator import is_not
 from typing import Callable, NamedTuple
 
 from . import _kernels_py as _K
@@ -139,11 +145,11 @@ class Field(Frozen):
         p = self.char
         if p == 0:
             if type(value) is Fraction:
-                # already a normalized, immutable rational scalar
-                return value
+                # normalized already; a zero becomes the one self.zero
+                return value or self.zero
             if isinstance(value, float):
                 raise ValueError("floating point scalars are not accepted; use 'a/b'")
-            return Fraction(value)
+            return Fraction(value) or self.zero
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, int):
@@ -194,8 +200,8 @@ def GF(p):
     if f is None:
         if not _is_prime(p):
             raise ValueError(f"GF(p) needs a prime p, got {p}")
-        f = Field(p)
-        _GF_CACHE[p] = f
+        f = _GF_CACHE[p] = object.__new__(Field)  # Field(p) would test p again
+        f._init(char=p, zero=0, one=1)
     return f
 
 
@@ -218,7 +224,7 @@ class LinMap(Frozen):
     def __init__(self, field, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        flat = tuple(field.coerce(v) for v in entries)
+        flat = tuple(map(field.coerce, entries))
         if len(flat) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
         self._init(field=field, rows=rows, cols=cols, data=flat)
@@ -255,18 +261,20 @@ class LinMap(Frozen):
 
         terms yields (i, j, value) with value a scalar of field (over F_p
         any int); positions may repeat. Each sum is reduced mod p once,
-        after the last term.
+        after the last term; a zero sum over Q is stored as field.zero.
         """
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         check_size(rows, cols, "from_terms")
-        flat = [field.zero] * (rows * cols)
+        zero = field.zero
+        flat = [zero] * (rows * cols)
         for i, j, v in terms:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(
                     f"term at ({i}, {j}) outside a {rows}x{cols} map")
             k = i * cols + j
-            flat[k] = flat[k] + v if flat[k] else v
+            s = v if flat[k] is zero else flat[k] + v
+            flat[k] = s if s is not zero and s else zero
         p = field.modulus
         if p is not None:
             flat = [v % p for v in flat]
@@ -284,8 +292,11 @@ class LinMap(Frozen):
     def columns(self):
         """Each column's nonzeros as a list of (row, value), rows ascending."""
         c, data = self.cols, self.data
-        return [[(i, v) for i, v in enumerate(data[j::c]) if v]
-                for j in range(c)]
+        nz = data if self.field.char else map(is_not, data, repeat(self.field.zero))
+        out = [[] for _ in range(c)]
+        for k in compress(range(len(data)), nz):
+            out[k % c].append((k // c, data[k]))
+        return out
 
     def compose(self, other):
         """self after other: (self.compose(f))(v) = self(f(v))."""
@@ -712,11 +723,9 @@ def flip_map(d_u, d_v, field=QQ):
 def unflatten_index(flat, dims):
     """Inverse of left-to-right flattening: flat -> factor index tuple."""
     idx = []
-    rem = flat
     for d in reversed(dims):
-        idx.append(rem % d)
-        rem //= d
-    if rem:
+        idx.append(flat % d)
+        flat //= d
+    if flat:
         raise ValueError("flat index out of range")
-    idx.reverse()
-    return tuple(idx)
+    return tuple(reversed(idx))

@@ -173,16 +173,26 @@ def _failed_axioms(check, *args):
     return tuple(check(*args).failed_axioms)
 
 
-def coerce_cube(field, cube):
-    """Coerce a dim^3 nested sequence of scalars; returns nested tuples.
-
-    Each distinct entry is coerced once per cube, keyed by type and value
+def coerce_rows(field, coerce):
+    """row -> tuple of coerce's images of its entries, coerce called once per
+    distinct entry in the returned function's life, keyed by type and value
     (by value alone, 0.5 would pass as Fraction(1, 2)); an entry of the
-    field's scalar type, whose hash costs more, is coerced where it is.
-    """
-    n = len(cube)
-    memo = lru_cache(maxsize=None, typed=True)(field.coerce)
-    scalar = type(field.zero)
+    field's scalar type, whose hash costs more, is coerced where it is, and
+    a row with an unhashable entry, which coerce refuses, entry by entry."""
+    memo, scalar = lru_cache(maxsize=None, typed=True)(coerce), type(field.zero)
+
+    def row_in(row):
+        try:
+            return tuple([coerce(v) if type(v) is scalar else memo(v)
+                          for v in row])
+        except TypeError:
+            return tuple(map(coerce, row))
+    return row_in
+
+
+def coerce_cube(field, cube):
+    """A dim^3 nested sequence of scalars as nested tuples (coerce_rows)."""
+    n, row_in = len(cube), coerce_rows(field, field.coerce)
     out = []
     for plane in cube:
         if len(plane) != n:
@@ -191,11 +201,7 @@ def coerce_cube(field, cube):
         for row in plane:
             if len(row) != n:
                 raise ValueError("cube is not dim x dim x dim")
-            try:
-                rows.append(tuple(field.coerce(v) if type(v) is scalar
-                                  else memo(v) for v in row))
-            except TypeError:  # an unhashable entry, which coerce refuses
-                rows.append(tuple(map(field.coerce, row)))
+            rows.append(row_in(row))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -243,10 +249,14 @@ class HomAlgebra(Frozen):
     __slots__ = ("field", "dim", "mul", "alpha", "mul_linmap")
 
     def __init__(self, field, mul, alpha):
-        cube = coerce_cube(field, mul)
+        self._set(field, coerce_cube(field, mul), alpha)
+
+    def _set(self, field, cube, alpha):
+        # trusts cube; object.__new__(cls)._set(...) skips coerce_cube
         _check_square(field, alpha, len(cube), "alpha")
         self._init(field=field, dim=len(cube), mul=cube, alpha=alpha,
                    mul_linmap=mul_map(field, cube))
+        return self
 
 
 class HomCoalgebra(Frozen):
@@ -255,10 +265,13 @@ class HomCoalgebra(Frozen):
     __slots__ = ("field", "dim", "comul", "psi", "comul_linmap")
 
     def __init__(self, field, comul, psi):
-        cube = coerce_cube(field, comul)
+        self._set(field, coerce_cube(field, comul), psi)
+
+    def _set(self, field, cube, psi):
         _check_square(field, psi, len(cube), "psi")
         self._init(field=field, dim=len(cube), comul=cube, psi=psi,
                    comul_linmap=comul_map(field, cube))
+        return self
 
 
 class HomBialgebra(Frozen):
@@ -272,16 +285,19 @@ class HomBialgebra(Frozen):
                  "mul_linmap", "comul_linmap", "algebra", "coalgebra")
 
     def __init__(self, field, mul, comul, alpha, psi):
-        mcube = coerce_cube(field, mul)
-        dcube = coerce_cube(field, comul)
+        self._set(field, coerce_cube(field, mul), coerce_cube(field, comul),
+                  alpha, psi)
+
+    def _set(self, field, mcube, dcube, alpha, psi):
         if len(mcube) != len(dcube):
             raise ValueError("mul and comul cube dimensions differ")
-        alg = HomAlgebra(field, mcube, alpha)
-        coalg = HomCoalgebra(field, dcube, psi)
+        alg = object.__new__(HomAlgebra)._set(field, mcube, alpha)
+        coalg = object.__new__(HomCoalgebra)._set(field, dcube, psi)
         self._init(field=field, dim=alg.dim, mul=alg.mul, comul=coalg.comul,
                    alpha=alpha, psi=psi, mul_linmap=alg.mul_linmap,
                    comul_linmap=coalg.comul_linmap, algebra=alg,
                    coalgebra=coalg)
+        return self
 
 
 class HomSemigroup(Frozen):
@@ -373,9 +389,7 @@ def _contract_comul(comul, tcols, left, elements):
 
 
 def _bialgebra_extra_checks(H):
-    n = H.dim
-    M = H.mul_linmap
-    D = H.comul_linmap
+    n, M, D = H.dim, H.mul_linmap, H.comul_linmap
     al, ps = H.alpha, H.psi
     lhs5, rhs5 = _contraction_coassoc(H.field, H.comul, ps)
     yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
@@ -437,7 +451,7 @@ def yau_twist_algebra(mul, alpha):
     cube = coerce_cube(field, mul)
     n = len(cube)
     _check_square(field, alpha, n, "endo")
-    A = HomAlgebra(field, cube, identity(n, field))
+    A = object.__new__(HomAlgebra)._set(field, cube, identity(n, field))
     if not check_hom_algebra(A).ok:
         raise ValueError("not-associative: input multiplication is not associative")
     if not check_structure_morphism(alpha, A, A, "algebra").ok:
@@ -454,10 +468,12 @@ def yau_twist_bialgebra(mul, comul, endo):
     morphism for both mul and comul.
     """
     field = endo.field
-    n = len(coerce_cube(field, mul))
+    mcube = coerce_cube(field, mul)
+    n = len(mcube)
     _check_square(field, endo, n, "endo")
-    classical = HomBialgebra(field, mul, comul, identity(n, field),
-                             identity(n, field))
+    classical = object.__new__(HomBialgebra)._set(
+        field, mcube, coerce_cube(field, comul), identity(n, field),
+        identity(n, field))
     require(check_hom_bialgebra, classical,
             what="not-bialgebra: classical laws fail")
     for kind in ("algebra", "coalgebra"):
@@ -510,10 +526,8 @@ def semigroup_algebra(S, field=QQ):
     n = S.n
     cube = [[[field.one if k == S.table[i][j] else field.zero
               for k in range(n)] for j in range(n)] for i in range(n)]
-    alpha = LinMap.from_cols(
-        field,
-        [[field.one if i == S.alpha_table[j] else field.zero
-          for i in range(n)] for j in range(n)], n)
+    alpha = LinMap.from_terms(field, n, n, (
+        (S.alpha_table[j], j, field.one) for j in range(n)))
     return HomAlgebra(field, cube, alpha)
 
 

@@ -343,12 +343,10 @@ def check_mixed_hom_ybe(b_uv, b_uw, b_vw, a_u, a_v, a_w):
       = (b_vw (x) a_u)(a_v (x) b_uw)(b_uv (x) a_w)
     """
     dU, dV, dW = a_u.rows, a_v.rows, a_w.rows
-    if b_uv.rows != dV * dU or b_uv.cols != dU * dV:
-        raise ValueError("b_uv shape mismatch")
-    if b_uw.rows != dW * dU or b_uw.cols != dU * dW:
-        raise ValueError("b_uw shape mismatch")
-    if b_vw.rows != dW * dV or b_vw.cols != dV * dW:
-        raise ValueError("b_vw shape mismatch")
+    for name, b, s, t in (("b_uv", b_uv, dU, dV), ("b_uw", b_uw, dU, dW),
+                          ("b_vw", b_vw, dV, dW)):
+        if b.rows != t * s or b.cols != s * t:
+            raise ValueError(f"{name} shape mismatch")
     lhs, rhs = _braid_sides(b_uv, b_uw, b_vw, a_u, a_v, a_w)
     return _run([("hYBeB", lhs, rhs, (dU, dV, dW), (dW, dV, dU))])
 

@@ -25,11 +25,12 @@ import re
 import sys
 import time
 from math import isqrt
+from typing import NamedTuple
 
 from .exact_tensor import GF, QQ, LinMap, check_size, identity
 from .hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
-    check_hom_bialgebra, check_hom_coalgebra, require,
+    check_hom_bialgebra, check_hom_coalgebra, coerce_rows, require,
 )
 from .rep_theory import (
     action_cube, check_comodule, check_module, check_module_hom_algebra,
@@ -78,12 +79,11 @@ def matrix_to_json(m):
     return [[str(v) for v in row] for row in m.row_lists()]
 
 
-def matrix_from_json(field, rows, nrows=None, ncols=None):
+def matrix_from_json(field, row_in, rows, nrows=None, ncols=None):
     if not isinstance(rows, list) or not rows or \
             not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty array of rows")
-    data = [[_scalar_in(field, v) for v in r] for r in rows]
-    m = LinMap.from_rows(field, data)
+    m = LinMap.from_rows(field, list(map(row_in, rows)))
     if nrows is not None and m.rows != nrows:
         raise ValueError(f"matrix has {m.rows} rows, declared {nrows}")
     if ncols is not None and m.cols != ncols:
@@ -95,7 +95,7 @@ def cube_to_json(cube):
     return [[[str(v) for v in row] for row in plane] for plane in cube]
 
 
-def cube_from_json(field, data, dims):
+def cube_from_json(row_in, data, dims):
     d0, d1, d2 = dims
     if not isinstance(data, list) or len(data) != d0:
         raise ValueError(f"cube outer length {len(data) if isinstance(data, list) else '?'} != {d0}")
@@ -107,7 +107,7 @@ def cube_from_json(field, data, dims):
         for row in plane:
             if not isinstance(row, list) or len(row) != d2:
                 raise ValueError(f"cube inner length != {d2}")
-            rows.append([_scalar_in(field, v) for v in row])
+            rows.append(row_in(row))
         out.append(rows)
     return out
 
@@ -118,34 +118,34 @@ def canonical_dumps(obj):
 
 # ------------------------------------------------------ structure file codec
 
-def _cube_in(field, data, n):
-    return cube_from_json(field, data, (n, n, n))
+def _cube_in(field, row_in, data, n):
+    return cube_from_json(row_in, data, (n, n, n))
 
 
-def _square_in(field, data, n):
-    return matrix_from_json(field, data, n, n)
+def _square_in(field, row_in, data, n):
+    return matrix_from_json(field, row_in, data, n, n)
 
 
-def _action_in(field, act, dm):
+def _action_in(field, row_in, act, dm):
     if not isinstance(act, list) or not act:
         raise ValueError("action must be a non-empty cube")
-    return cube_from_json(field, act, (len(act), dm, dm))
+    return cube_from_json(row_in, act, (len(act), dm, dm))
 
 
-def _coaction_in(field, co, dm):
+def _coaction_in(field, row_in, co, dm):
     if not isinstance(co, list) or len(co) != dm or \
             not isinstance(co[0], list) or not co[0]:
         raise ValueError("coaction must be a cube of the declared dim")
-    return cube_from_json(field, co, (dm, len(co[0]), dm))
+    return cube_from_json(row_in, co, (dm, len(co[0]), dm))
 
 
-def _coeffs_in(field, coeffs, n):
+def _coeffs_in(field, row_in, coeffs, n):
     if not isinstance(coeffs, list) or len(coeffs) != n * n:
         raise ValueError("rmatrix needs exactly dim*dim coeffs")
-    return [_scalar_in(field, v) for v in coeffs]
+    return row_in(coeffs)
 
 
-# key -> (decoder(field, value, dim), encoder(obj))
+# key -> (decoder(field, row decoder, value, dim), encoder(obj))
 _KEYS = {
     "mul": (_cube_in, lambda o: cube_to_json(o.mul)),
     "comul": (_cube_in, lambda o: cube_to_json(o.comul)),
@@ -172,15 +172,12 @@ _KINDS = {
 KINDS = (*_KINDS, "linmap")
 
 
-class Parsed:
+class Parsed(NamedTuple):
     """One decoded structure file: kind, the constructed object, parent ref."""
 
-    __slots__ = ("kind", "obj", "parent")
-
-    def __init__(self, kind, obj, parent=None):
-        self.kind = kind
-        self.obj = obj
-        self.parent = parent
+    kind: str
+    obj: object
+    parent: str = None
 
 
 def _get(d, key):
@@ -206,12 +203,16 @@ def parse_structure(d):
     parent = d.get("parent")
     if parent is not None and not isinstance(parent, str):
         raise ValueError("parent must be a file name string")
+    # each distinct scalar of the file is checked and coerced once
+    row_in = coerce_rows(field, functools.partial(_scalar_in, field))
     if kind == "linmap":
         r, c = _dim(d, "rows"), _dim(d, "cols")
-        return Parsed(kind, matrix_from_json(field, _get(d, "matrix"), r, c))
+        return Parsed(kind, matrix_from_json(field, row_in, _get(d, "matrix"),
+                                             r, c))
     make, keys, keeps_parent = _KINDS[kind]
     n = _dim(d, "dim")
-    obj = make(field, *(_KEYS[k][0](field, _get(d, k), n) for k in keys))
+    obj = make(field, *(_KEYS[k][0](field, row_in, _get(d, k), n)
+                        for k in keys))
     return Parsed(kind, obj, parent if keeps_parent else None)
 
 
@@ -233,11 +234,6 @@ def structure_to_dict(kind, obj, parent=None):
 
 # ------------------------------------------------------------------- loaders
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _of_kind(path, parsed, kinds):
     if kinds and parsed.kind not in kinds:
         raise ValueError(f"{path}: expected kind in {kinds}, got {parsed.kind}")
@@ -245,7 +241,8 @@ def _of_kind(path, parsed, kinds):
 
 
 def load_structure(path, *kinds):
-    return _of_kind(path, parse_structure(_load_json(path)), kinds)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _of_kind(path, parse_structure(json.load(fh)), kinds)
 
 
 def _resolve_parent(path, parsed, explicit):
@@ -282,9 +279,8 @@ def gen_group_bialgebra(n, k):
             for j in range(n)] for i in range(n)]
     comul = [[[o if i == (t * k) % n and j == (t * k) % n else z
                for j in range(n)] for i in range(n)] for t in range(n)]
-    alpha = LinMap.from_cols(field,
-                             [[o if r == (i * k) % n else z for r in range(n)]
-                              for i in range(n)], n)
+    alpha = LinMap.from_terms(field, n, n,
+                              (((i * k) % n, i, o) for i in range(n)))
     H = HomBialgebra(field, mul, comul, alpha, alpha)
     return H, check_hom_bialgebra(H)
 
@@ -472,16 +468,16 @@ def _yd_family(H, mods):
 
 
 def _cmd_dehomify(args):
+    counts, words = {"pentagon": ((4,), "four"), "hexagons": ((3,), "three"),
+                     "cross-check": ((2, 3), "two or three")}[args.what]
+    if len(args.module) not in counts:
+        raise ValueError(f"dehomify {args.what} needs {words} --module files")
     H = load_structure(args.bialgebra, "bialgebra").obj
     mods = [load_structure(p, "yd").obj for p in args.module]
     if args.what == "pentagon":
-        if len(mods) != 4:
-            raise ValueError("dehomify pentagon needs four --module files")
         fam = _yd_family(H, mods)
         return check_pentagon(fam, "0", "1", "2", "3"), []
     if args.what == "hexagons":
-        if len(mods) != 3:
-            raise ValueError("dehomify hexagons needs three --module files")
         for M in mods:
             require(check_yd, H, M, what="module is not Yetter-Drinfeld:")
         fam = _yd_family(H, mods)
@@ -492,10 +488,7 @@ def _cmd_dehomify(args):
         fam.add_pair_map("0", ("1", "2"), b_yd(H, U, yd_tensor(H, V, W)))
         fam.add_pair_map(("0", "1"), "2", b_yd(H, yd_tensor(H, U, V), W))
         return check_hexagons(fam, fam, "0", "1", "2"), []
-    # cross-check
-    if len(mods) not in (2, 3):
-        raise ValueError("dehomify cross-check needs two or three --module files")
-    return cross_check_yd(H, *mods), []
+    return cross_check_yd(H, *mods), []  # cross-check
 
 
 def _cmd_gen(args):
@@ -617,18 +610,10 @@ def _build_parser():
     return p
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "twist": _cmd_twist,
-    "tensor": _cmd_tensor,
-    "braiding": _cmd_braiding,
-    "bmap": _cmd_bmap,
-    "ybe": _cmd_ybe,
-    "mixed-ybe": _cmd_mixed_ybe,
-    "hexagons": _cmd_hexagons,
-    "dehomify": _cmd_dehomify,
-    "gen": _cmd_gen,
-}
+_DISPATCH = {"check": _cmd_check, "twist": _cmd_twist, "tensor": _cmd_tensor,
+             "braiding": _cmd_braiding, "bmap": _cmd_bmap, "ybe": _cmd_ybe,
+             "mixed-ybe": _cmd_mixed_ybe, "hexagons": _cmd_hexagons,
+             "dehomify": _cmd_dehomify, "gen": _cmd_gen}
 
 
 def main(argv=None):

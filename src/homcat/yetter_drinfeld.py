@@ -67,11 +67,10 @@ def _yd_base(H):
         raise ValueError("Yetter-Drinfeld operations need equal twist maps "
                          "on the bialgebra")
     try:
-        ai = _cached_inverse(H.alpha)
+        return _cached_inverse(H.alpha)
     except ValueError:
         raise ValueError("Yetter-Drinfeld operations need an invertible "
                          "twist map") from None
-    return ai
 
 
 def check_yd(H, M):
@@ -91,9 +90,7 @@ def _yd_checks(H, M):
     n, dm = H.dim, M.dim
     field = H.field
     act, coact = M.action, M.coaction
-    D = H.comul_linmap
-    Mm = H.mul_linmap
-    a = H.alpha
+    D, Mm, a = H.comul_linmap, H.mul_linmap, H.alpha
     a2 = a.compose(a)
     idn = identity(n, field)
     idm = identity(dm, field)

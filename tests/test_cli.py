@@ -12,10 +12,12 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from homcat.exact_tensor import GF, QQ, flip_map, identity
+from homcat import workbench_cli
+from homcat.exact_tensor import GF, QQ, Field, LinMap, flip_map, identity
 from homcat.qt_braiding import check_r_conditions
 from homcat.rep_theory import (
-    comodule_from_cube, regular_comodule, regular_module, tensor_module,
+    comodule_from_cube, conjugate_module, regular_comodule, regular_module,
+    tensor_module,
 )
 from homcat.workbench_cli import (
     canonical_dumps, gen_group_bialgebra, gen_kz2_qt, main, parse_structure,
@@ -503,18 +505,23 @@ def test_dehomify_cross_check_with_three_modules(ws):
     ("dehomify cross-check", 0), ("dehomify cross-check", 1),
     ("dehomify cross-check", 4)])
 def test_wrong_module_count_exits_2(ws, command, count):
+    # the count is refused before any file is read, so a malformed module
+    # file among them is never named
     path, write = ws
     _write_dehomify_inputs(ws)
     H, R = gen_kz2_qt()
     write("R.json", structure_to_dict("rmatrix", R))
+    with open(path("bad.json"), "w") as fh:
+        fh.write("{nope")
     if command.startswith("dehomify"):
         module, extra = path("YD.json"), []
     else:
         module = write("M.json", structure_to_dict(
             "module", regular_module(H), parent="H.json"))
         extra = ["--r", path("R.json")] if command != "tensor" else []
+    modules = [path("bad.json")] + [module] * (count - 1) if count else []
     argv = (command.split() + ["--bialgebra", path("H.json")] + extra
-            + ["--module", module] * count)
+            + [arg for m in modules for arg in ("--module", m)])
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {command} needs "), err
@@ -534,6 +541,54 @@ def test_structure_over_a_strong_pseudoprime_exits_2(ws, p):
     doc["field"] = {"Fp": 2 ** 61 - 1}
     code, out, _ = run(["check", "algebra", write("A.json", doc)])
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_parsing_a_module_coerces_each_distinct_scalar_once(monkeypatch):
+    # a 64-dim tensor power of a conjugated kZ_2 module: 12,288 scalars in
+    # the file, each distinct one checked and coerced once per parse
+    H, _ = gen_kz2_qt()
+    V = conjugate_module(regular_module(H),
+                         LinMap.from_rows(QQ, [[1, 1], [0, 2]]))
+    T = V
+    for _ in range(5):
+        T = tensor_module(H, T, V)
+    doc = json.loads(canonical_dumps(structure_to_dict("module", T, "H.json")))
+    scalars = [v for plane in doc["action"] for row in plane for v in row]
+    scalars += [v for row in doc["alpha"] for v in row]
+    checked, coerced = [], []
+    real_check, real_coerce = workbench_cli._scalar_in, Field.coerce
+    monkeypatch.setattr(workbench_cli, "_scalar_in",
+                        lambda f, s: checked.append(s) or real_check(f, s))
+    monkeypatch.setattr(Field, "coerce", lambda f, v: (
+        coerced.append(v) if isinstance(v, str) else None) or real_coerce(f, v))
+    parsed = parse_structure(doc)
+    monkeypatch.undo()
+    assert T.dim == 64 and len(scalars) == 3 * 64 * 64
+    assert sorted(checked) == sorted(coerced) == sorted(set(scalars))
+    assert (parsed.obj.action, parsed.obj.alpha) == (T.action, T.alpha)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1], "1/0"])
+def test_scalar_refusals_keep_their_messages(bad):
+    # checked and coerced once per distinct value keyed by type, so True
+    # and 1.0 are not taken for a coerced 1, and an unhashable [1] is
+    # refused as any other bad scalar
+    message = ("scalars must be integers or strings 'a' or 'a/b' with "
+               f"b != 0, got {bad!r}")
+    docs = [
+        {"kind": "linmap", "field": "Q", "rows": 1, "cols": 3,
+         "matrix": [["1", 1, bad]]},
+        {"kind": "module", "field": {"Fp": 5}, "dim": 1,
+         "action": [[[1]], [["1"]], [[bad]]], "alpha": [["1"]]},
+        {"kind": "rmatrix", "field": "Q", "dim": 2,
+         "coeffs": [1, "1", "0", bad]},
+        {"kind": "algebra", "field": "Q", "dim": 1, "mul": [[["1"]]],
+         "alpha": [[bad]]},
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError) as info:
+            parse_structure(doc)
+        assert str(info.value) == message, doc
 
 
 def test_check_mha_flags_incompatible_action(ws):

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
 
-from homcat import _kernels_py
+from homcat import _kernels_py, exact_tensor
 from homcat.exact_tensor import (
     GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, LinMap, compose, compose_all,
     diag, flatten_index, flip_map, identity, kron, kron_all, lazy,
@@ -78,6 +78,29 @@ def test_strong_pseudoprimes_are_not_fields():
     assert GF(p).char == p and GF(p).inv(2) * 2 % p == 1
     # the largest prime below the bound (sympy.prevprime agrees)
     assert GF(PSI13 - 168).char == PSI13 - 168
+
+
+def test_a_new_prime_field_tests_its_modulus_once(monkeypatch):
+    # GF decides primality and builds the field without Field(p) deciding
+    # it again; the refusals keep their messages
+    calls = []
+    real = exact_tensor._is_prime
+    monkeypatch.setattr(exact_tensor, "_is_prime",
+                        lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(exact_tensor, "_GF_CACHE", {})
+    p = 2 ** 61 - 1
+    F = GF(p)
+    assert calls == [p] and (F.char, F.zero, F.one) == (p, 0, 1)
+    assert GF(p) is F and F.modulus == p and calls == [p]
+    assert repr(F) == f"GF({p})" and F.inv(2) * 2 % p == 1
+    for q, message in ((6, "GF(p) needs a prime p, got 6"),
+                       (PSI12, f"GF(p) needs a prime p, got {PSI12}"),
+                       (PSI13, f"modulus {PSI13} is at or above {PSI13}, "
+                               f"where primality is not decided")):
+        calls.clear()
+        with pytest.raises(ValueError) as info:
+            GF(q)
+        assert str(info.value) == message and calls == [q]
 
 
 def test_field_identity_and_equality():
@@ -227,6 +250,59 @@ def test_columns_lists_the_nonzero_entries(field, rows, cols, data):
     m = LinMap(field, rows, cols, entries)
     assert m.columns() == [[(i, m.entry(i, j)) for i in range(rows)
                             if m.entry(i, j)] for j in range(cols)]
+
+
+def _zero_entries(m):
+    return [v for row in m.row_lists() for v in row if not v]
+
+
+def test_every_stored_zero_over_q_is_the_field_zero():
+    # columns() finds nonzeros by identity with QQ.zero, so no way of
+    # building a map may store another zero object
+    a = LinMap.from_rows(QQ, [[0, "0/7"], [Fraction(0), "1/2"]])
+    b = LinMap.from_rows(QQ, [["-1/2", 3], [2, 0]])
+    sign = LinMap.from_rows(QQ, [[1, -1]])
+    col = LinMap.from_rows(QQ, [[1], [1]])
+    maps = {
+        "from 0, '0/7' and Fraction(0)": a,
+        "dense constructor": LinMap(QQ, 1, 3, [0, "0/7", Fraction(0)]),
+        "computed zero": LinMap.from_rows(
+            QQ, [[Fraction(1, 2) - Fraction(1, 2), 1]]),
+        "cancelling terms": LinMap.from_terms(QQ, 2, 2, [
+            (0, 0, Fraction(1, 3)), (0, 0, Fraction(-1, 3)),
+            (1, 1, Fraction(0)), (1, 0, 1)]),
+        "add to zero": b.add(b.scale(-1)),
+        "sub to zero": b.sub(b),
+        "scale(0)": b.scale(0),
+        "scale('0/3')": b.scale("0/3"),
+        "kron": kron(a, b),
+        "compose": sign.compose(col.compose(sign)),
+        "compose_kron": sign.compose_kron(identity(1), col),
+        "kron_compose": sign.kron_compose(identity(1), col.compose(sign)),
+        "pair_compose": sign.pair_compose(identity(1), col, identity(1), 2),
+        "inverse": b.inverse(),
+        "diag": diag([0, "0/5", 1]),
+        "from_cols": LinMap.from_cols(QQ, [[0, 1], [Fraction(0), 2]], 2),
+        "permute_cols": a.permute_cols((2,), (0,)),
+        "permute_rows": a.permute_rows((2,), (0,)),
+    }
+    for name, m in maps.items():
+        zeros = _zero_entries(m)
+        assert zeros and all(v is QQ.zero for v in zeros), name
+
+
+def test_columns_over_q_tests_no_scalar(monkeypatch):
+    m = kron(LinMap.from_rows(QQ, [[0, "1/2", 0], [0, 0, 3]]),
+             LinMap.from_rows(QQ, [[1, 0], [0, "-2/3"]]))
+    want = [[(i, m.entry(i, j)) for i in range(m.rows) if m.entry(i, j)]
+            for j in range(m.cols)]
+    calls = []
+    real = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__",
+                        lambda x: calls.append(x) or real(x))
+    got = m.columns()
+    monkeypatch.undo()
+    assert calls == [] and got == want
 
 
 def test_from_terms_refuses_a_position_outside_the_map():

@@ -15,7 +15,7 @@ from conftest import (
 
 from homcat import exact_tensor
 from homcat.exact_tensor import (
-    GF, QQ, LinMap, diag, identity, kron, lazy, unflatten_index,
+    GF, QQ, Field, LinMap, diag, identity, kron, lazy, unflatten_index,
 )
 from homcat.hom_structures import (
     VIOLATION_CAP, CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra,
@@ -48,6 +48,37 @@ def test_cube_coerces_each_distinct_entry_once():
         with pytest.raises(ValueError, match=(
                 "^floating point scalars are not accepted")):
             HomAlgebra(field, entries, identity(2, field))
+
+
+def test_each_cube_is_coerced_once(monkeypatch):
+    # HomBialgebra hands the cubes it coerced to its algebra and coalgebra
+    # as they are, and the Yau twists coerce mul once, not again to read
+    # its length: one coerce call per Fraction entry of each cube built
+    H, _ = gen_group_bialgebra(7, 1)
+    endo = LinMap.from_terms(QQ, 7, 7, ((2 * i % 7, i, 1) for i in range(7)))
+    calls = []
+    real = Field.coerce
+    monkeypatch.setattr(Field, "coerce",
+                        lambda f, v: calls.append(v) or real(f, v))
+    for cubes, build in (
+            (2, lambda: HomBialgebra(QQ, H.mul, H.comul, H.alpha, H.psi)),
+            (2, lambda: yau_twist_algebra(H.mul, endo)),
+            (4, lambda: yau_twist_bialgebra(H.mul, H.comul, endo))):
+        calls.clear()
+        built = build()
+        assert len(calls) == cubes * 7 ** 3, len(calls)
+    monkeypatch.undo()
+    assert check_hom_bialgebra(built).ok
+    assert built.algebra.mul is built.mul
+    assert built.coalgebra.comul is built.comul
+    # refusals keep their order: mul, then the endo, then comul
+    float_cube = [[[0.5]]]
+    for mul, comul, size, message in (
+            (float_cube, group_comul_cube(2), 6, "floating point"),
+            (group_mul_cube(2), float_cube, 6, "endo must be 2x2"),
+            (group_mul_cube(2), float_cube, 2, "floating point")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            yau_twist_bialgebra(mul, comul, identity(size))
 
 
 # -------------------------------------------------------- algebra checks

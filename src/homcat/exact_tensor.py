@@ -16,7 +16,7 @@ layout: entry, row_lists, columns, _sums, permute_rows, kron, __eq__ and
 __hash__. The rest (add, scale, permute_cols, the elimination behind rank
 and inverse) and other modules build a map from (row, col, value) terms
 with LinMap.from_terms and read it as sparse columns with columns();
-entry and row_lists are dense readers for the structure-file codec.
+row_lists is the dense reader of the codec and the elimination.
 Every stored zero over Q is the one object field.zero: Field.coerce
 returns it for any zero, from_terms for a zero term or a cancelled sum,
 and kron and Product.form store it. So columns() finds the nonzeros in C,

@@ -1,7 +1,10 @@
 """Hom-associative algebras, hom-coassociative coalgebras, hom-bialgebras.
 
 Structures are plain structure-constant containers; nothing is validated at
-construction time, so invalid instances are legitimate checker inputs. Each
+construction time, so invalid instances are legitimate checker inputs.
+Every cube has one layout: its entries, read in order, are its map's read
+column by column (cube_map, inverse map_cube), and coerce_cube is the one
+shape check and coercion of a cube, for modules and the codec too. Each
 defining identity has a short stable id (eq1, eq2, ...) used in reports and
 documented with its formula in docs/formats.md. Checks compare the two sides
 of an identity, products of maps assembled from the structure constants and
@@ -29,7 +32,8 @@ Identity vocabulary used here:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, compress, count, islice, repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .exact_tensor import (
@@ -190,48 +194,49 @@ def coerce_rows(field, coerce):
     return row_in
 
 
-def coerce_cube(field, cube):
-    """A dim^3 nested sequence of scalars as nested tuples (coerce_rows)."""
-    n, row_in = len(cube), coerce_rows(field, field.coerce)
+def coerce_cube(field, cube, shape=None, row_in=None):
+    """cube as nested tuples of field scalars, of shape (d0, d1, d2) or dim^3
+    for dim = len(cube): the one shape check of every cube, each distinct
+    entry coerced once by row_in (default coerce_rows with field.coerce)."""
+    d0, d1, d2 = shape or (len(cube),) * 3
+    row_in, seq = row_in or coerce_rows(field, field.coerce), (list, tuple)
+    if not isinstance(cube, seq) or len(cube) != d0:
+        got = len(cube) if isinstance(cube, seq) else "?"
+        raise ValueError(f"cube outer length {got} != {d0}")
     out = []
     for plane in cube:
-        if len(plane) != n:
-            raise ValueError("cube is not dim x dim x dim")
+        if not isinstance(plane, seq) or len(plane) != d1:
+            raise ValueError(f"cube middle length != {d1}")
         rows = []
         for row in plane:
-            if len(row) != n:
-                raise ValueError("cube is not dim x dim x dim")
+            if not isinstance(row, seq) or len(row) != d2:
+                raise ValueError(f"cube inner length != {d2}")
             rows.append(row_in(row))
         out.append(tuple(rows))
     return tuple(out)
 
 
-def mul_map(field, mul):
-    """Multiplication as a dim x dim^2 map: column flat(i,j) is e_i e_j."""
-    n = len(mul)
-    return LinMap.from_terms(field, n, n * n, (
-        (k, i * n + j, v) for i in range(n) for j in range(n)
-        for k, v in enumerate(mul[i][j]) if v))
+def cube_map(field, cube, rows):
+    """The map with rows rows whose entries, read column by column, are
+    cube's field scalars in order, not coerced again: flat position k is
+    entry (k % rows, k // rows), one column per plane if rows is 0. Shapes:
+    mul n x n^2, comul n^2 x n, action dim x hdim dim, coaction cdim dim x dim."""
+    flat = [v for plane in cube for row in plane for v in row]
+    nz = flat if field.char else map(is_not, flat, repeat(field.zero))
+    return LinMap.from_terms(field, rows, len(flat) // rows if rows else len(cube), (
+        (k % rows, k // rows, flat[k]) for k in compress(count(), nz)))
 
 
-def _map_cube(M):
-    # inverse of mul_map (n x n^2) and of comul_map (n^2 x n): entry (r, c)
-    # of M goes to flat position c * M.rows + r of the n x n x n cube
-    n, rows = min(M.rows, M.cols), M.rows
-    flat = [M.field.zero] * n ** 3
+def map_cube(M, d1, d2):
+    """Inverse of cube_map: M's entries, read column after column, as
+    nested lists d0 x d1 x d2."""
+    rows, flat = M.rows, [M.field.zero] * (M.rows * M.cols)
     for c, nz in enumerate(M.columns()):
         for r, v in nz:
             flat[c * rows + r] = v
-    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-            for i in range(n)]
-
-
-def comul_map(field, comul):
-    """Comultiplication as a dim^2 x dim map: column k is comul(e_k)."""
-    n = len(comul)
-    return LinMap.from_terms(field, n * n, n, (
-        (i * n + j, k, v) for k in range(n) for i in range(n)
-        for j, v in enumerate(comul[k][i]) if v))
+    d0 = len(flat) // (d1 * d2) if d1 * d2 else M.cols
+    return [[flat[(a * d1 + b) * d2:(a * d1 + b + 1) * d2] for b in range(d1)]
+            for a in range(d0)]
 
 
 def _check_square(field, m, dim, what):
@@ -255,7 +260,7 @@ class HomAlgebra(Frozen):
         # trusts cube; object.__new__(cls)._set(...) skips coerce_cube
         _check_square(field, alpha, len(cube), "alpha")
         self._init(field=field, dim=len(cube), mul=cube, alpha=alpha,
-                   mul_linmap=mul_map(field, cube))
+                   mul_linmap=cube_map(field, cube, len(cube)))
         return self
 
 
@@ -270,7 +275,7 @@ class HomCoalgebra(Frozen):
     def _set(self, field, cube, psi):
         _check_square(field, psi, len(cube), "psi")
         self._init(field=field, dim=len(cube), comul=cube, psi=psi,
-                   comul_linmap=comul_map(field, cube))
+                   comul_linmap=cube_map(field, cube, len(cube) ** 2))
         return self
 
 
@@ -456,7 +461,7 @@ def yau_twist_algebra(mul, alpha):
         raise ValueError("not-associative: input multiplication is not associative")
     if not check_structure_morphism(alpha, A, A, "algebra").ok:
         raise ValueError("not-endomorphism: alpha is not an algebra endomorphism")
-    return HomAlgebra(field, _map_cube(alpha.compose(A.mul_linmap)), alpha)
+    return HomAlgebra(field, map_cube(alpha.compose(A.mul_linmap), n, n), alpha)
 
 
 def yau_twist_bialgebra(mul, comul, endo):
@@ -480,8 +485,8 @@ def yau_twist_bialgebra(mul, comul, endo):
         require(check_structure_morphism, endo, classical, classical, kind,
                 what="not-endomorphism: endo fails")
     return HomBialgebra(field,
-                        _map_cube(endo.compose(classical.mul_linmap)),
-                        _map_cube(classical.comul_linmap.compose(endo)),
+                        map_cube(endo.compose(classical.mul_linmap), n, n),
+                        map_cube(classical.comul_linmap.compose(endo), n, n),
                         endo, endo)
 
 
@@ -491,7 +496,8 @@ def tensor_hom_algebra(A, B):
         raise ValueError("field mismatch in tensor_hom_algebra")
     idn = identity(A.dim * B.dim, A.field)
     mul = A.mul_linmap.pair_compose(B.mul_linmap, idn, idn, A.dim)
-    return HomAlgebra(A.field, _map_cube(mul), kron(A.alpha, B.alpha))
+    return HomAlgebra(A.field, map_cube(mul, mul.rows, mul.rows),
+                      kron(A.alpha, B.alpha))
 
 
 def check_hom_semigroup(S):
@@ -540,12 +546,9 @@ def nondegenerate_via_regular(A, strong=False):
     strong=True the slot being acted on is first passed through alpha.
     Never claims degeneracy: the inconclusive answer is UNKNOWN.
     """
-    n = A.dim
-    # e_a itself, or alpha(e_a) when strong
-    slots = (A.alpha.columns() if strong
-             else [[(a, A.field.one)] for a in range(n)])
+    n, mul = A.dim, A.mul_linmap
+    if strong:  # the product after id (x) alpha
+        mul = mul.compose_kron(identity(n, A.field), A.alpha)
     # column h is the map a -> h a, its image of e_a on rows flat(a, k)
-    mat = LinMap.from_terms(A.field, n * n, n, (
-        (a * n + k, h, w * v) for h in range(n) for a in range(n)
-        for t, w in slots[a] for k, v in enumerate(A.mul[h][t]) if v))
+    mat = cube_map(A.field, map_cube(mul, n, n), n * n)
     return NONDEGENERATE if mat.rank() == n else UNKNOWN

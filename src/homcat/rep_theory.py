@@ -2,7 +2,8 @@
 
 A module action is one matrix (columns indexed by the flattened pair
 (algebra basis h, module basis m), rows by the module basis), a coaction is
-one matrix the other way around. Tensor modules, the two action-twisting
+one matrix the other way around, each its cube read column by column
+(hom_structures.cube_map). Tensor modules, the two action-twisting
 endofunctors and the structure-map-as-morphism checks all reduce to matrix
 assembly from these plus the structure-constant cubes. The (co)module laws
 are hom_structures._module_laws and _comodule_laws, which yield eq1-eq4 too.
@@ -22,10 +23,11 @@ Identity vocabulary (formulas in docs/formats.md):
 from __future__ import annotations
 
 from .exact_tensor import (
-    Frozen, LinMap, check_size, identity, kron, lazy, zero_map,
+    Frozen, check_size, identity, kron, lazy, zero_map,
 )
 from .hom_structures import (
     CheckReport, HomBialgebra, _comodule_laws, _module_laws, _run,
+    coerce_cube, cube_map, map_cube,
 )
 
 
@@ -74,47 +76,21 @@ class HComodule(Frozen):
 
 def module_from_cube(field, cube, alpha):
     """Action cube a[h][m][k]: h.e_m = sum_k a[h][m][k] e_k."""
-    dim = alpha.rows
-
-    def terms():
-        for h, plane in enumerate(cube):
-            if len(plane) != dim:
-                raise ValueError("action cube module axis mismatch")
-            for m, row in enumerate(plane):
-                if len(row) != dim:
-                    raise ValueError("action cube target axis mismatch")
-                for k, v in enumerate(row):
-                    yield k, h * dim + m, field.coerce(v)
-
-    action = LinMap.from_terms(field, dim, len(cube) * dim, terms())
-    return HModule(field, action, alpha)
+    d = alpha.rows
+    cube = coerce_cube(field, cube, (len(cube), d, d))
+    return HModule(field, cube_map(field, cube, d), alpha)
 
 
 def comodule_from_cube(field, cube, psi):
     """Coaction cube c[m][j][k]: coact(e_m) = sum c[m][j][k] e_j (x) e_k."""
-    dim = psi.rows
-    if len(cube) != dim:
-        raise ValueError("coaction cube module axis mismatch")
-    cdim = len(cube[0]) if dim else 0
-
-    def terms():
-        for m, plane in enumerate(cube):
-            if len(plane) != cdim:
-                raise ValueError("coaction cube coalgebra axis mismatch")
-            for j, row in enumerate(plane):
-                if len(row) != dim:
-                    raise ValueError("coaction cube target axis mismatch")
-                for k, v in enumerate(row):
-                    yield j * dim + k, m, field.coerce(v)
-
-    coaction = LinMap.from_terms(field, cdim * dim, dim, terms())
-    return HComodule(field, coaction, psi)
+    d, cdim = psi.rows, len(cube[0]) if cube else 0
+    cube = coerce_cube(field, cube, (d, cdim, d))
+    return HComodule(field, cube_map(field, cube, cdim * d), psi)
 
 
 def action_cube(M):
     """Inverse of module_from_cube: nested lists a[h][m][k]."""
-    return [[[M.action.entry(k, h * M.dim + m) for k in range(M.dim)]
-             for m in range(M.dim)] for h in range(M.hdim)]
+    return map_cube(M.action, M.dim, M.dim)
 
 
 def coaction_cube(M):
@@ -122,9 +98,7 @@ def coaction_cube(M):
 
     M is anything with a coaction and a dim (a comodule or a YD module).
     """
-    cdim = M.coaction.rows // M.dim
-    return [[[M.coaction.entry(j * M.dim + k, m) for k in range(M.dim)]
-             for j in range(cdim)] for m in range(M.dim)]
+    return map_cube(M.coaction, M.coaction.rows // M.dim, M.dim)
 
 
 def regular_module(A):

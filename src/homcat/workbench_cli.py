@@ -5,8 +5,10 @@ File format (StructureFile). Every file is a single JSON object with
 are strings: reduced "a/b" with positive denominator over the rationals
 ("a" when the denominator is 1), decimal residues mod p. Cubes are nested
 arrays indexed as documented in docs/formats.md; matrices are arrays of
-rows. Module-like files may carry "parent", the bialgebra file they live
-over, resolved relative to the referencing file.
+rows. Each distinct scalar of a file is coerced once: cubes through
+coerce_cube (action and coaction on to their maps), matrices through
+from_terms. Module-like files may carry "parent", the bialgebra file they
+live over, resolved relative to the referencing file.
 
 Report format (ReportFile). One JSON object on stdout per invocation:
 {"command": [...], "axioms": [{"axiom", "pass", "counterexample"?}, ...],
@@ -30,18 +32,19 @@ from typing import NamedTuple
 from .exact_tensor import GF, QQ, LinMap, check_size, identity
 from .hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
-    check_hom_bialgebra, check_hom_coalgebra, coerce_rows, require,
+    check_hom_bialgebra, check_hom_coalgebra, coerce_cube, coerce_rows,
+    cube_map, require,
 )
 from .rep_theory import (
-    action_cube, check_comodule, check_module, check_module_hom_algebra,
-    coaction_cube, comodule_from_cube, module_from_cube, tensor_module,
+    HComodule, HModule, action_cube, check_comodule, check_module,
+    check_module_hom_algebra, coaction_cube, tensor_module,
 )
 from .qt_braiding import (
     RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
     check_hexagon_instances, check_hom_ybe, check_mixed_hom_ybe,
     check_r_conditions,
 )
-from .yetter_drinfeld import b_yd, check_yd, yd_from_cubes, yd_tensor
+from .yetter_drinfeld import YDModule, b_yd, check_yd, yd_tensor
 from .dehomify import ConstraintFamily, check_hexagons, check_pentagon, \
     cross_check_yd
 from . import hom_structures
@@ -83,7 +86,11 @@ def matrix_from_json(field, row_in, rows, nrows=None, ncols=None):
     if not isinstance(rows, list) or not rows or \
             not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a non-empty array of rows")
-    m = LinMap.from_rows(field, list(map(row_in, rows)))
+    rows = list(map(row_in, rows))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged row lists")
+    m = LinMap.from_terms(field, len(rows), len(rows[0]), (
+        (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)))
     if nrows is not None and m.rows != nrows:
         raise ValueError(f"matrix has {m.rows} rows, declared {nrows}")
     if ncols is not None and m.cols != ncols:
@@ -95,23 +102,6 @@ def cube_to_json(cube):
     return [[[str(v) for v in row] for row in plane] for plane in cube]
 
 
-def cube_from_json(row_in, data, dims):
-    d0, d1, d2 = dims
-    if not isinstance(data, list) or len(data) != d0:
-        raise ValueError(f"cube outer length {len(data) if isinstance(data, list) else '?'} != {d0}")
-    out = []
-    for plane in data:
-        if not isinstance(plane, list) or len(plane) != d1:
-            raise ValueError(f"cube middle length != {d1}")
-        rows = []
-        for row in plane:
-            if not isinstance(row, list) or len(row) != d2:
-                raise ValueError(f"cube inner length != {d2}")
-            rows.append(row_in(row))
-        out.append(rows)
-    return out
-
-
 def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -119,7 +109,7 @@ def canonical_dumps(obj):
 # ------------------------------------------------------ structure file codec
 
 def _cube_in(field, row_in, data, n):
-    return cube_from_json(row_in, data, (n, n, n))
+    return coerce_cube(field, data, (n, n, n), row_in)
 
 
 def _square_in(field, row_in, data, n):
@@ -129,20 +119,26 @@ def _square_in(field, row_in, data, n):
 def _action_in(field, row_in, act, dm):
     if not isinstance(act, list) or not act:
         raise ValueError("action must be a non-empty cube")
-    return cube_from_json(row_in, act, (len(act), dm, dm))
+    return cube_map(field, coerce_cube(field, act, (len(act), dm, dm), row_in), dm)
 
 
 def _coaction_in(field, row_in, co, dm):
     if not isinstance(co, list) or len(co) != dm or \
             not isinstance(co[0], list) or not co[0]:
         raise ValueError("coaction must be a cube of the declared dim")
-    return cube_from_json(row_in, co, (dm, len(co[0]), dm))
+    return cube_map(field, coerce_cube(field, co, (dm, len(co[0]), dm),
+                                       row_in), len(co[0]) * dm)
 
 
 def _coeffs_in(field, row_in, coeffs, n):
     if not isinstance(coeffs, list) or len(coeffs) != n * n:
         raise ValueError("rmatrix needs exactly dim*dim coeffs")
     return row_in(coeffs)
+
+
+def _trusted(cls):
+    # cubes decoded by coerce_cube are not coerced again (see HomAlgebra._set)
+    return lambda field, *parts: object.__new__(cls)._set(field, *parts)
 
 
 # key -> (decoder(field, row decoder, value, dim), encoder(obj))
@@ -160,12 +156,13 @@ _KEYS = {
 # parent); mirrors the "Structure files" table of docs/formats.md. linmap
 # (rows, cols, matrix; no dim) is the one kind outside the table.
 _KINDS = {
-    "algebra": (HomAlgebra, ("mul", "alpha"), False),
-    "coalgebra": (HomCoalgebra, ("comul", "psi"), False),
-    "bialgebra": (HomBialgebra, ("mul", "comul", "alpha", "psi"), False),
-    "module": (module_from_cube, ("action", "alpha"), True),
-    "comodule": (comodule_from_cube, ("coaction", "psi"), True),
-    "yd": (yd_from_cubes, ("action", "coaction", "alpha"), True),
+    "algebra": (_trusted(HomAlgebra), ("mul", "alpha"), False),
+    "coalgebra": (_trusted(HomCoalgebra), ("comul", "psi"), False),
+    "bialgebra": (_trusted(HomBialgebra), ("mul", "comul", "alpha", "psi"),
+                  False),
+    "module": (HModule, ("action", "alpha"), True),
+    "comodule": (HComodule, ("coaction", "psi"), True),
+    "yd": (YDModule, ("action", "coaction", "alpha"), True),
     "rmatrix": (lambda field, coeffs: RMatrix(field, isqrt(len(coeffs)),
                                               coeffs), ("coeffs",), True),
 }
@@ -272,7 +269,8 @@ def gen_group_bialgebra(n, k):
         raise ValueError("n must be a positive integer")
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a non-negative integer")
-    check_size(n, n * n, "group-bialgebra cube")
+    # H stores two n^3 cubes and their two maps: 4 n^3 entries in all
+    check_size(n, 4 * n * n, "group-bialgebra cube")
     field = QQ
     z, o = field.zero, field.one
     mul = [[[o if t == ((i + j) * k) % n else z for t in range(n)]

@@ -545,27 +545,39 @@ def test_structure_over_a_strong_pseudoprime_exits_2(ws, p):
 
 def test_parsing_a_module_coerces_each_distinct_scalar_once(monkeypatch):
     # a 64-dim tensor power of a conjugated kZ_2 module: 12,288 scalars in
-    # the file, each distinct one checked and coerced once per parse
+    # its file; each distinct scalar of a file is checked and coerced once
+    # per parse, and no Field.coerce call coerces it again
     H, _ = gen_kz2_qt()
-    V = conjugate_module(regular_module(H),
-                         LinMap.from_rows(QQ, [[1, 1], [0, 2]]))
+    g = LinMap.from_rows(QQ, [[1, 1], [0, 2]])
+    V = conjugate_module(regular_module(H), g)
     T = V
     for _ in range(5):
         T = tensor_module(H, T, V)
-    doc = json.loads(canonical_dumps(structure_to_dict("module", T, "H.json")))
-    scalars = [v for plane in doc["action"] for row in plane for v in row]
-    scalars += [v for row in doc["alpha"] for v in row]
-    checked, coerced = [], []
+    C = regular_comodule(H.coalgebra)
+    coaction = g.kron_compose(g, C.coaction.compose(g.inverse()))
+    objs = {"module": T, "comodule": comodule_from_cube(
+                QQ, [[[1, "1/2"], ["-3/4", 0]], [[0, 2], ["1/2", 1]]], g),
+            "yd": YDModule(QQ, V.action, coaction, V.alpha),
+            "linmap": T.alpha, "bialgebra": H}
     real_check, real_coerce = workbench_cli._scalar_in, Field.coerce
-    monkeypatch.setattr(workbench_cli, "_scalar_in",
-                        lambda f, s: checked.append(s) or real_check(f, s))
-    monkeypatch.setattr(Field, "coerce", lambda f, v: (
-        coerced.append(v) if isinstance(v, str) else None) or real_coerce(f, v))
-    parsed = parse_structure(doc)
-    monkeypatch.undo()
-    assert T.dim == 64 and len(scalars) == 3 * 64 * 64
-    assert sorted(checked) == sorted(coerced) == sorted(set(scalars))
-    assert (parsed.obj.action, parsed.obj.alpha) == (T.action, T.alpha)
+    for kind, obj in objs.items():
+        doc = json.loads(canonical_dumps(structure_to_dict(kind, obj)))
+        scalars = [v for key in ("action", "coaction", "mul", "comul")
+                   for plane in doc.get(key, ()) for row in plane
+                   for v in row]
+        scalars += [v for key in ("alpha", "psi", "matrix")
+                    for row in doc.get(key, ()) for v in row]
+        checked, coerced = [], []
+        monkeypatch.setattr(workbench_cli, "_scalar_in",
+                            lambda f, s: checked.append(s) or real_check(f, s))
+        monkeypatch.setattr(Field, "coerce", lambda f, v: coerced.append(v)
+                            or real_coerce(f, v))
+        parsed = parse_structure(doc)
+        monkeypatch.undo()
+        assert sorted(checked) == sorted(set(scalars)), kind
+        assert coerced == checked, kind
+        assert structure_to_dict(kind, parsed.obj) == doc, kind
+        assert kind != "module" or len(scalars) == 3 * 64 * 64
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, [1], "1/0"])

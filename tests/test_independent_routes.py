@@ -4,13 +4,27 @@ eq5, eq38, eq39, eq60 and eq27 each evaluate an identity a second time to
 guard its matrix-route evaluation against indexing mistakes. That holds
 only while they build both sides entry by entry from the structure
 constants, never through the map algebra (composition, Kronecker products,
-tensor-factor permutations) that the matrix route uses.
+tensor-factor permutations) that the matrix route uses. Where the two
+routes build the same map, the formed maps must be equal, not only the
+verdicts.
 """
 
 import ast
 import os
+from itertools import chain
 
 import pytest
+from hypothesis import given, strategies as st
+
+from conftest import group_comul_cube, group_mul_cube, sweedler_h4
+from homcat.exact_tensor import GF, QQ, LinMap, Product
+from homcat.hom_structures import (
+    _comodule_laws, _contraction_coassoc, yau_twist_bialgebra,
+)
+from homcat.qt_braiding import (
+    RMatrix, _braiding_elementwise, _r_condition_checks, braiding_from_r,
+)
+from homcat.rep_theory import regular_module, twist_module
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 
@@ -72,3 +86,50 @@ def test_yd_braiding_calls_nothing_from_the_r_braiding_route():
     assert "tensor_module" in shared
     assert called_names(functions("yetter_drinfeld.py")["_b_yd_map"]) \
         & shared == set()
+
+
+# ------------------------------------------------ the routes agree on sides
+
+FIELDS = (QQ, GF(5))
+
+
+@st.composite
+def bialgebra_with_r(draw):
+    """A Yau-twisted group bialgebra of dim 1-4, or Sweedler's H4, with a
+    random element R of its tensor square, over Q or GF(5)."""
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        H = sweedler_h4(field)
+    else:
+        n = draw(st.integers(1, 4))
+        k = draw(st.integers(0, n))
+        endo = LinMap.from_terms(field, n, n, ((i * k % n, i, 1)
+                                               for i in range(n)))
+        H = yau_twist_bialgebra(group_mul_cube(n), group_comul_cube(n), endo)
+    coeffs = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, "1/2")),
+                           min_size=H.dim ** 2, max_size=H.dim ** 2))
+    return H, RMatrix(field, H.dim, coeffs)
+
+
+def formed(side):
+    return side.form() if isinstance(side, Product) else side
+
+
+@given(bialgebra_with_r())
+def test_matrix_and_contraction_routes_build_the_same_sides(case):
+    # each matrix-route side, formed, equals its contraction twin as a map;
+    # a verdict can survive an indexing slip, a formed side cannot
+    H, R = case
+    sides = {axiom: (formed(lhs), formed(rhs))
+             for axiom, lhs, rhs, _, _ in chain(
+                 _r_condition_checks(H, R),
+                 _comodule_laws(H, H.comul_linmap, H.psi, ("eq3", "eq4")))}
+    sides["eq5"] = _contraction_coassoc(H.field, H.comul, H.psi)
+    for matrix, contraction in (("eq29", "eq38"), ("eq30", "eq39"),
+                                ("eq31", "eq60"), ("eq4", "eq5")):
+        assert sides[matrix] == sides[contraction], (matrix, contraction)
+    U = regular_module(H)
+    V = twist_module(H, U, "F")
+    for M, N in ((U, U), (U, V), (V, U)):
+        assert braiding_from_r(H, R, M, N) == \
+            _braiding_elementwise(H, R, M, N)

@@ -14,7 +14,7 @@ from conftest import (
 from homcat.exact_tensor import GF, QQ, LinMap, diag, identity, kron
 from homcat.hom_structures import (
     HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
-    check_hom_coalgebra, yau_twist_bialgebra,
+    check_hom_coalgebra, coerce_cube, cube_map, map_cube, yau_twist_bialgebra,
 )
 from homcat.rep_theory import (
     action_cube, check_associator_instance, check_comodule,
@@ -68,10 +68,35 @@ def test_module_field_mismatch():
         check_module(A, M)
 
 
+def assert_layout_round_trips(rows_of):
+    # cube_map reads a cube's entries, in order, as its map's entries
+    # column after column, and map_cube reads them back; rows_of(d1, d2)
+    # is the map's row count for a d0 x d1 x d2 cube
+    rng = random.Random(21)
+    for field in (QQ, GF(2), GF(5), GF(7)):
+        for _ in range(20):
+            shape = [rng.randint(1, 4) for _ in range(3)]
+            c = coerce_cube(field, cube({
+                (i, j, k): rng.choice((1, -1, 3, "2/3"))
+                for i in range(shape[0]) for j in range(shape[1])
+                for k in range(shape[2]) if rng.random() < 0.5}, shape),
+                shape)
+            rows = rows_of(*shape[1:])
+            M = cube_map(field, c, rows)
+            flat = [v for plane in c for row in plane for v in row]
+            assert (M.rows, M.cols) == (rows, len(flat) // rows)
+            assert [M.entry(k % rows, k // rows)
+                    for k in range(len(flat))] == flat
+            assert map_cube(M, *shape[1:]) == [list(map(list, plane))
+                                               for plane in c]
+
+
 def test_module_from_cube_roundtrip():
     M = module_from_cube(QQ, group_mul_cube(3), group_alpha_map(3, 2))
     assert module_from_cube(QQ, action_cube(M), M.alpha).action == M.action
     assert (M.hdim, M.dim) == (3, 3)
+    # an action cube a[h][m][k] is its dim x hdim dim map
+    assert_layout_round_trips(lambda dm, dk: dk)
 
 
 def test_zero_module_always_valid():
@@ -202,6 +227,8 @@ def test_comodule_cube_roundtrip():
     M = regular_comodule(C)
     again = comodule_from_cube(QQ, coaction_cube(M), M.psi)
     assert again.coaction == M.coaction
+    # a coaction cube c[m][j][k] is its cdim dim x dim map
+    assert_layout_round_trips(lambda dj, dk: dj * dk)
 
 
 # ----------------------------------------------------- conjugation, phi

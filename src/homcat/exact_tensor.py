@@ -385,9 +385,10 @@ class LinMap(Frozen):
         return not any(self.columns())
 
     def _echelon(self, augment=None):
-        # returns (rank, reduced rows) of [self | augment]; field.coerce
-        # reduces each new scalar mod p and passes a rational through
-        f, n = self.field, self.rows
+        # returns (rank, reduced rows) of [self | augment]: over F_p each
+        # new scalar is reduced % p, over Q it is plain Fraction arithmetic,
+        # whose zeros from_rows normalises where inverse stores them
+        f, n, p = self.field, self.rows, self.field.char
         rows = self.row_lists()
         if augment is not None:
             rows = [r + a for r, a in zip(rows, augment.row_lists())]
@@ -398,12 +399,13 @@ class LinMap(Frozen):
                 continue
             rows[rank], rows[piv] = rows[piv], rows[rank]
             inv = f.inv(rows[rank][col])
-            rows[rank] = [f.coerce(v * inv) for v in rows[rank]]
+            prow = rows[rank] = [v * inv % p if p else v * inv
+                                 for v in rows[rank]]
             for r in range(n):
                 if r != rank and rows[r][col]:
                     m = rows[r][col]
-                    rows[r] = [f.coerce(a - m * b)
-                               for a, b in zip(rows[r], rows[rank])]
+                    rows[r] = [(a - m * b) % p if p else a - m * b
+                               for a, b in zip(rows[r], prow)]
             rank += 1
             if rank == n:
                 break

@@ -13,15 +13,17 @@ lexicographic multi-index order) at a time. _intertwining is the one spec
 of the law that ybe-compat, defB and braiding-intertwine share.
 _module_laws yields eq8/eq9, and eq1/eq2 as the regular module's;
 _comodule_laws yields comodul1/comodul2, and eq3/eq4 as the regular
-comodule's.
+comodule's. _contract is the one scalar contraction of the independent
+routes (eq5 here; eq38, eq39, eq60, remQT and eq27 in qt_braiding): each
+side is an index formula over nonzero terms read from the cubes, R's
+coefficients and maps' columns, never from mul_linmap or comul_linmap.
 
 Identity vocabulary used here:
   eq1   alpha(a b) = alpha(a) alpha(b)
   eq2   alpha(a)(b c) = (a b) alpha(c)            (twisted associativity)
   eq3   (psi (x) psi) comul = comul psi
   eq4   (comul (x) psi) comul = (psi (x) comul) comul   (twisted coassociativity)
-  eq5   eq4 again by an independent route: _contract_comul, the one
-        coproduct contraction (also of eq39, eq60 and remQT)
+  eq5   eq4 again by contraction: kuv,uxy,zv = kuv,xu,vyz -> xyz,k
   eq6   comul(b b') = comul(b) comul(b') in the tensor-square algebra
   eq7   comul(alpha(b)) = (alpha (x) alpha)(comul(b))
   eq7111 comul(psi(b)) = (psi (x) psi)(comul(b))
@@ -31,13 +33,15 @@ Identity vocabulary used here:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
-from operator import is_not
+from math import lcm, prod
+from operator import is_not, itemgetter
 from typing import NamedTuple
 
 from .exact_tensor import (
-    Frozen, LinMap, QQ, compare_columns, identity, kron, lazy,
+    Frozen, LinMap, QQ, check_size, compare_columns, identity, kron, lazy,
     unflatten_index,
 )
 
@@ -361,43 +365,85 @@ def check_hom_coalgebra(C):
     return _run(_comodule_laws(C, C.comul_linmap, C.psi, ("eq3", "eq4")))
 
 
+def _contract(field, out, dims, *factors):
+    """The map of an index formula, out = "rows,cols": each entry sums the
+    product of the factors' values over every binding of their letters.
+    Rows and columns flatten their letters left to right, each letter l
+    ranging over range(dims[l]).
+
+    A factor is (letters, terms), terms the (index tuple, value) list of
+    its nonzeros, no letter twice; factors are joined in the order written,
+    each looked up on the letters bound before it. Over Q each factor is
+    scaled to integers over the lcm of its denominators, so one rational
+    is formed per output entry, as lazy products do.
+    """
+    rows, cols = out.split(",")
+    shape = [prod(dims[l] for l in ls) for ls in (rows, cols)]
+    check_size(*shape, "from_terms")
+    out = rows + cols
+    stride = {l: prod(dims[m] for m in out[i + 1:]) for i, l in enumerate(out)}
+    # a partial binding: its values, its output position so far, its product
+    bound, den, partials = "", 1, [((), 0, 1)]
+    for letters, terms in factors:
+        if not field.char:
+            d = lcm(*{v.denominator for _, v in terms})
+            terms = [(ix, v.numerator * (d // v.denominator)) for ix, v in terms]
+            den *= d
+        key = [l for l in letters if l in bound]
+        weights = [0 if l in bound else stride.get(l, 0) for l in letters]
+        index, at = {}, _picker([letters.index(l) for l in key])
+        for ix, v in terms:
+            index.setdefault(at(ix), []).append(
+                (ix, sum(i * w for i, w in zip(ix, weights)), v))
+        partials = _join(partials, _picker([bound.index(l) for l in key]), index)
+        bound += letters
+    sums = {}
+    for _, k, c in partials:
+        sums[k] = sums.get(k, 0) + c
+    return LinMap.from_terms(field, *shape, (
+        (*divmod(k, shape[1]), s if field.char else Fraction(s, den))
+        for k, s in sums.items() if s))
+
+
+def _join(partials, at, index):
+    # each partial binding extended by every term that agrees with it
+    for b, k, c in partials:
+        for ix, q, v in index.get(at(b), ()):
+            yield b + ix, k + q, c * v
+
+
+def _picker(positions):
+    # seq -> its entries at positions, as itemgetter gives them, or ()
+    return itemgetter(*positions) if positions else lambda seq: ()
+
+
+def _cube_terms(field, cube):
+    # an n^3 cube's nonzeros as ((a, b, c), value): a _contract factor
+    n = len(cube)
+    flat = [v for plane in cube for row in plane for v in row]
+    nz = flat if field.char else map(is_not, flat, repeat(field.zero))
+    return [((k // (n * n), k // n % n, k % n), flat[k])
+            for k in compress(count(), nz)]
+
+
+def _map_terms(M):
+    # M's nonzeros as ((row, col), value): a _contract factor
+    return [((r, c), v) for c, col in enumerate(M.columns()) for r, v in col]
+
+
 def _contraction_coassoc(field, comul, psi):
-    # eq5 bypassing the matrix kernels: column k of each side applies
-    # comul (x) psi (lhs) or psi (x) comul (rhs) to comul(e_k) by contraction
-    n = len(comul)
-    elements = [[(u, v, d) for u, row in enumerate(dk)
-                 for v, d in enumerate(row) if d] for dk in comul]
-    return tuple(LinMap.from_terms(field, n ** 3, n, _contract_comul(
-        comul, psi.columns(), left, elements)) for left in (True, False))
-
-
-def _contract_comul(comul, tcols, left, elements):
-    """comul (x) t, or t (x) comul when not left, applied entry by entry
-    to tensor-square elements, element c given by its terms r e_u (x) e_v
-    as (u, v, r); tcols is t.columns(). Yields (flat(x, y, z), c, value).
-    The one coproduct contraction: eq5's, eq39's, eq60's and remQT's."""
-    n = len(comul)
-    for c, terms in enumerate(elements):
-        for u, v, r in terms:
-            if left:
-                for x in range(n):
-                    for y, d in enumerate(comul[u][x]):
-                        if d:
-                            for z, t in tcols[v]:
-                                yield (x * n + y) * n + z, c, r * d * t
-            else:
-                for x, t in tcols[u]:
-                    for y in range(n):
-                        for z, d in enumerate(comul[v][y]):
-                            if d:
-                                yield (x * n + y) * n + z, c, r * t * d
+    # eq5, eq4 bypassing the map algebra: (comul (x) psi) comul and
+    # (psi (x) comul) comul as contractions of the cube and psi's entries
+    d, p, dims = _cube_terms(field, comul), _map_terms(psi), dict.fromkeys(
+        "xyzk", len(comul))
+    return (_contract(field, "xyz,k", dims, ("kuv", d), ("uxy", d), ("zv", p)),
+            _contract(field, "xyz,k", dims, ("kuv", d), ("xu", p), ("vyz", d)))
 
 
 def _bialgebra_extra_checks(H):
     n, M, D = H.dim, H.mul_linmap, H.comul_linmap
     al, ps = H.alpha, H.psi
-    lhs5, rhs5 = _contraction_coassoc(H.field, H.comul, ps)
-    yield ("eq5", lhs5, rhs5, (n,), (n, n, n))
+    yield ("eq5", *_contraction_coassoc(H.field, H.comul, ps), (n,), (n, n, n))
     # comul(e_i) comul(e_j), multiplied in H (x) H without storing the
     # n^2 x n^4 product map of H (x) H
     yield ("eq6", lazy(D).compose(M), lazy(M).pair_compose(M, D, D, n),

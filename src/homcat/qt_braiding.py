@@ -2,13 +2,15 @@
 
 An R-matrix is stored as its coefficient vector on the flattened tensor
 square. Each defining condition is verified twice where feasible: once by
-matrix composition (ids eq29, eq30, eq31) and once by direct contraction of
-structure constants (ids eq38, eq39, eq60, the latter two by eq5's coproduct
-contraction). The two routes must agree; they share no assembly code, so
-each guards the other against indexing mistakes. braiding_from_r returns
-the braiding as a plain LinMap.
+matrix composition (ids eq29, eq30, eq31) and once as an index formula
+over nonzero structure constants, one hom_structures._contract call per
+side (ids eq38, eq39, eq60, remQT-a/b; eq27 for the braiding). The two
+routes must agree; they share no assembly code, so each guards the other
+against indexing mistakes. braiding_from_r returns the braiding as a
+plain LinMap.
 
-Identity vocabulary (formulas in docs/formats.md):
+Identity vocabulary (formulas, the contraction sides' among them, in
+docs/formats.md):
   r-alpha-invariance  (alpha (x) alpha)(R) = R
   r-psi-invariance    (psi (x) psi)(R) = R
   eq29 / eq38   R comul(h) = comul-op(h) R  (matrix / contraction route)
@@ -28,10 +30,12 @@ Identity vocabulary (formulas in docs/formats.md):
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .exact_tensor import Frozen, LinMap, identity, kron, lazy
 from .hom_structures import (
-    CheckReport, _contract_comul, _intertwining, _run, check_hom_bialgebra,
-    require,
+    CheckReport, _contract, _cube_terms, _intertwining, _map_terms, _run,
+    check_hom_bialgebra, require,
 )
 from .rep_theory import _pair_action, check_module, tensor_module, twist_module
 
@@ -42,74 +46,39 @@ class RMatrix(Frozen):
     __slots__ = ("field", "dim", "coeffs")
 
     def __init__(self, field, dim, coeffs):
-        flat = tuple(field.coerce(v) for v in coeffs)
+        flat = tuple(map(field.coerce, coeffs))
         if len(flat) != dim * dim:
             raise ValueError(f"expected {dim * dim} coefficients, got {len(flat)}")
-        self._init(field=field, dim=dim, coeffs=flat)
+        self._set(field, flat)
+
+    def _set(self, field, coeffs):
+        # trusts coeffs, a tuple of dim^2 field scalars (see HomAlgebra._set)
+        self._init(field=field, dim=isqrt(len(coeffs)), coeffs=coeffs)
+        return self
 
     def as_vector(self):
         """The element as a dim^2 x 1 map from the ground field."""
-        return LinMap.from_cols(self.field, [self.coeffs], self.dim * self.dim)
+        return LinMap.from_terms(self.field, len(self.coeffs), 1, (
+            (k, 0, v) for k, v in enumerate(self.coeffs)))
 
     def nonzero(self):
         n = self.dim
         return [(i // n, i % n, v) for i, v in enumerate(self.coeffs) if v]
 
 
+def _r_terms(R):
+    # R's nonzero coefficients as ((i, j), r): a _contract factor
+    return [(divmod(k, R.dim), v) for k, v in enumerate(R.coeffs) if v]
+
+
 def _contract_eq38(H, R):
     # both sides of R comul(h) = comul-op(h) R, per algebra basis vector h
-    n = H.dim
-    mul, comul = H.mul, H.comul
-    nz = R.nonzero()
-    lhs, rhs = [], []
-    for h in range(n):
-        for i in range(n):
-            for j in range(n):
-                d = comul[h][i][j]
-                if not d:
-                    continue
-                for u, v, r in nz:
-                    rd = r * d
-                    for y in range(n):
-                        a = mul[u][i][y]
-                        b = mul[j][u][y]
-                        for z in range(n):
-                            if a:
-                                m2 = mul[v][j][z]
-                                if m2:
-                                    lhs.append((y * n + z, h, rd * a * m2))
-                            if b:
-                                m2 = mul[i][v][z]
-                                if m2:
-                                    rhs.append((y * n + z, h, rd * b * m2))
-    return (LinMap.from_terms(H.field, n * n, n, lhs),
-            LinMap.from_terms(H.field, n * n, n, rhs))
-
-
-def _contract_rr_side(H, R, tcols, left):
-    # the double-R side of eq39 (left) or eq60 as one-column terms, with
-    # tcols the columns of psi, or of the identity for remQT-a and -b
-    n = H.dim
-    mul = H.mul
-    nz = R.nonzero()
-    for u, v, r1 in nz:
-        for q, w, r2 in nz:
-            r = r1 * r2
-            if left:
-                # psi(s_i) (x) psi(s_j) (x) t_i t_j ; i = (u,v), j = (q,w)
-                for x, a in tcols[u]:
-                    for y, b in tcols[q]:
-                        for z, m in enumerate(mul[v][w]):
-                            if m:
-                                yield (x * n + y) * n + z, 0, r * a * b * m
-            else:
-                # s_i s_j (x) psi(t_j) (x) psi(t_i)
-                for x, m in enumerate(mul[u][q]):
-                    if not m:
-                        continue
-                    for y, b in tcols[w]:
-                        for z, a in tcols[v]:
-                            yield (x * n + y) * n + z, 0, r * m * b * a
+    f, dims, r = H.field, dict.fromkeys("yzh", H.dim), _r_terms(R)
+    d, m = _cube_terms(f, H.comul), _cube_terms(f, H.mul)
+    return (_contract(f, "yz,h", dims, ("hij", d), ("uv", r), ("uiy", m),
+                      ("vjz", m)),
+            _contract(f, "yz,h", dims, ("hij", d), ("uv", r), ("juy", m),
+                      ("ivz", m)))
 
 
 def check_r_conditions(H, R):
@@ -153,8 +122,7 @@ def _r_condition_checks(H, R):
     yield ("eq29", lazy(M).pair_compose(M, rv, D, n),
            lazy(M).pair_compose(M, d_cop, rv, n), (n,), (n, n))
     # exchange law, contraction route
-    lhs38, rhs38 = _contract_eq38(H, R)
-    yield ("eq38", lhs38, rhs38, (n,), (n, n))
+    yield ("eq38", *_contract_eq38(H, R), (n,), (n, n))
 
     # coproduct-splitting laws, matrix route: R (x) R acting factorwise,
     # psi (x) psi on the left legs of its two copies and the product on
@@ -174,13 +142,19 @@ def _r_condition_checks(H, R):
 def _contract_coproduct_splitting(H, R, axioms, t, u):
     # (comul (x) t)(R), then (t (x) comul)(R), each against its double-R
     # side with u on the two legs left unmultiplied, all by contraction
-    n = H.dim
-    tcols, ucols = t.columns(), u.columns()
-    for axiom, left in zip(axioms, (True, False)):
-        lhs = _contract_comul(H.comul, tcols, left, [R.nonzero()])
-        rhs = _contract_rr_side(H, R, ucols, left)
-        yield (axiom, LinMap.from_terms(H.field, n ** 3, 1, lhs),
-               LinMap.from_terms(H.field, n ** 3, 1, rhs), (), (n, n, n))
+    f, n, r = H.field, H.dim, _r_terms(R)
+    d, m = _cube_terms(f, H.comul), _cube_terms(f, H.mul)
+    t, u, dims = _map_terms(t), _map_terms(u), dict.fromkeys("xyz", n)
+    # u(s_i) (x) u(s_j) (x) t_i t_j, with R = sum r[a][b] e_a (x) e_b twice
+    yield (axioms[0],
+           _contract(f, "xyz,", dims, ("ab", r), ("axy", d), ("zb", t)),
+           _contract(f, "xyz,", dims, ("ab", r), ("ce", r), ("xa", u),
+                     ("yc", u), ("bez", m)), (), (n, n, n))
+    # s_i s_j (x) u(t_j) (x) u(t_i)
+    yield (axioms[1],
+           _contract(f, "xyz,", dims, ("ab", r), ("xa", t), ("byz", d)),
+           _contract(f, "xyz,", dims, ("ab", r), ("ce", r), ("acx", m),
+                     ("ye", u), ("zb", u)), (), (n, n, n))
 
 
 def _swapped_r_action(R, U, V):
@@ -204,37 +178,20 @@ def braiding_from_r(H, R, U, V):
                              twist_module(H, V, "G"))
 
 
+def _action_terms(M):
+    # e_t.e_u = sum a[t][u][k] e_k as ((t, u, k), a), read from the action's
+    # column flat(t, u): a _contract factor
+    return [((*divmod(c, M.dim), k), v)
+            for c, col in enumerate(M.action.columns()) for k, v in col]
+
+
 def _braiding_elementwise(H, R, U, V):
-    # independent route: assemble each column from action columns directly
-    field = H.field
-    dU, dV = U.dim, V.dim
-    ucols = U.action_columns()
-    vcols = V.action_columns()
-    acols = H.alpha.columns()
-
-    def terms():
-        for u in range(dU):
-            for v in range(dV):
-                c = u * dV + v
-                for i, j, r in R.nonzero():
-                    # alpha(e_i).u as a sparse vector
-                    uvec = {}
-                    for t, a in acols[i]:
-                        for k, w in ucols[t][u]:
-                            uvec[k] = uvec.get(k, field.zero) + a * w
-                    vvec = {}
-                    for t, a in acols[j]:
-                        for k, w in vcols[t][v]:
-                            vvec[k] = vvec.get(k, field.zero) + a * w
-                    for vp, bv in vvec.items():
-                        if not bv:
-                            continue
-                        rv = r * bv
-                        for up, bu in uvec.items():
-                            if bu:
-                                yield vp * dU + up, c, rv * bu
-
-    return LinMap.from_terms(field, dV * dU, dU * dV, terms())
+    # independent route: e_u (x) e_v goes to sum R[i,j] (alpha(e_j).e_v)
+    # (x) (alpha(e_i).e_u), by contraction of the action entries
+    a, dU, dV = _map_terms(H.alpha), U.dim, V.dim
+    return _contract(H.field, "qk,uv", {"q": dV, "k": dU, "u": dU, "v": dV},
+                     ("ij", _r_terms(R)), ("ti", a), ("tuk", _action_terms(U)),
+                     ("sj", a), ("svq", _action_terms(V)))
 
 
 def check_braiding_morphism(H, R, U, V, f=None, g=None):

@@ -49,11 +49,6 @@ class HModule(Frozen):
         self._init(field=field, dim=dim, hdim=action.cols // dim,
                    action=action, alpha=alpha)
 
-    def action_columns(self):
-        """Sparse action columns: cols[h][m] = [(target index, coeff), ...]."""
-        cols, d = self.action.columns(), self.dim
-        return [cols[h * d:(h + 1) * d] for h in range(self.hdim)]
-
 
 class HComodule(Frozen):
     """dim-dimensional space with coaction (m -> sum m_(-1) (x) m_(0))."""

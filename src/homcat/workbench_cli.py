@@ -26,7 +26,6 @@ import os
 import re
 import sys
 import time
-from math import isqrt
 from typing import NamedTuple
 
 from .exact_tensor import GF, QQ, LinMap, check_size, identity
@@ -137,7 +136,8 @@ def _coeffs_in(field, row_in, coeffs, n):
 
 
 def _trusted(cls):
-    # cubes decoded by coerce_cube are not coerced again (see HomAlgebra._set)
+    # cubes decoded by coerce_cube and coefficients decoded by row_in are
+    # not coerced again (see HomAlgebra._set and RMatrix._set)
     return lambda field, *parts: object.__new__(cls)._set(field, *parts)
 
 
@@ -163,8 +163,7 @@ _KINDS = {
     "module": (HModule, ("action", "alpha"), True),
     "comodule": (HComodule, ("coaction", "psi"), True),
     "yd": (YDModule, ("action", "coaction", "alpha"), True),
-    "rmatrix": (lambda field, coeffs: RMatrix(field, isqrt(len(coeffs)),
-                                              coeffs), ("coeffs",), True),
+    "rmatrix": (_trusted(RMatrix), ("coeffs",), True),
 }
 KINDS = (*_KINDS, "linmap")
 
@@ -625,11 +624,12 @@ def main(argv=None):
         out = args.out if not artifacts else None
         return _emit(argv, report, time.perf_counter() - start, artifacts, out)
     except Exception as exc:
-        # bad input or a rejected precondition; any other exception is named
-        # by its type and exits 2 as well, so a crash never reads as exit 1
+        # bad input or a rejected precondition; any other exception, or one
+        # without a message, is named by its type and exits 2 as well, so a
+        # crash never reads as exit 1 nor prints an empty reason
         msg = str(exc)
-        if not isinstance(exc, (ValueError, OSError, KeyError)):
-            msg = f"{type(exc).__name__}: {msg}"
+        if not msg or not isinstance(exc, (ValueError, OSError, KeyError)):
+            msg = f"{type(exc).__name__}: {msg}" if msg else type(exc).__name__
         print("error: " + " ".join(msg.splitlines()), file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from homcat import workbench_cli
 from homcat.exact_tensor import GF, QQ, Field, LinMap, flip_map, identity
-from homcat.qt_braiding import check_r_conditions
+from homcat.qt_braiding import RMatrix, check_r_conditions
 from homcat.rep_theory import (
     comodule_from_cube, conjugate_module, regular_comodule, regular_module,
     tensor_module,
@@ -558,7 +558,8 @@ def test_parsing_a_module_coerces_each_distinct_scalar_once(monkeypatch):
     objs = {"module": T, "comodule": comodule_from_cube(
                 QQ, [[[1, "1/2"], ["-3/4", 0]], [[0, 2], ["1/2", 1]]], g),
             "yd": YDModule(QQ, V.action, coaction, V.alpha),
-            "linmap": T.alpha, "bialgebra": H}
+            "linmap": T.alpha, "bialgebra": H,
+            "rmatrix": RMatrix(QQ, 3, [1, "1/2", 0, "-3/4", 1, 2, 0, 0, "1/2"])}
     real_check, real_coerce = workbench_cli._scalar_in, Field.coerce
     for kind, obj in objs.items():
         doc = json.loads(canonical_dumps(structure_to_dict(kind, obj)))
@@ -567,6 +568,7 @@ def test_parsing_a_module_coerces_each_distinct_scalar_once(monkeypatch):
                    for v in row]
         scalars += [v for key in ("alpha", "psi", "matrix")
                     for row in doc.get(key, ()) for v in row]
+        scalars += doc.get("coeffs", [])
         checked, coerced = [], []
         monkeypatch.setattr(workbench_cli, "_scalar_in",
                             lambda f, s: checked.append(s) or real_check(f, s))
@@ -690,6 +692,20 @@ def test_unexpected_error_exits_2(ws, monkeypatch):
     code, _, err = run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
                         "--out", path("missing-dir/H.json")])
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
+def test_an_error_without_a_message_still_names_a_reason(ws, monkeypatch, exc):
+    path, _ = ws
+    run(["gen", "group-bialgebra", "--n", "2", "--k", "1",
+         "--out", path("H.json")])
+
+    def boom(*args):
+        raise exc()
+
+    monkeypatch.setattr("homcat.workbench_cli.check_hom_bialgebra", boom)
+    code, out, err = run(["check", "bialgebra", path("H.json")])
+    assert (code, out, err) == (2, "", f"error: {exc.__name__}\n")
 
 
 def test_wrong_parent_kind_exits_2(ws):

@@ -12,9 +12,9 @@ from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
 
 from homcat import _kernels_py, exact_tensor
 from homcat.exact_tensor import (
-    GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, LinMap, compose, compose_all,
-    diag, flatten_index, flip_map, identity, kron, kron_all, lazy,
-    permute_tensor, unflatten_index, zero_map,
+    GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, Field, LinMap, compose,
+    compose_all, diag, flatten_index, flip_map, identity, kron, kron_all,
+    lazy, permute_tensor, unflatten_index, zero_map,
 )
 from homcat.hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, HomSemigroup,
@@ -828,6 +828,26 @@ def test_rank_and_is_zero():
     # det -3: invertible over Q, rank 1 once each step is reduced mod 3
     assert LinMap.from_rows(QQ, [[1, 2], [2, 1]]).rank() == 2
     assert LinMap.from_rows(GF(3), [[1, 2], [2, 1]]).rank() == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_rank_coerces_no_scalar(field, monkeypatch):
+    # elimination reduces % p over F_p and stays in Fraction arithmetic
+    # over Q, so rank makes no Field.coerce call; inverse stores through
+    # from_rows, which normalises every zero over Q to field.zero
+    m = LinMap.from_rows(field, [[(i * j + i + 2 * j) % 4 + (i == j)
+                                  for j in range(8)] for i in range(8)])
+    calls = []
+    real = Field.coerce
+    monkeypatch.setattr(Field, "coerce", lambda f, v: calls.append(v)
+                        or real(f, v))
+    assert m.rank() == 8
+    assert calls == []
+    monkeypatch.undo()
+    inv = m.inverse()
+    assert m.compose(inv) == identity(8, field)
+    assert all(v is field.zero for row in inv.row_lists() for v in row
+               if not v)
 
 
 def test_add_sub_scale():

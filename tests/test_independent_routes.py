@@ -1,12 +1,14 @@
 """The contraction routes share no assembly code with the matrix routes.
 
-eq5, eq38, eq39, eq60 and eq27 each evaluate an identity a second time to
-guard its matrix-route evaluation against indexing mistakes. That holds
-only while they build both sides entry by entry from the structure
-constants, never through the map algebra (composition, Kronecker products,
-tensor-factor permutations) that the matrix route uses. Where the two
-routes build the same map, the formed maps must be equal, not only the
-verdicts.
+eq5, eq38, eq39, eq60, remQT-a/b and eq27 each evaluate an identity a
+second time to guard its matrix-route evaluation against indexing
+mistakes. That holds only while they contract the nonzero entries of the
+structure constants (the cubes, R's coefficients, the twists' and the
+actions' columns) through hom_structures._contract, never through the map
+algebra (composition, Kronecker products, tensor-factor permutations) or
+the stored product and coproduct maps that the matrix route uses. Where
+the two routes build the same map, the formed maps must be equal, not
+only the verdicts.
 """
 
 import ast
@@ -29,14 +31,20 @@ from homcat.rep_theory import regular_module, twist_module
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 
 ROUTES = {
-    "hom_structures.py": ("_contraction_coassoc", "_contract_comul"),
-    "qt_braiding.py": ("_contract_eq38", "_contract_coproduct_splitting",
-                       "_contract_rr_side", "_braiding_elementwise"),
+    "hom_structures.py": ("_contract", "_join", "_picker", "_cube_terms",
+                          "_map_terms", "_contraction_coassoc"),
+    "qt_braiding.py": ("_r_terms", "_action_terms", "_contract_eq38",
+                       "_contract_coproduct_splitting",
+                       "_braiding_elementwise"),
 }
+
+# the matrix route's input maps; a contraction route reads the cubes
+MATRIX_INPUTS = {"mul_linmap", "comul_linmap"}
 
 MAP_ALGEBRA = {"compose", "compose_all", "compose_kron", "kron",
                "kron_all", "kron_compose", "lazy", "pair_compose",
-               "permute_rows", "permute_cols", "permute_tensor", "flip_map"}
+               "permute_rows", "permute_cols", "permute_tensor", "flip_map",
+               "cube_map", "map_cube"}
 
 
 def called_names(func):
@@ -67,6 +75,25 @@ def test_scan_sees_calls_and_method_calls():
     (f, n) for f, names in sorted(ROUTES.items()) for n in names])
 def test_contraction_route_uses_no_map_algebra(filename, name):
     assert called_names(functions(filename)[name]) & MAP_ALGEBRA == set()
+
+
+def read_attributes(func):
+    """Attribute names read in a function body."""
+    return {node.attr for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)}
+
+
+def test_scan_sees_attribute_reads():
+    tree = ast.parse("def f(H):\n    return g(H.mul_linmap).rows\n")
+    assert read_attributes(tree.body[0]) == {"mul_linmap", "rows"}
+
+
+@pytest.mark.parametrize("filename,name", [
+    (f, n) for f, names in sorted(ROUTES.items()) for n in names])
+def test_contraction_route_reads_no_matrix_route_input(filename, name):
+    # sharing mul_linmap or comul_linmap with the matrix route would let
+    # one layout slip reach both sides of an identity unseen
+    assert read_attributes(functions(filename)[name]) & MATRIX_INPUTS == set()
 
 
 def imported_names(filename, *modules):

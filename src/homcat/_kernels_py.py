@@ -1,9 +1,9 @@
 """Pure-Python matrix kernels on flat row-major tuples of exact scalars.
 
-kron is the kernel behind LinMap.kron. mat_mul and mat_vec have no
-caller in the library, since LinMap.compose multiplies integer numerators
-itself: mat_mul is kept as the reference the tests compare LinMap.compose
-with, and perfbench/kernel_probe.py times both. Scalars are either
+None of these has a caller in the library, since LinMap.compose and
+LinMap.kron read their operands' nonzero columns themselves: mat_mul and
+kron are kept as the references the tests compare those with, and
+perfbench/kernel_probe.py times all three. Scalars are either
 rational objects (characteristic 0, modulus None) or plain ints reduced
 into [0, p) when a prime modulus is given.
 """

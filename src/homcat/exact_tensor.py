@@ -8,36 +8,38 @@ flat indices and associativity constraints become literal matrix equalities.
 
 Permutations of tensor factors, the flip u (x) v -> v (x) u among them,
 act on a map by reindexing its rows or columns (LinMap.permute_rows and
-permute_cols), never through a product with a permutation matrix.
+permute_cols) or enter a product as a Permutation, an index list never
+stored; neither multiplies by a permutation matrix.
 
 Only this module knows how a LinMap is stored and when a sum of prime
-field scalars is reduced mod p, and only eight of its methods read the
-layout: entry, row_lists, columns, _sums, permute_rows, kron, __eq__ and
-__hash__. The rest (add, scale, permute_cols, the elimination behind rank
-and inverse) and other modules build a map from (row, col, value) terms
-with LinMap.from_terms and read it as sparse columns with columns();
-row_lists is the dense reader of the codec and the elimination.
+field scalars is reduced mod p; only entry, row_lists, columns,
+permute_rows, __eq__ and __hash__ read the layout. The rest (add, scale,
+kron, permute_cols, the elimination behind rank and inverse) and other
+modules build a map from (row, col, value) terms with LinMap.from_terms
+and read it as sparse columns with columns(); row_lists is the dense
+reader of the codec and the elimination.
 Every stored zero over Q is the one object field.zero: Field.coerce
 returns it for any zero, from_terms for a zero term or a cancelled sum,
 and kron and Product.form store it. So columns() finds the nonzeros in C,
 by identity with field.zero over Q and by truth over F_p, and runs Python
 once per nonzero, never once per entry.
 
-All arithmetic is exact. Equality of maps is entrywise scalar equality,
-never tolerance based. add, sub and scale do arithmetic only where an
-operand is nonzero; kron multiplies the scalars themselves.
+All arithmetic is exact, never tolerance based. add, sub, scale, kron
+and the reduction mod p in from_terms work only on nonzero entries.
 
 Each product has one body, a method of lazy(m) returning an unformed
 Product: compose, compose_kron (m after b (x) c), kron_compose (m (x) c
 after a) and pair_compose (a tensor-square element applied one factor at
 a time, as in the product of H (x) H, tensor modules, R-braidings and the
-Yetter-Drinfeld maps). It reads its operands' nonzero columns as integer
-numerators over one denominator each, never a Kronecker product, and
-yields one column of integer sums at a time, with one multiply-add per
-tuple of nonzeros that meet. The LinMap method of the same name stores
-the sums, each reduced mod p once or made one rational. compare_columns
-compares two sides, stored or unformed, without forming a scalar outside
-the columns that differ.
+Yetter-Drinfeld maps). It reads each operand, m among them, through its
+_int_columns(): nonzero columns as integer numerators over one
+denominator, of a stored LinMap, an unformed Product (reduced over F_p)
+or a Permutation. It never reads a Kronecker product and yields one
+column of integer sums at a time, one multiply-add per tuple of nonzeros
+that meet. Product.form stores the nonzero sums, reduced mod p or, over
+Q, each distinct one made one rational. compare_columns compares two
+sides, stored or unformed, without forming a scalar outside the columns
+that differ.
 
 A product refuses operands over different fields, then shapes that do not
 fit, and, only when formed, an output above MAX_MAP_ENTRIES, all before
@@ -51,10 +53,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
 from math import lcm, prod
-from operator import is_not
+from operator import is_not, methodcaller
 from typing import Callable, NamedTuple
-
-from . import _kernels_py as _K
 
 # the one kernel backend, reported in benchmark and environment labels
 KERNEL_BACKEND = "python"
@@ -275,9 +275,8 @@ class LinMap(Frozen):
             k = i * cols + j
             s = v if flat[k] is zero else flat[k] + v
             flat[k] = s if s is not zero and s else zero
-        p = field.modulus
-        if p is not None:
-            flat = [v % p for v in flat]
+        for k in compress(range(len(flat)), flat) if field.char else ():
+            flat[k] %= field.char
         return cls._wrap(field, rows, cols, tuple(flat))
 
     def entry(self, i, j):
@@ -327,12 +326,14 @@ class LinMap(Frozen):
         return cols, d
 
     def _sums(self):
-        # the stored map as a Product's sums (an int is its own numerator)
-        c, data = self.cols, self.data
-        d = lcm(*{v.denominator for v in data})
+        # the stored map as a Product's sums, one dense column at a time
+        cols, d = self._int_columns()
         yield d
-        for j in range(c):
-            yield [v.numerator * (d // v.denominator) for v in data[j::c]]
+        for col in cols:
+            out = [0] * self.rows
+            for i, v in col:
+                out[i] = v
+            yield out
 
     def permute_rows(self, dims, perm):
         """permute_tensor(dims, perm) after self, by moving whole rows."""
@@ -355,10 +356,17 @@ class LinMap(Frozen):
             raise ValueError("field mismatch in kron")
         rows, cols = self.rows * other.rows, self.cols * other.cols
         check_size(rows, cols, "kron")
-        flat = _K.kron(self.data, self.rows, self.cols,
-                       other.data, other.rows, other.cols,
-                       self.field.zero, self.field.modulus)
-        return LinMap._wrap(self.field, rows, cols, flat)
+        # one product per pair of nonzeros, at row flat(i, k), col flat(j, l)
+        br, bc, p = other.rows, other.cols, self.field.char
+        bnz = [(k * cols + l, v)
+               for l, col in enumerate(other.columns()) for k, v in col]
+        flat = [self.field.zero] * (rows * cols)
+        for j, acol in enumerate(self.columns()):
+            for i, av in acol:
+                base = i * br * cols + j * bc
+                for x, bv in bnz:
+                    flat[base + x] = av * bv % p if p else av * bv
+        return LinMap._wrap(self.field, rows, cols, tuple(flat))
 
     def add(self, other):
         if self.field != other.field:
@@ -454,28 +462,52 @@ class Product(NamedTuple):
         """The product stored as a LinMap, refused first if above the cap."""
         rows, cols, f = self.rows, self.cols, self.field
         check_size(rows, cols, self.what)
-        flat = [0] * (rows * cols)
+        flat = [f.zero] * (rows * cols)
         # a product without entries reads no operand; 1 stands for its d
         sums = self.sums() if flat else iter((1,))
-        den = next(sums)
+        den, p, at, formed = next(sums), f.char, list(range(rows)), {}
+        # only nonzero sums are written, over Q each distinct one made once
         for j, col in enumerate(sums):
-            flat[j::cols] = col
-        # each sum reduced mod p once, or, in place, made one rational
-        p = f.modulus
-        if p is not None:
-            return LinMap._wrap(f, rows, cols, tuple(s % p for s in flat))
-        zero = f.zero
-        for x, s in enumerate(flat):
-            flat[x] = Fraction(s, den) if s else zero
+            for i in compress(at, col):
+                s = col[i]
+                flat[i * cols + j] = s % p if p else (
+                    formed.get(s) or formed.setdefault(s, Fraction(s, den)))
         return LinMap._wrap(f, rows, cols, tuple(flat))
+
+    def _int_columns(self):
+        # as LinMap._int_columns of the formed product, over d, zeros dropped
+        # after reduction mod p; a product without entries reads no operand,
+        # and compress walks a list of rows, so it makes no int per entry
+        if not self.rows * self.cols:
+            return [[] for _ in range(self.cols)], 1
+        sums, p, rows = self.sums(), self.field.char, list(range(self.rows))
+        d = next(sums)
+        nz = ([(i, col[i]) for i in compress(rows, col)] for col in sums)
+        return [[(i, r) for i, s in c if (r := s % p)] for c in nz] if p \
+            else list(nz), d
+
+
+class Permutation(NamedTuple):
+    """permute_tensor(dims, perm, field) as an index list, never stored;
+    the default perm makes Permutation(field, (n,)) the identity."""
+
+    field: Field
+    dims: tuple
+    perm: tuple = (0,)
+
+    rows = cols = property(lambda self: prod(self.dims))
+
+    def _int_columns(self):
+        return [[(t, 1)] for t in _perm_targets(*self[1:], self.rows)], 1
 
 
 class lazy(NamedTuple):
     """The products of a map m, named but not formed: lazy(m).compose(f).
 
-    Each method refuses as the LinMap method of its name but for the cap,
-    which waits for Product.form(); its sums are over the product of the
-    operands' denominators, each the lcm of one operand's."""
+    m and each operand may be a LinMap, a Product or a Permutation. Each
+    method refuses as the LinMap method of its name but for the cap, which
+    waits for Product.form(); its sums are over the product of the
+    operands' denominators."""
 
     m: LinMap
 
@@ -514,7 +546,7 @@ class lazy(NamedTuple):
 
         def sums():
             (acols, da), (bcols, db), (ccols, dc) = map(
-                LinMap._int_columns, (a, b, c))
+                methodcaller("_int_columns"), (a, b, c))
             yield da * db * dc
             for bcol in bcols:
                 for ccol in ccols:
@@ -546,7 +578,7 @@ class lazy(NamedTuple):
 
         def sums():
             (bcols, db), (ccols, dc), (acols, da) = map(
-                LinMap._int_columns, (b, c, a))
+                methodcaller("_int_columns"), (b, c, a))
             yield da * db * dc
             for acol in acols:
                 out = [0] * rows
@@ -591,7 +623,7 @@ class lazy(NamedTuple):
 
         def sums():
             (fcols, df), (gcols, dg), (bcols, db), (ccols, dc) = map(
-                LinMap._int_columns, (f, g, b, c))
+                methodcaller("_int_columns"), (f, g, b, c))
             yield df * dg * db * dc
             # each row index of b and c as its two tensor factors
             bcols = [[(*divmod(k, p2), v) for k, v in col] for col in bcols]
@@ -713,8 +745,11 @@ def _perm_targets(dims, perm, size):
     weight = [0] * len(dims)
     for s, t in enumerate(perm):
         weight[t] = prod(dims[u] for u in perm[s + 1:])
-    return [sum(i * w for i, w in zip(unflatten_index(src, dims), weight))
-            for src in range(size)]
+    # source flat order is left to right, so add one slot at a time
+    targets = [0]
+    for d, w in zip(dims, weight):
+        targets = [t + i * w for t in targets for i in range(d)]
+    return targets
 
 
 def flip_map(d_u, d_v, field=QQ):

@@ -7,7 +7,7 @@ over nonzero structure constants, one hom_structures._contract call per
 side (ids eq38, eq39, eq60, remQT-a/b; eq27 for the braiding). The two
 routes must agree; they share no assembly code, so each guards the other
 against indexing mistakes. braiding_from_r returns the braiding as a
-plain LinMap.
+plain LinMap; the hexagons never store one (see check_hexagon_instances).
 
 Identity vocabulary (formulas, the contraction sides' among them, in
 docs/formats.md):
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .exact_tensor import Frozen, LinMap, identity, kron, lazy
+from .exact_tensor import Frozen, LinMap, Permutation, identity, kron, lazy
 from .hom_structures import (
     CheckReport, _contract, _cube_terms, _intertwining, _map_terms, _run,
     check_hom_bialgebra, require,
 )
-from .rep_theory import _pair_action, check_module, tensor_module, twist_module
+from .rep_theory import check_module, tensor_module, twist_module
 
 
 class RMatrix(Frozen):
@@ -61,20 +61,20 @@ class RMatrix(Frozen):
         return LinMap.from_terms(self.field, len(self.coeffs), 1, (
             (k, 0, v) for k, v in enumerate(self.coeffs)))
 
-    def nonzero(self):
-        n = self.dim
-        return [(i // n, i % n, v) for i, v in enumerate(self.coeffs) if v]
-
 
 def _r_terms(R):
     # R's nonzero coefficients as ((i, j), r): a _contract factor
     return [(divmod(k, R.dim), v) for k, v in enumerate(R.coeffs) if v]
 
 
-def _contract_eq38(H, R):
+def _route_terms(H, R):
+    # the nonzeros of comul, mul and R, scanned once per R-check
+    return *(_cube_terms(H.field, c) for c in (H.comul, H.mul)), _r_terms(R)
+
+
+def _contract_eq38(H, terms):
     # both sides of R comul(h) = comul-op(h) R, per algebra basis vector h
-    f, dims, r = H.field, dict.fromkeys("yzh", H.dim), _r_terms(R)
-    d, m = _cube_terms(f, H.comul), _cube_terms(f, H.mul)
+    (d, m, r), f, dims = terms, H.field, dict.fromkeys("yzh", H.dim)
     return (_contract(f, "yz,h", dims, ("hij", d), ("uv", r), ("uiy", m),
                       ("vjz", m)),
             _contract(f, "yz,h", dims, ("hij", d), ("uv", r), ("juy", m),
@@ -94,12 +94,13 @@ def check_r_conditions(H, R):
         raise ValueError("field mismatch in check_r_conditions")
     if R.dim != H.dim:
         raise ValueError("R lives on the wrong tensor square")
-    qt = _run(_r_condition_checks(H, R))
+    terms = _route_terms(H, R)
+    qt = _run(_r_condition_checks(H, R, terms))
     if not qt.axiom_status["r-psi-invariance"]:
         return qt
     # the simplified splitting laws, valid once R is psi-invariant
     rem = _run(_contract_coproduct_splitting(
-        H, R, ("remQT-a", "remQT-b"), H.alpha.compose(H.psi),
+        H, terms, ("remQT-a", "remQT-b"), H.alpha.compose(H.psi),
         identity(H.dim, H.field)))
     s, r = qt.axiom_status, rem.axiom_status
     consistent = r["remQT-a"] == s["eq30"] and r["remQT-b"] == s["eq31"]
@@ -107,7 +108,7 @@ def check_r_conditions(H, R):
         qt, rem, CheckReport({"remQT-consistency": consistent}, ()))
 
 
-def _r_condition_checks(H, R):
+def _r_condition_checks(H, R, terms):
     n = H.dim
     rv = R.as_vector()
     al, ps = H.alpha, H.psi
@@ -122,7 +123,7 @@ def _r_condition_checks(H, R):
     yield ("eq29", lazy(M).pair_compose(M, rv, D, n),
            lazy(M).pair_compose(M, d_cop, rv, n), (n,), (n, n))
     # exchange law, contraction route
-    yield ("eq38", *_contract_eq38(H, R), (n,), (n, n))
+    yield ("eq38", *_contract_eq38(H, terms), (n,), (n, n))
 
     # coproduct-splitting laws, matrix route: R (x) R acting factorwise,
     # psi (x) psi on the left legs of its two copies and the product on
@@ -136,14 +137,14 @@ def _r_condition_checks(H, R):
            lazy(M).pair_compose(pp_flip, rv, rv, n), (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
-    yield from _contract_coproduct_splitting(H, R, ("eq39", "eq60"), al, ps)
+    yield from _contract_coproduct_splitting(H, terms, ("eq39", "eq60"), al,
+                                             ps)
 
 
-def _contract_coproduct_splitting(H, R, axioms, t, u):
+def _contract_coproduct_splitting(H, terms, axioms, t, u):
     # (comul (x) t)(R), then (t (x) comul)(R), each against its double-R
     # side with u on the two legs left unmultiplied, all by contraction
-    f, n, r = H.field, H.dim, _r_terms(R)
-    d, m = _cube_terms(f, H.comul), _cube_terms(f, H.mul)
+    (d, m, r), f, n = terms, H.field, H.dim
     t, u, dims = _map_terms(t), _map_terms(u), dict.fromkeys("xyz", n)
     # u(s_i) (x) u(s_j) (x) t_i t_j, with R = sum r[a][b] e_a (x) e_b twice
     yield (axioms[0],
@@ -158,9 +159,22 @@ def _contract_coproduct_splitting(H, R, axioms, t, u):
 
 
 def _swapped_r_action(R, U, V):
-    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u): the R-action, then the flip
-    return _pair_action(U, V, R.as_vector()).permute_rows(
-        (U.dim, V.dim), (1, 0))
+    # u (x) v -> sum R[i,j] (e_j.v) (x) (e_i.u), unformed, the flip in the
+    # operands: V's action first, R flipped, and U (x) V's flip as c
+    return lazy(V.action).pair_compose(
+        U.action, R.as_vector().permute_rows((R.dim,) * 2, (1, 0)),
+        Permutation(R.field, (U.dim, V.dim), (1, 0)), R.dim)
+
+
+def _r_braiding(H, R, U, V):
+    # braiding_from_r, unformed
+    if R.field != H.field or U.field != H.field or V.field != H.field:
+        raise ValueError("field mismatch in braiding_from_r")
+    if R.dim != H.dim or U.hdim != H.dim or V.hdim != H.dim:
+        raise ValueError("dimension mismatch in braiding_from_r")
+    # e_i acts on the twisted module G(U) as alpha(e_i) acts on U
+    return _swapped_r_action(R, twist_module(H, U, "G"),
+                             twist_module(H, V, "G"))
 
 
 def braiding_from_r(H, R, U, V):
@@ -169,13 +183,7 @@ def braiding_from_r(H, R, U, V):
     u (x) v goes to sum R[i,j] (alpha(e_j).v) (x) (alpha(e_i).u), landing in
     the tensor product of the alpha-twisted modules in swapped order.
     """
-    if R.field != H.field or U.field != H.field or V.field != H.field:
-        raise ValueError("field mismatch in braiding_from_r")
-    if R.dim != H.dim or U.hdim != H.dim or V.hdim != H.dim:
-        raise ValueError("dimension mismatch in braiding_from_r")
-    # e_i acts on the twisted module G(U) as alpha(e_i) acts on U
-    return _swapped_r_action(R, twist_module(H, U, "G"),
-                             twist_module(H, V, "G"))
+    return _r_braiding(H, R, U, V).form()
 
 
 def _action_terms(M):
@@ -219,7 +227,7 @@ def check_braiding_morphism(H, R, U, V, f=None, g=None):
         dst_t = tensor_module(H, gv, gu)
         yield ("braiding-h-linear",
                lazy(c).compose(src_t.action),
-               lazy(dst_t.action).compose_kron(identity(n, H.field), c),
+               lazy(dst_t.action).compose_kron(Permutation(H.field, (n,)), c),
                (n, dU, dV), (dV, dU))
         fm, U2 = (U.alpha, gu) if f is None else f
         gm, V2 = (V.alpha, gv) if g is None else g
@@ -237,29 +245,28 @@ def check_hexagon_instances(H, R, U, V, W):
 
     With identity associators the two composites of each hexagon reduce to
     products of braiding matrices, twisted-module braidings and structure
-    maps; eq45 braids U past V (x) W, eq50 braids U (x) V past W.
+    maps; eq45 braids U past V (x) W, eq50 braids U (x) V past W. No
+    braiding is stored, and each identity (one) is an index list.
     """
     dU, dV, dW = U.dim, V.dim, W.dim
-    field = H.field
-    fu = twist_module(H, U, "F")
-    fw = twist_module(H, W, "F")
-    gu = twist_module(H, U, "G")
-    gw = twist_module(H, W, "G")
-    vw = tensor_module(H, V, W)
-    uv = tensor_module(H, U, V)
+    fu, fw, gu, gw = (twist_module(H, X, t) for t in "FG" for X in (U, W))
+    vw, uv = tensor_module(H, V, W), tensor_module(H, U, V)
+
+    def one(d):
+        return Permutation(H.field, (d,))
 
     def checks():
-        lhs45 = lazy(identity(dV * dW, field)).kron_compose(
-            U.alpha, braiding_from_r(H, R, fu, vw))
-        rhs45 = lazy(identity(dV, field)).kron_compose(
-            braiding_from_r(H, R, gu, W),
-            kron(braiding_from_r(H, R, U, V), identity(dW, field)))
+        lhs45 = lazy(one(dV * dW)).kron_compose(
+            U.alpha, _r_braiding(H, R, fu, vw))
+        rhs45 = lazy(one(dV)).kron_compose(
+            _r_braiding(H, R, gu, W), lazy(_r_braiding(H, R, U, V))
+            .kron_compose(one(dW), one(dU * dV * dW)))
         yield ("eq45", lhs45, rhs45, (dU, dV, dW), (dV, dW, dU))
-        lhs50 = lazy(W.alpha).kron_compose(identity(dU * dV, field),
-                                           braiding_from_r(H, R, uv, fw))
-        rhs50 = lazy(braiding_from_r(H, R, U, gw)).kron_compose(
-            identity(dV, field),
-            kron(identity(dU, field), braiding_from_r(H, R, V, W)))
+        lhs50 = lazy(W.alpha).kron_compose(one(dU * dV),
+                                           _r_braiding(H, R, uv, fw))
+        rhs50 = lazy(_r_braiding(H, R, U, gw)).kron_compose(
+            one(dV), lazy(one(dU)).kron_compose(_r_braiding(H, R, V, W),
+                                                one(dU * dV * dW)))
         yield ("eq50", lhs50, rhs50, (dU, dV, dW), (dW, dU, dV))
     return _run(checks())
 
@@ -319,7 +326,7 @@ def b_from_qt(H, R, M):
     require(check_hom_bialgebra, H, what="bialgebra laws fail:")
     require(check_r_conditions, H, R, what="quasitriangularity fails:")
     require(check_module, H, M, what="module laws fail:")
-    return _swapped_r_action(R, M, M)
+    return _swapped_r_action(R, M, M).form()
 
 
 def ybe_yau_twist(B, alpha):

@@ -23,7 +23,7 @@ Identity vocabulary (formulas in docs/formats.md):
 from __future__ import annotations
 
 from .exact_tensor import (
-    Frozen, check_size, identity, kron, lazy, zero_map,
+    Frozen, Permutation, identity, kron, lazy, zero_map,
 )
 from .hom_structures import (
     CheckReport, HomBialgebra, _comodule_laws, _module_laws, _run,
@@ -155,21 +155,9 @@ def tensor_module(H, M, N):
     _require_same_field(H, N, "tensor_module")
     if M.hdim != H.dim or N.hdim != H.dim:
         raise ValueError("module algebra slots do not match H.dim")
-    return HModule(H.field, _pair_action(M, N, H.comul_linmap),
-                   kron(M.alpha, N.alpha))
-
-
-def _pair_action(M, N, b):
-    """Column flat(j, u, w) is b(e_j), acting factorwise, on e_u (x) e_w.
-
-    b maps into the tensor square of the algebra both modules act over:
-    each e_k (x) e_k' of b(e_j) sends e_u (x) e_w to (e_k.e_u) (x)
-    (e_k'.e_w). The output is refused before the identity it composes
-    through is built.
-    """
-    d = M.dim * N.dim
-    check_size(d, b.cols * d, "pair_compose")
-    return M.action.pair_compose(N.action, b, identity(d, M.field), M.hdim)
+    act = M.action.pair_compose(N.action, H.comul_linmap, Permutation(
+        H.field, (M.dim * N.dim,)), H.dim)
+    return HModule(H.field, act, kron(M.alpha, N.alpha))
 
 
 def twist_module(H, M, which):
@@ -183,7 +171,7 @@ def twist_module(H, M, which):
         tw = H.alpha
     else:
         raise ValueError(f"which must be 'F' or 'G', got {which!r}")
-    act = M.action.compose_kron(tw, identity(M.dim, M.field))
+    act = M.action.compose_kron(tw, Permutation(M.field, (M.dim,)))
     return HModule(M.field, act, M.alpha)
 
 

@@ -12,9 +12,10 @@ from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
 
 from homcat import _kernels_py, exact_tensor
 from homcat.exact_tensor import (
-    GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, Field, LinMap, compose,
-    compose_all, diag, flatten_index, flip_map, identity, kron, kron_all,
-    lazy, permute_tensor, unflatten_index, zero_map,
+    GF, KERNEL_BACKEND, MAX_MAP_ENTRIES, QQ, Field, LinMap, Permutation,
+    Product, compare_columns, compose, compose_all, diag, flatten_index,
+    flip_map, identity, kron, kron_all, lazy, permute_tensor,
+    unflatten_index, zero_map,
 )
 from homcat.hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, HomSemigroup,
@@ -778,6 +779,104 @@ def test_pair_compose_admits_what_only_the_unfused_formula_stores():
     with pytest.raises(ValueError, match="^kron output 4096x16777216 exceeds"):
         _pair_unfused(mul, mul, b, b, n)
     assert mul.pair_compose(mul, b, b, n) == zero_map(n * n, 16, f)
+
+
+# ------------------------------------------------------ unformed operands
+
+def _operand(draw, field, rows, cols, top):
+    # (operand, its formed map) of shape rows x cols: a stored map, an
+    # unformed product of two drawn maps, or, for a square shape, the flip
+    # of two tensor factors (of 1 and rows if rows is prime) as an index list
+    kind = draw(st.sampled_from(("map", "product", "permutation")))
+    if kind == "product":
+        inner = draw(st.sampled_from((1, 2, 3, 0)))
+        x = _draw_sparse_map(draw, field, rows, inner, top)
+        y = _draw_sparse_map(draw, field, inner, cols, 13)
+        return lazy(x).compose(y), x.compose(y)
+    if kind == "permutation" and rows == cols:
+        a = next((a for a in range(2, rows) if rows % a == 0), 1)
+        perm = Permutation(field, (a, rows // a), (1, 0))
+        return perm, permute_tensor(perm.dims, perm.perm, field)
+    m = _draw_sparse_map(draw, field, rows, cols, top)
+    return m, m
+
+
+@st.composite
+def _unformed_products(draw):
+    # (field, body, operands, their formed maps, extra arguments) of one
+    # lazy product, each operand drawn by _operand
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    body = draw(st.sampled_from(
+        ("compose", "compose_kron", "kron_compose", "pair_compose")))
+    side = st.sampled_from((1, 2, 3, 0))
+    tops = iter(draw(st.permutations(DENOMINATORS)))
+    extra = ()
+    if body == "pair_compose":
+        p, p2, q, q2, fr, gr = (draw(st.integers(1, 2)) for _ in range(6))
+        shapes = [(fr, p * q), (gr, p2 * q2), (p * p2, draw(side)),
+                  (q * q2, draw(side))]
+        extra = (p,)
+    else:
+        n, m, k, l, o = (draw(side) for _ in range(5))
+        shapes = {"compose": [(n, m), (m, k)],
+                  "compose_kron": [(n, m * k), (m, l), (k, o)],
+                  "kron_compose": [(n, m), (k, l), (m * l, o)]}[body]
+    drawn = [_operand(draw, field, r, c, next(tops)) for r, c in shapes]
+    return (field, body, [op for op, _ in drawn], [f for _, f in drawn],
+            extra)
+
+
+def _as_fractions(int_columns):
+    cols, d = int_columns
+    return [[(i, Fraction(v, d)) for i, v in col] for col in cols]
+
+
+F5 = GF(5)
+
+
+@given(_unformed_products())
+# over GF(5) the unformed operand's integer sums are 1*2 + 1*3 = 5, a
+# nonzero multiple of p that must read as a zero, and 2*2 + 1*3 = 7,
+# which must read as 2
+@example((F5, "compose",
+          [lazy(LinMap(F5, 2, 2, [1, 1, 2, 1])).compose(
+              LinMap(F5, 2, 1, [2, 3])), LinMap(F5, 1, 2, [1, 3])],
+          [LinMap(F5, 2, 1, [0, 2]), LinMap(F5, 1, 2, [1, 3])], ()))
+def test_lazy_products_read_unformed_operands_as_their_formed_maps(case):
+    field, body, operands, formed, extra = case
+    product = getattr(lazy(operands[0]), body)(*operands[1:], *extra)
+    want = getattr(formed[0], body)(*formed[1:], *extra)
+    # the scalars Product.form stores, and their types, are those of the
+    # product of the formed maps, and of the textbook product for compose
+    _assert_same_scalars(field, product.form(), want, body)
+    if body == "compose":
+        _assert_same_scalars(field, want, _naive_compose(*formed), body)
+    assert list(compare_columns(product, want)) == []
+    # an unformed operand reads as its formed map: each nonzero once, over
+    # F_p reduced, and no zero
+    for op, m in zip(operands, formed):
+        assert _as_fractions(op._int_columns()) == \
+            _as_fractions(m._int_columns())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_an_unformed_operand_without_entries_is_never_read(field):
+    def unread():
+        raise AssertionError("a product without entries read an operand")
+
+    wide = Product(field, 0, 3, "compose", unread)
+    tall = Product(field, 3, 0, "compose", unread)
+    assert wide._int_columns() == ([[], [], []], 1)
+    assert tall._int_columns() == ([], 1)
+    assert wide.form() == zero_map(0, 3, field)
+    empty = Permutation(field, (0,))
+    for got, rows, cols in (
+            (lazy(zero_map(2, 0, field)).compose(wide), 2, 3),
+            (lazy(tall).compose(zero_map(0, 2, field)), 3, 2),
+            (lazy(wide).compose(tall), 0, 0),
+            (lazy(tall).kron_compose(empty, empty), 0, 0),
+            (lazy(zero_map(1, 0, field)).compose_kron(wide, tall), 1, 0)):
+        assert got.form() == zero_map(rows, cols, field)
 
 
 def test_kron_all_and_compose_all():

@@ -24,7 +24,8 @@ from homcat.hom_structures import (
     _comodule_laws, _contraction_coassoc, yau_twist_bialgebra,
 )
 from homcat.qt_braiding import (
-    RMatrix, _braiding_elementwise, _r_condition_checks, braiding_from_r,
+    RMatrix, _braiding_elementwise, _r_condition_checks, _route_terms,
+    braiding_from_r,
 )
 from homcat.rep_theory import regular_module, twist_module
 
@@ -33,7 +34,8 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "homcat")
 ROUTES = {
     "hom_structures.py": ("_contract", "_join", "_picker", "_cube_terms",
                           "_map_terms", "_contraction_coassoc"),
-    "qt_braiding.py": ("_r_terms", "_action_terms", "_contract_eq38",
+    "qt_braiding.py": ("_r_terms", "_route_terms", "_action_terms",
+                       "_contract_eq38",
                        "_contract_coproduct_splitting",
                        "_braiding_elementwise"),
 }
@@ -149,7 +151,7 @@ def test_matrix_and_contraction_routes_build_the_same_sides(case):
     H, R = case
     sides = {axiom: (formed(lhs), formed(rhs))
              for axiom, lhs, rhs, _, _ in chain(
-                 _r_condition_checks(H, R),
+                 _r_condition_checks(H, R, _route_terms(H, R)),
                  _comodule_laws(H, H.comul_linmap, H.psi, ("eq3", "eq4")))}
     sides["eq5"] = _contraction_coassoc(H.field, H.comul, H.psi)
     for matrix, contraction in (("eq29", "eq38"), ("eq30", "eq39"),

@@ -59,8 +59,8 @@ def test_module_leaves_map_storage_to_exact_tensor(name):
 # row_lists(), so a change of layout rewrites these alone. The writers
 # __init__, _wrap and Product.form set the tuple without reading it.
 LAYOUT_READERS = {
-    "LinMap.entry", "LinMap.row_lists", "LinMap.columns", "LinMap._sums",
-    "LinMap.permute_rows", "LinMap.kron", "LinMap.__eq__", "LinMap.__hash__",
+    "LinMap.entry", "LinMap.row_lists", "LinMap.columns",
+    "LinMap.permute_rows", "LinMap.__eq__", "LinMap.__hash__",
 }
 LAYOUT_WRITERS = {"LinMap.__init__", "LinMap._wrap", "Product.form"}
 

@@ -258,16 +258,51 @@ def test_hexagons_match_frozen():
     assert got == FROZEN["r_g1_hex45_diff"]
 
 
-def test_oversized_hexagon_refused_at_its_first_lift():
-    # three 23-dim modules: eq45's maps are 12167 x 12167, above the cap;
-    # the braiding that the lift id (x) alpha_U composes with refuses first,
-    # and no map larger than the 529-dim tensor modules has been built
+def test_hexagons_store_no_map_above_the_tensor_modules():
+    # kZ_2 on its regular tensor powers of dims 8, 8 and 4: the braidings
+    # of eq45 and eq50 are up to 256 x 256 with 4-10% nonzeros; none is
+    # stored, nor a braiding (x) identity, so the largest stored maps are
+    # the tensor modules' actions (64 x 128 for U (x) V)
+    H, R = gen_kz2_qt()
+    reg = regular_module(H)
+    powers = [reg]
+    for _ in range(2):
+        powers.append(tensor_module(H, powers[-1], reg))
+    U, V, W = powers[2], powers[2], powers[1]
+    actions = [tensor_module(H, X, Y).action for X, Y in ((U, V), (V, W))]
+    with map_sizes() as sizes:
+        rep = check_hexagon_instances(H, R, U, V, W)
+    assert rep.ok and rep.checked == ["eq45", "eq50"]
+    assert max(sizes) <= max(a.rows * a.cols for a in actions) == 64 * 128
+
+
+def test_hexagon_on_zero_modules_stores_no_map_above_the_tensor_modules():
+    # three 6-dim zero modules: eq45's sides are 216 x 216 and their
+    # braidings 216 x 216 too, but only the 36-dim tensor modules' actions
+    # are stored
     H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
-    Z = zero_module(QQ, 1, identity(23))
-    with map_sizes() as sizes, pytest.raises(ValueError, match=(
-            "^pair_compose output 12167x12167 exceeds the cap")):
-        check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
-    assert max(sizes) == 529 ** 2
+    Z = zero_module(QQ, 1, identity(6))
+    with map_sizes() as sizes:
+        rep = check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
+    assert rep.ok and rep.checked == ["eq45", "eq50"]
+    assert max(sizes) == 36 ** 2
+
+
+def test_oversized_hexagon_refused_at_its_tensor_module():
+    # three 108-dim modules: the tensor modules' actions would be 11664 x
+    # 11664, above the cap, and are refused before anything is allocated;
+    # no braiding is stored, so nothing else is refused
+    H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
+    Z = zero_module(QQ, 1, identity(108))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                "^pair_compose output 11664x11664 exceeds the cap")):
+            check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oversized_tensor_module_and_braiding_refused_before_allocating():

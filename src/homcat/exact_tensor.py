@@ -42,9 +42,9 @@ sides, stored or unformed, without forming a scalar outside the columns
 that differ.
 
 A product refuses operands over different fields, then shapes that do not
-fit, and, only when formed, an output above MAX_MAP_ENTRIES, all before
-it reads an operand; one without entries reads none. The cap bounds
-stored maps only: an unformed product of any size can be compared.
+fit, and, when formed or read as an operand, an output above
+MAX_MAP_ENTRIES, all before it reads an operand; one without entries reads
+none. Only a product that is compared, never formed or read, may be larger.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from typing import Callable, NamedTuple
 KERNEL_BACKEND = "python"
 
 # the most entries one stored map may have (about 1 GiB of pointers); a
-# formed product, kron and from_terms (so identity, zero_map, diag and
-# permute_tensor too) refuse a larger output before allocating it
+# product formed or read as an operand, kron and from_terms (so identity,
+# zero_map, diag, permute_tensor) refuse a larger output before allocating it
 MAX_MAP_ENTRIES = 1 << 27
 
 
@@ -475,9 +475,9 @@ class Product(NamedTuple):
         return LinMap._wrap(f, rows, cols, tuple(flat))
 
     def _int_columns(self):
-        # as LinMap._int_columns of the formed product, over d, zeros dropped
-        # after reduction mod p; a product without entries reads no operand,
-        # and compress walks a list of rows, so it makes no int per entry
+        # LinMap._int_columns of the formed product (zeros dropped mod p),
+        # refused as form() is; one without entries reads no operand
+        check_size(self.rows, self.cols, self.what)
         if not self.rows * self.cols:
             return [[] for _ in range(self.cols)], 1
         sums, p, rows = self.sums(), self.field.char, list(range(self.rows))

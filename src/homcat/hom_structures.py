@@ -121,10 +121,10 @@ def compare_maps(axiom, lhs, rhs, src_dims, dst_dims):
     """Columnwise comparison of two equal-shaped sides.
 
     A side is a LinMap or an unformed product (exact_tensor.lazy), never
-    stored, so MAX_MAP_ENTRIES bounds only the stored maps. Returns
-    (held_everywhere, violations). The scan is lexicographic over source
-    multi-indices and stops at VIOLATION_CAP violations, the first ones
-    met; held_everywhere is exact either way.
+    stored, so MAX_MAP_ENTRIES bounds only what they store or read.
+    Returns (held_everywhere, violations). The scan is lexicographic over
+    source multi-indices and stops at VIOLATION_CAP violations, the first
+    ones met; held_everywhere is exact either way.
     """
     if lhs.field != rhs.field:
         raise ValueError(f"field mismatch comparing {axiom}")

@@ -1024,12 +1024,14 @@ def test_python_kernel_matmul_matches_linmap(n, m, k, data):
     assert got == a.compose(b).data
 
 
-@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), st.data())
-def test_python_kernel_kron_matches_linmap(n, m, k, data):
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 2), st.integers(1, 3),
+       st.integers(1, 2), st.integers(1, 3), st.data())
+def test_python_kernel_kron_matches_linmap(field, n, m, k, l, data):
     ents = st.integers(-3, 3)
-    a = LinMap(QQ, n, m, [data.draw(ents) for _ in range(n * m)])
-    b = LinMap(QQ, k, k, [data.draw(ents) for _ in range(k * k)])
-    got = _kernels_py.kron(_flatten(a), n, m, _flatten(b), k, k, QQ.zero)
+    a = LinMap(field, n, m, [data.draw(ents) for _ in range(n * m)])
+    b = LinMap(field, k, l, [data.draw(ents) for _ in range(k * l)])
+    got = _kernels_py.kron(_flatten(a), n, m, _flatten(b), k, l, field.zero,
+                           field.modulus)
     assert got == kron(a, b).data
 
 

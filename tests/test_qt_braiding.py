@@ -14,6 +14,7 @@ from conftest import (
     z2_bialgebra,
 )
 
+from homcat import exact_tensor
 from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
 from homcat.hom_structures import HomBialgebra, check_hom_bialgebra
 from homcat.qt_braiding import (
@@ -290,8 +291,8 @@ def test_hexagon_on_zero_modules_stores_no_map_above_the_tensor_modules():
 
 def test_oversized_hexagon_refused_at_its_tensor_module():
     # three 108-dim modules: the tensor modules' actions would be 11664 x
-    # 11664, above the cap, and are refused before anything is allocated;
-    # no braiding is stored, so nothing else is refused
+    # 11664, above the cap, and are refused before anything is allocated,
+    # ahead of any braiding
     H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
     Z = zero_module(QQ, 1, identity(108))
     tracemalloc.start()
@@ -303,6 +304,42 @@ def test_oversized_hexagon_refused_at_its_tensor_module():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_oversized_hexagon_refused_at_its_first_lift():
+    # three 23-dim modules: eq45's maps are 12167 x 12167, above the cap;
+    # the braiding that the lift id (x) alpha_U composes with refuses when
+    # read, and no map larger than the 529-dim tensor modules has been built
+    H = HomBialgebra(QQ, [[[1]]], [[[1]]], identity(1), identity(1))
+    Z = zero_module(QQ, 1, identity(23))
+    with map_sizes() as sizes, pytest.raises(ValueError, match=(
+            "^pair_compose output 12167x12167 exceeds the cap")):
+        check_hexagon_instances(H, RMatrix(QQ, 1, [1]), Z, Z, Z)
+    assert max(sizes) == 529 ** 2
+
+
+def test_dense_hexagon_braiding_refused_before_its_nonzeros_are_read(
+        monkeypatch):
+    # kZ_2 on three 6-dim modules where g acts by a dense conjugate of
+    # diag(1, -1, ...): the braidings are 216 x 216 and dense, so with the
+    # cap just below that the first one read refuses before holding its
+    # nonzeros (about 5 MiB), having stored only the 36 x 72 tensor actions
+    H, R = gen_kz2_qt()
+    g = diag([(-1) ** i for i in range(6)])
+    M = module_from_cube(QQ, [identity(6).row_lists(), g.row_lists()],
+                         identity(6))
+    D = conjugate_module(M, LinMap.from_rows(
+        QQ, [[1 + (i == j) for j in range(6)] for i in range(6)]))
+    monkeypatch.setattr(exact_tensor, "MAX_MAP_ENTRIES", 216 ** 2 - 1)
+    tracemalloc.start()
+    try:
+        with map_sizes() as sizes, pytest.raises(ValueError, match=(
+                "^pair_compose output 216x216 exceeds the cap of 46655")):
+            check_hexagon_instances(H, R, D, D, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == 36 * 72 and peak < 1 << 20
 
 
 def test_oversized_tensor_module_and_braiding_refused_before_allocating():

@@ -32,14 +32,16 @@ Product: compose, compose_kron (m after b (x) c), kron_compose (m (x) c
 after a) and pair_compose (a tensor-square element applied one factor at
 a time, as in the product of H (x) H, tensor modules, R-braidings and the
 Yetter-Drinfeld maps). It reads each operand, m among them, through its
-_int_columns(): nonzero columns as integer numerators over one
+_int_columns(reads): nonzero columns as integer numerators over one
 denominator, of a stored LinMap, an unformed Product (reduced over F_p)
-or a Permutation. It never reads a Kronecker product and yields one
-column of integer sums at a time, one multiply-add per tuple of nonzeros
-that meet. Product.form stores the nonzero sums, reduced mod p or, over
-Q, each distinct one made one rational. compare_columns compares two
-sides, stored or unformed, without forming a scalar outside the columns
-that differ.
+or a Permutation. reads is a read table, one per comparison and per
+product formed or read, so a stored map is scanned once per comparison
+however many operand slots, or sides, it fills. A body never reads a
+Kronecker product and yields one column of integer sums at a time, one
+multiply-add per tuple of nonzeros that meet. Product.form stores the
+nonzero sums, reduced mod p or, over Q, each distinct one made one
+rational. compare_columns compares two sides, stored or unformed, without
+forming a scalar outside the columns that differ.
 
 A product refuses operands over different fields, then shapes that do not
 fit, and, when formed or read as an operand, an output above
@@ -313,10 +315,15 @@ class LinMap(Frozen):
         """self and g applied factorwise to b (x) c, storing no kron."""
         return lazy(self).pair_compose(g, b, c, p).form()
 
-    def _int_columns(self):
+    def _int_columns(self, reads=None):
         # (columns(), d) with each value v replaced, column by column, by
         # the integer v * d; d is the lcm of the nonzero denominators over
-        # Q and 1 over F_p, whose scalars are ints already
+        # Q and 1 over F_p, whose scalars are ints already; a read table
+        # keeps one scan, never mutated, by id and next to the map itself
+        if reads is not None:
+            if id(self) not in reads:
+                reads[id(self)] = self, self._int_columns()
+            return reads[id(self)][1]
         cols = self.columns()
         if self.field.char:
             return cols, 1
@@ -325,9 +332,9 @@ class LinMap(Frozen):
             col[:] = [(i, v.numerator * (d // v.denominator)) for i, v in col]
         return cols, d
 
-    def _sums(self):
+    def _sums(self, reads):
         # the stored map as a Product's sums, one dense column at a time
-        cols, d = self._int_columns()
+        cols, d = self._int_columns(reads)
         yield d
         for col in cols:
             out = [0] * self.rows
@@ -447,10 +454,10 @@ class LinMap(Frozen):
 
 
 class Product(NamedTuple):
-    """A product named but not formed (see lazy). Each call of sums()
+    """A product named but not formed (see lazy). Each call of sums(reads)
     yields, from the start, its denominator d, then its columns in order,
     each a list of integer sums over d (over F_p d is 1 and the sums are
-    unreduced); no operand is read before that generator is advanced."""
+    unreduced); no operand is read, through reads, before it is advanced."""
 
     field: Field
     rows: int
@@ -464,7 +471,7 @@ class Product(NamedTuple):
         check_size(rows, cols, self.what)
         flat = [f.zero] * (rows * cols)
         # a product without entries reads no operand; 1 stands for its d
-        sums = self.sums() if flat else iter((1,))
+        sums = self.sums({}) if flat else iter((1,))
         den, p, at, formed = next(sums), f.char, list(range(rows)), {}
         # only nonzero sums are written, over Q each distinct one made once
         for j, col in enumerate(sums):
@@ -474,14 +481,15 @@ class Product(NamedTuple):
                     formed.get(s) or formed.setdefault(s, Fraction(s, den)))
         return LinMap._wrap(f, rows, cols, tuple(flat))
 
-    def _int_columns(self):
+    def _int_columns(self, reads=None):
         # LinMap._int_columns of the formed product (zeros dropped mod p),
-        # refused as form() is; one without entries reads no operand
+        # refused as form() is; one without entries reads no operand, and
+        # a table of its own keeps its operands' columns for this read only
         check_size(self.rows, self.cols, self.what)
         if not self.rows * self.cols:
             return [[] for _ in range(self.cols)], 1
-        sums, p, rows = self.sums(), self.field.char, list(range(self.rows))
-        d = next(sums)
+        sums, p = self.sums({}), self.field.char
+        d, rows = next(sums), list(range(self.rows))
         nz = ([(i, col[i]) for i in compress(rows, col)] for col in sums)
         return [[(i, r) for i, s in c if (r := s % p)] for c in nz] if p \
             else list(nz), d
@@ -497,7 +505,7 @@ class Permutation(NamedTuple):
 
     rows = cols = property(lambda self: prod(self.dims))
 
-    def _int_columns(self):
+    def _int_columns(self, reads=None):
         return [[(t, 1)] for t in _perm_targets(*self[1:], self.rows)], 1
 
 
@@ -519,8 +527,9 @@ class lazy(NamedTuple):
                        other.field, (other.rows, other.cols))
         rows = a.rows
 
-        def sums():
-            (acols, da), (bcols, db) = a._int_columns(), other._int_columns()
+        def sums(reads):
+            (acols, da), (bcols, db) = (a._int_columns(reads),
+                                        other._int_columns(reads))
             yield da * db
             for bcol in bcols:
                 out = [0] * rows
@@ -544,9 +553,9 @@ class lazy(NamedTuple):
         _compose_check(a.field, (rows, a.cols),
                        b.field, (b.rows * cr, b.cols * c.cols))
 
-        def sums():
+        def sums(reads):
             (acols, da), (bcols, db), (ccols, dc) = map(
-                methodcaller("_int_columns"), (a, b, c))
+                methodcaller("_int_columns", reads), (a, b, c))
             yield da * db * dc
             for bcol in bcols:
                 for ccol in ccols:
@@ -576,9 +585,9 @@ class lazy(NamedTuple):
         rows, cc, cr = b.rows * c.rows, c.cols, c.rows
         _compose_check(b.field, (rows, b.cols * cc), a.field, (a.rows, a.cols))
 
-        def sums():
+        def sums(reads):
             (bcols, db), (ccols, dc), (acols, da) = map(
-                methodcaller("_int_columns"), (b, c, a))
+                methodcaller("_int_columns", reads), (b, c, a))
             yield da * db * dc
             for acol in acols:
                 out = [0] * rows
@@ -621,9 +630,9 @@ class lazy(NamedTuple):
                 f" (x) {c.rows}x{c.cols} split at {p}")
         rows, gr = f.rows * g.rows, g.rows
 
-        def sums():
+        def sums(reads):
             (fcols, df), (gcols, dg), (bcols, db), (ccols, dc) = map(
-                methodcaller("_int_columns"), (f, g, b, c))
+                methodcaller("_int_columns", reads), (f, g, b, c))
             yield df * dg * db * dc
             # each row index of b and c as its two tensor factors
             bcols = [[(*divmod(k, p2), v) for k, v in col] for col in bcols]
@@ -657,8 +666,9 @@ def compare_columns(lhs, rhs):
     """
     if not lhs.rows * lhs.cols or lhs == rhs:  # or two equal stored maps
         return
-    ls = lhs.sums() if isinstance(lhs, Product) else lhs._sums()
-    rs = rhs.sums() if isinstance(rhs, Product) else rhs._sums()
+    reads = {}
+    ls = lhs.sums(reads) if isinstance(lhs, Product) else lhs._sums(reads)
+    rs = rhs.sums(reads) if isinstance(rhs, Product) else rhs._sums(reads)
     dl, dr = next(ls), next(rs)
     p = lhs.field.modulus
     for j, (x, y) in enumerate(zip(ls, rs)):
@@ -668,8 +678,12 @@ def compare_columns(lhs, rhs):
             x, y = [s % p for s in x], [s % p for s in y]
             if x == y:
                 continue
-        elif [s * dr for s in x] == [s * dl for s in y]:
-            continue
+        elif dl != dr:
+            # equal sides have the same nonzero rows: x is nonzero at each
+            # of y's, and as often; cross-multiplied only there
+            if all(compress(x, y)) and [s * dr for s in compress(x, x)] == [
+                    s * dl for s in compress(y, y)]:
+                continue
         yield j, _scalars(x, dl, p), _scalars(y, dr, p)
 
 

@@ -222,6 +222,29 @@ def map_sizes():
         LinMap._wrap = wrap
 
 
+@contextmanager
+def map_reads():
+    """The stored maps scanned inside the block, one entry per scan.
+
+    A scan is a LinMap._int_columns call without a read table: every read
+    of an operand without one, and the first read of each map through one.
+    Count one map's scans with sum(m is M for m in reads).
+    """
+    int_columns = LinMap.__dict__["_int_columns"]
+    reads = []
+
+    def counting(self, *table):
+        if not table or table[0] is None:
+            reads.append(self)
+        return int_columns(self, *table)
+
+    LinMap._int_columns = counting
+    try:
+        yield reads
+    finally:
+        LinMap._int_columns = int_columns
+
+
 def freeze_cube(field, c):
     return [[[str(field.coerce(v)) for v in row]
              for row in plane] for plane in c]

@@ -859,6 +859,55 @@ def test_lazy_products_read_unformed_operands_as_their_formed_maps(case):
             _as_fractions(m._int_columns())
 
 
+def _sides_sharing(body, s, x, w, t):
+    # (lhs, rhs) of one shape, s() filling every operand slot an n x n map
+    # fits: lhs reads s in each slot of body, rhs in one or two next to x
+    # (n x n), w (n x n^2) and t (n^2 x n)
+    if body == "compose":
+        return lazy(s()).compose(s()), lazy(s()).compose(x)
+    if body == "compose_kron":
+        return lazy(w).compose_kron(s(), s()), lazy(w).compose_kron(s(), x)
+    if body == "kron_compose":
+        return lazy(s()).kron_compose(s(), t), lazy(s()).kron_compose(x, t)
+    return (lazy(s()).pair_compose(s(), s(), s(), 1),
+            lazy(s()).pair_compose(x, s(), x, 1))
+
+
+@pytest.mark.parametrize(
+    "body", ("compose", "compose_kron", "kron_compose", "pair_compose"))
+@given(st.data())
+def test_a_map_in_several_slots_reads_as_equal_copies_would(body, data):
+    # one stored map in several operand slots of one product and on both
+    # sides of one comparison is scanned once per comparison; reports,
+    # violations and formed maps are those of equal but distinct copies
+    field = data.draw(st.sampled_from([QQ, GF(5)]))
+    n = data.draw(st.integers(1, 2))
+    tops = data.draw(st.permutations(DENOMINATORS))
+    s = _draw_sparse_map(data.draw, field, n, n, tops[0])
+    x = data.draw(st.sampled_from((LinMap(field, n, n, s.data), None))) \
+        or _draw_sparse_map(data.draw, field, n, n, tops[1])
+    w = _draw_sparse_map(data.draw, field, n, n * n, tops[2])
+    t = _draw_sparse_map(data.draw, field, n * n, n, tops[3])
+    scan = s._int_columns()
+    shared = _sides_sharing(body, lambda: s, x, w, t)
+    copies = _sides_sharing(body, lambda: LinMap(field, n, n, s.data), x, w, t)
+    dims = ((shared[0].cols,), (shared[0].rows,))
+    got = compare_maps(body, *shared, *dims)
+    want = compare_maps(body, *copies, *dims)
+    assert got == want
+    assert [str(v) for v in got[1]] == [str(v) for v in want[1]]
+    assert ([type(c) for v in got[1] for _, c in v.lhs + v.rhs]
+            == [type(c) for v in want[1] for _, c in v.lhs + v.rhs])
+    for side, copy in zip(shared, copies):
+        _assert_same_scalars(field, side.form(), copy.form(), body)
+    # no body mutates the columns it shares through a read table
+    reads = {}
+    for side in shared:
+        list(side.sums(reads))
+        assert reads[id(s)][1] == scan
+    assert s._int_columns() == scan
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
 def test_an_unformed_operand_without_entries_is_never_read(field):
     def unread():

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from conftest import (
     DUAL_COMUL, DUAL_MUL, FROZEN, cube, freeze_cube, freeze_matrix,
     freeze_violations, group_alpha_map, group_comul_cube, group_mul_cube,
-    drinfeld_double_s3, map_sizes, s3_bialgebra, sweedler_h4, z2_bialgebra,
+    drinfeld_double_s3, map_reads, map_sizes, s3_bialgebra, sweedler_h4,
+    z2_bialgebra,
 )
 
 from homcat import exact_tensor
@@ -401,6 +402,19 @@ def test_compare_maps_cross_multiplies_over_q():
                           lazy(third).compose(identity(1)), (1,), (1,))
     assert not ok and _typed(vs) == [
         ("x", (0,), [((0,), Fraction, "1/2")], [((0,), Fraction, "1/3")])]
+    # over denominators 2 and 6, the sums 1 and 3 are equal values in
+    # different rows; a column nonzero on one side only differs too
+    ok, vs = compare_maps("x", lazy(diag(["1/2", 0])).compose(identity(2)),
+                          lazy(LinMap.from_rows(QQ, [[0, 0], ["3/2", 0]]))
+                          .compose(diag(["1/3", 1])), (2,), (2,))
+    assert not ok and _typed(vs) == [
+        ("x", (0,), [((0,), Fraction, "1/2")], [((1,), Fraction, "1/2")])]
+    ok, vs = compare_maps("x", lazy(diag([0, "1/2"])).compose(identity(2)),
+                          lazy(diag(["1/3", 0])).compose(identity(2)),
+                          (2,), (2,))
+    assert not ok and _typed(vs) == [
+        ("x", (0,), [], [((0,), Fraction, "1/3")]),
+        ("x", (1,), [((1,), Fraction, "1/2")], [])]
 
 
 def test_compare_maps_reduces_sums_mod_p():
@@ -534,6 +548,15 @@ def test_bialgebra_check_builds_no_map_above_n4_entries():
     with map_sizes() as sizes:
         assert check_hom_bialgebra(H).ok
     assert max(sizes, default=0) <= n ** 4
+
+
+def test_bialgebra_check_scans_each_stored_map_once_per_comparison():
+    # eq1-eq7112 read mul, comul, alpha and psi in 47 operand slots, with
+    # 17 distinct (comparison, map) pairs among them
+    H, _ = gen_group_bialgebra(5, 2)
+    with map_reads() as reads:
+        assert check_hom_bialgebra(H).ok
+    assert len(reads) <= 17
 
 
 def test_bialgebra_check_holds_past_the_old_tensor_square_cap():

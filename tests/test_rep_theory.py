@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     DUAL_COMUL, DUAL_MUL, FROZEN, cube, freeze_cube, freeze_violations,
-    group_alpha_map, group_comul_cube, group_mul_cube, map_sizes,
+    group_alpha_map, group_comul_cube, group_mul_cube, map_reads, map_sizes,
     z2_bialgebra,
 )
 
@@ -59,6 +59,22 @@ def test_module_check_builds_no_map_above_the_eq9_sides():
     with map_sizes() as sizes:
         assert check_module(H, M).ok
     assert max(sizes, default=0) == 0
+
+
+def test_module_check_scans_each_stored_map_once_per_comparison():
+    # eq8 reads the action and alpha on both sides, eq9 the action in
+    # three operand slots and alpha in one: each comparison scans each
+    # stored map once, so each is scanned twice (five and three times when
+    # every operand slot scanned its map)
+    H, _ = gen_group_bialgebra(4, 3)
+    reg = regular_module(H)
+    conj = conjugate_module(reg, LinMap.from_rows(QQ, [
+        [1 if j <= i else 0 for j in range(4)] for i in range(4)]))
+    M = tensor_module(H, conj, reg)
+    with map_reads() as reads:
+        assert check_module(H, M).ok
+    assert sum(m is M.action for m in reads) <= 2
+    assert sum(m is M.alpha for m in reads) <= 2
 
 
 def test_module_field_mismatch():

@@ -320,16 +320,16 @@ class LinMap(Frozen):
         # the integer v * d; d is the lcm of the nonzero denominators over
         # Q and 1 over F_p, whose scalars are ints already; a read table
         # keeps one scan, never mutated, by id and next to the map itself
-        if reads is not None:
-            if id(self) not in reads:
-                reads[id(self)] = self, self._int_columns()
+        if reads and id(self) in reads:
             return reads[id(self)][1]
-        cols = self.columns()
-        if self.field.char:
-            return cols, 1
-        d = lcm(*{v.denominator for col in cols for _, v in col})
-        for col in cols:
-            col[:] = [(i, v.numerator * (d // v.denominator)) for i, v in col]
+        cols, d = self.columns(), 1
+        if not self.field.char:
+            d = lcm(*{v.denominator for col in cols for _, v in col})
+            for col in cols:
+                col[:] = [(i, v.numerator * (d // v.denominator))
+                          for i, v in col]
+        if reads is not None:
+            reads[id(self)] = self, (cols, d)
         return cols, d
 
     def _sums(self, reads):

@@ -226,15 +226,16 @@ def map_sizes():
 def map_reads():
     """The stored maps scanned inside the block, one entry per scan.
 
-    A scan is a LinMap._int_columns call without a read table: every read
-    of an operand without one, and the first read of each map through one.
-    Count one map's scans with sum(m is M for m in reads).
+    A scan is a LinMap._int_columns call that reads the map's storage:
+    every read of an operand without a read table, and the first read of
+    each map through one. Count one map's scans with
+    sum(m is M for m in reads).
     """
     int_columns = LinMap.__dict__["_int_columns"]
     reads = []
 
     def counting(self, *table):
-        if not table or table[0] is None:
+        if not (table and table[0] and id(self) in table[0]):
             reads.append(self)
         return int_columns(self, *table)
 

@@ -23,6 +23,8 @@ inverted: its inverse is assembled from the inverses of the components.
 
 from __future__ import annotations
 
+from math import prod
+
 from .exact_tensor import check_size, identity, kron, kron_all, lazy
 from .hom_structures import _run, require
 from .yetter_drinfeld import (
@@ -85,7 +87,11 @@ class ConstraintFamily:
         return self
 
     def dim(self, obj):
-        return self.component(obj).rows
+        # component(obj).rows with no kron formed, refused alike
+        if not isinstance(obj, tuple):
+            return self.component(obj).rows
+        dims = [self.dim(o) for o in obj]
+        return dims[0] * prod(dims[1:])
 
     def component(self, obj):
         """Component map of a label or of a tuple of objects."""

@@ -7,7 +7,9 @@ over nonzero structure constants, one hom_structures._contract call per
 side (ids eq38, eq39, eq60, remQT-a/b; eq27 for the braiding). The two
 routes must agree; they share no assembly code, so each guards the other
 against indexing mistakes. braiding_from_r returns the braiding as a
-plain LinMap; the hexagons never store one (see check_hexagon_instances).
+plain LinMap; the hexagons never store one (see check_hexagon_instances),
+and the braid relations eq145 and hYBeB store no Kronecker product
+(_braid_sides applies each one factor at a time).
 
 Identity vocabulary (formulas, the contraction sides' among them, in
 docs/formats.md):
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .exact_tensor import Frozen, LinMap, Permutation, identity, kron, lazy
+from .exact_tensor import Frozen, LinMap, Permutation, check_size, \
+    identity, kron, lazy
 from .hom_structures import (
     CheckReport, _contract, _cube_terms, _intertwining, _map_terms, _run,
     check_hom_bialgebra, require,
@@ -285,9 +288,17 @@ def check_hom_ybe(B, alpha):
 
 
 def _braid_sides(b_uv, b_uw, b_vw, a_u, a_v, a_w):
-    # both composites of hYBeB, unformed; each stores its inner two factors
-    lhs = lazy(a_w).kron_compose(b_uv, kron(b_uw, a_v).compose_kron(a_u, b_vw))
-    rhs = lazy(b_vw).kron_compose(a_u, kron(a_v, b_uw).compose_kron(b_uv, a_w))
+    # both composites of hYBeB, unformed and storing nothing: the middle
+    # factor is m (x) c applied one factor at a time, after the identity,
+    # and its product with the first factor is read as an operand
+    def middle(m, c):
+        k = lazy(m).kron_compose(c, Permutation(m.field, (m.cols * c.cols,)))
+        check_size(k.rows, k.cols, "kron")  # refused as kron(m, c) was
+        return lazy(k)
+    lhs = lazy(a_w).kron_compose(
+        b_uv, middle(b_uw, a_v).compose_kron(a_u, b_vw))
+    rhs = lazy(b_vw).kron_compose(
+        a_u, middle(a_v, b_uw).compose_kron(b_uv, a_w))
     return lhs, rhs
 
 

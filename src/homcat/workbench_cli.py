@@ -5,10 +5,11 @@ File format (StructureFile). Every file is a single JSON object with
 are strings: reduced "a/b" with positive denominator over the rationals
 ("a" when the denominator is 1), decimal residues mod p. Cubes are nested
 arrays indexed as documented in docs/formats.md; matrices are arrays of
-rows. Each distinct scalar of a file is coerced once: cubes through
-coerce_cube (action and coaction on to their maps), matrices through
-from_terms. Module-like files may carry "parent", the bialgebra file they
-live over, resolved relative to the referencing file.
+rows. Each distinct scalar string of a file is checked and coerced once
+(_Scalars): cubes through coerce_cube (action and coaction on to their
+maps), matrices through from_terms. Writing formats only nonzeros.
+Module-like files may carry "parent", the bialgebra file they live over,
+resolved relative to the referencing file.
 
 Report format (ReportFile). One JSON object on stdout per invocation:
 {"command": [...], "axioms": [{"axiom", "pass", "counterexample"?}, ...],
@@ -26,17 +27,18 @@ import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from math import prod
 from typing import NamedTuple
 
 from .exact_tensor import GF, QQ, LinMap, check_size, identity
 from .hom_structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomCoalgebra, check_hom_algebra,
-    check_hom_bialgebra, check_hom_coalgebra, coerce_cube, coerce_rows,
-    cube_map, require,
+    check_hom_bialgebra, check_hom_coalgebra, coerce_cube, cube_map, require,
 )
 from .rep_theory import (
-    HComodule, HModule, action_cube, check_comodule, check_module,
-    check_module_hom_algebra, coaction_cube, tensor_module,
+    HComodule, HModule, check_comodule, check_module,
+    check_module_hom_algebra, tensor_module,
 )
 from .qt_braiding import (
     RMatrix, b_from_qt, braiding_from_r, check_braiding_morphism,
@@ -77,8 +79,44 @@ def _scalar_in(field, s):
     return field.coerce(s)
 
 
-def matrix_to_json(m):
-    return [[str(v) for v in row] for row in m.row_lists()]
+class _Scalars(dict):
+    """One parse's scalar strings by text, each checked and coerced once
+    (_scalar_in); row(r) decodes a row in C. Other entries are checked on
+    each lookup and never stored, so True is refused even after a 1."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, s):
+        v = _scalar_in(self.field, s)
+        if type(s) is str:
+            self[s] = v
+        return v
+
+    def row(self, row):
+        try:
+            return tuple(map(self.__getitem__, row))
+        except TypeError:  # an unhashable entry, refused where it stands
+            return tuple(_scalar_in(self.field, v) for v in row)
+
+
+def _nested_json(m, cube=None):
+    # m's rows or, read column after column as cube_map lays it out, its
+    # cube of shape cube, as nested lists of strings; only the nonzeros
+    # columns() lists are formatted, every other entry is "0"
+    flat, r, c = ["0"] * (m.rows * m.cols), m.cols, 1
+    if cube:
+        r, c = 1, m.rows
+    for j, col in enumerate(m.columns()):
+        for i, v in col:
+            flat[i * r + j * c] = str(v)
+    shape = cube or (m.rows, m.cols)
+    for k in range(len(shape) - 1, 0, -1):
+        d = shape[k]
+        flat = [flat[x * d:(x + 1) * d] for x in range(prod(shape[:k]))]
+    return flat
 
 
 def matrix_from_json(field, row_in, rows, nrows=None, ncols=None):
@@ -89,7 +127,8 @@ def matrix_from_json(field, row_in, rows, nrows=None, ncols=None):
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged row lists")
     m = LinMap.from_terms(field, len(rows), len(rows[0]), (
-        (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)))
+        (i, j, v) for i, row in enumerate(rows)
+        for j, v in enumerate(row) if v))
     if nrows is not None and m.rows != nrows:
         raise ValueError(f"matrix has {m.rows} rows, declared {nrows}")
     if ncols is not None and m.cols != ncols:
@@ -97,12 +136,33 @@ def matrix_from_json(field, row_in, rows, nrows=None, ncols=None):
     return m
 
 
-def cube_to_json(cube):
-    return [[[str(v) for v in row] for row in plane] for plane in cube]
+def _dumps(obj, pad):
+    # json.dumps(obj, sort_keys=True, indent=2) nested at indent pad, its
+    # strings C-encoded and joined here; json writes the other cases
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return repr(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            body = sep.join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            body = sep.join([_dumps(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                         for k, v in sorted(obj.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n"."""
+    return _dumps(obj, "") + "\n"
 
 
 # ------------------------------------------------------ structure file codec
@@ -143,12 +203,14 @@ def _trusted(cls):
 
 # key -> (decoder(field, row decoder, value, dim), encoder(obj))
 _KEYS = {
-    "mul": (_cube_in, lambda o: cube_to_json(o.mul)),
-    "comul": (_cube_in, lambda o: cube_to_json(o.comul)),
-    "alpha": (_square_in, lambda o: matrix_to_json(o.alpha)),
-    "psi": (_square_in, lambda o: matrix_to_json(o.psi)),
-    "action": (_action_in, lambda o: cube_to_json(action_cube(o))),
-    "coaction": (_coaction_in, lambda o: cube_to_json(coaction_cube(o))),
+    "mul": (_cube_in, lambda o: _nested_json(o.mul_linmap, (o.dim,) * 3)),
+    "comul": (_cube_in, lambda o: _nested_json(o.comul_linmap, (o.dim,) * 3)),
+    "alpha": (_square_in, lambda o: _nested_json(o.alpha)),
+    "psi": (_square_in, lambda o: _nested_json(o.psi)),
+    "action": (_action_in,
+               lambda o: _nested_json(o.action, (o.hdim, o.dim, o.dim))),
+    "coaction": (_coaction_in, lambda o: _nested_json(
+        o.coaction, (o.dim, o.coaction.rows // o.dim, o.dim))),
     "coeffs": (_coeffs_in, lambda o: [str(v) for v in o.coeffs]),
 }
 
@@ -199,8 +261,8 @@ def parse_structure(d):
     parent = d.get("parent")
     if parent is not None and not isinstance(parent, str):
         raise ValueError("parent must be a file name string")
-    # each distinct scalar of the file is checked and coerced once
-    row_in = coerce_rows(field, functools.partial(_scalar_in, field))
+    # each distinct scalar string of the file is checked and coerced once
+    row_in = _Scalars(field).row
     if kind == "linmap":
         r, c = _dim(d, "rows"), _dim(d, "cols")
         return Parsed(kind, matrix_from_json(field, row_in, _get(d, "matrix"),
@@ -220,7 +282,7 @@ def structure_to_dict(kind, obj, parent=None):
     if parent is not None:
         out["parent"] = parent
     if kind == "linmap":
-        out.update(rows=obj.rows, cols=obj.cols, matrix=matrix_to_json(obj))
+        out.update(rows=obj.rows, cols=obj.cols, matrix=_nested_json(obj))
         return out
     out["dim"] = obj.dim
     for k in _KINDS[kind][1]:

@@ -21,7 +21,7 @@ from homcat.rep_theory import (
 )
 from homcat.workbench_cli import (
     canonical_dumps, gen_group_bialgebra, gen_kz2_qt, main, parse_structure,
-    structure_to_dict,
+    report_to_dict, structure_to_dict,
 )
 from homcat.yetter_drinfeld import YDModule
 
@@ -251,6 +251,37 @@ def test_roundtrips_through_library_objects(ws):
         again = canonical_dumps(structure_to_dict(parsed.kind, parsed.obj,
                                                   parsed.parent))
         assert again == blob, kind
+
+
+# JSON trees as the writer meets them, and more: str keys, lists and
+# tuples (empty ones too), strings with escapes and non-ASCII characters,
+# ints, bools, None and floats such as time_seconds
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", "0", "-3/4", '"', "\\", "\n\t\x00\x1f", "\u00e9", "\u2028",
+     "\U0001f600"])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS,
+    lambda tree: (st.lists(tree, max_size=4)
+                  | st.lists(tree, max_size=4).map(tuple)
+                  | st.dictionaries(_JSON_STRINGS, tree, max_size=4)),
+    max_leaves=20)
+
+
+@given(_JSON_TREES)
+def test_canonical_dumps_writes_what_json_dumps_writes(tree):
+    assert canonical_dumps(tree) == json.dumps(tree, sort_keys=True,
+                                               indent=2) + "\n"
+
+
+def test_canonical_dumps_writes_reports_and_structures_as_json_does():
+    H, R = gen_kz2_qt()
+    report = report_to_dict(["check", "qt"], check_r_conditions(
+        H, RMatrix(QQ, 2, [0, 1, 0, 0])), 0.1234567)
+    for doc in (report, structure_to_dict("bialgebra", H),
+                structure_to_dict("rmatrix", R, "H.json"),
+                structure_to_dict("linmap", flip_map(2, 3))):
+        assert canonical_dumps(doc) == json.dumps(doc, sort_keys=True,
+                                                  indent=2) + "\n"
 
 
 # ------------------------------------------------------------ spec examples

@@ -783,11 +783,21 @@ def test_pair_compose_admits_what_only_the_unfused_formula_stores():
 
 # ------------------------------------------------------ unformed operands
 
-def _operand(draw, field, rows, cols, top):
-    # (operand, its formed map) of shape rows x cols: a stored map, an
-    # unformed product of two drawn maps, or, for a square shape, the flip
-    # of two tensor factors (of 1 and rows if rows is prime) as an index list
-    kind = draw(st.sampled_from(("map", "product", "permutation")))
+def _operand(draw, field, rows, cols, top,
+             kinds=("map", "product", "kron", "permutation")):
+    # (operand, its formed map) of shape rows x cols, of one of kinds: a
+    # stored map, an unformed product of two drawn maps, an unformed x (x) y
+    # after the identity (the middle factor of qt_braiding._braid_sides),
+    # or, for a square shape, the flip of two tensor factors (of 1 and rows
+    # if rows is prime) as an index list
+    kind = draw(st.sampled_from(kinds))
+    if kind == "kron":
+        r, c = (next((a for a in range(2, n) if n % a == 0), 1)
+                for n in (rows, cols))
+        x = _draw_sparse_map(draw, field, rows // r, cols // c, top)
+        y = _draw_sparse_map(draw, field, r, c, 13)
+        return (lazy(x).kron_compose(y, Permutation(field, (cols,))),
+                kron(x, y))
     if kind == "product":
         inner = draw(st.sampled_from((1, 2, 3, 0)))
         x = _draw_sparse_map(draw, field, rows, inner, top)
@@ -802,12 +812,10 @@ def _operand(draw, field, rows, cols, top):
 
 
 @st.composite
-def _unformed_products(draw):
-    # (field, body, operands, their formed maps, extra arguments) of one
-    # lazy product, each operand drawn by _operand
-    field = draw(st.sampled_from([QQ, GF(5)]))
-    body = draw(st.sampled_from(
-        ("compose", "compose_kron", "kron_compose", "pair_compose")))
+def _unformed_products(draw, field, body):
+    # (operands, their formed maps, extra arguments) of one lazy product
+    # body over field, each operand drawn by _operand, m unformed in
+    # compose_kron as in qt_braiding._braid_sides
     side = st.sampled_from((1, 2, 3, 0))
     tops = iter(draw(st.permutations(DENOMINATORS)))
     extra = ()
@@ -821,9 +829,10 @@ def _unformed_products(draw):
         shapes = {"compose": [(n, m), (m, k)],
                   "compose_kron": [(n, m * k), (m, l), (k, o)],
                   "kron_compose": [(n, m), (k, l), (m * l, o)]}[body]
-    drawn = [_operand(draw, field, r, c, next(tops)) for r, c in shapes]
-    return (field, body, [op for op, _ in drawn], [f for _, f in drawn],
-            extra)
+    drawn = [_operand(draw, field, r, c, next(tops), *(
+        [("product", "kron")] if body == "compose_kron" and not i else []))
+        for i, (r, c) in enumerate(shapes)]
+    return [op for op, _ in drawn], [f for _, f in drawn], extra
 
 
 def _as_fractions(int_columns):
@@ -834,16 +843,7 @@ def _as_fractions(int_columns):
 F5 = GF(5)
 
 
-@given(_unformed_products())
-# over GF(5) the unformed operand's integer sums are 1*2 + 1*3 = 5, a
-# nonzero multiple of p that must read as a zero, and 2*2 + 1*3 = 7,
-# which must read as 2
-@example((F5, "compose",
-          [lazy(LinMap(F5, 2, 2, [1, 1, 2, 1])).compose(
-              LinMap(F5, 2, 1, [2, 3])), LinMap(F5, 1, 2, [1, 3])],
-          [LinMap(F5, 2, 1, [0, 2]), LinMap(F5, 1, 2, [1, 3])], ()))
-def test_lazy_products_read_unformed_operands_as_their_formed_maps(case):
-    field, body, operands, formed, extra = case
+def _reads_as_formed(field, body, operands, formed, extra):
     product = getattr(lazy(operands[0]), body)(*operands[1:], *extra)
     want = getattr(formed[0], body)(*formed[1:], *extra)
     # the scalars Product.form stores, and their types, are those of the
@@ -857,6 +857,29 @@ def test_lazy_products_read_unformed_operands_as_their_formed_maps(case):
     for op, m in zip(operands, formed):
         assert _as_fractions(op._int_columns()) == \
             _as_fractions(m._int_columns())
+    return want
+
+
+BODIES = ("compose", "compose_kron", "kron_compose", "pair_compose")
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+@pytest.mark.parametrize("body", BODIES)
+@given(st.data())
+def test_lazy_products_read_unformed_operands_as_their_formed_maps(
+        body, field, data):
+    # each body over each field, on nonzero products as well as zero ones
+    _reads_as_formed(field, body, *data.draw(_unformed_products(field, body)))
+
+
+def test_an_unformed_operand_reads_a_multiple_of_p_as_zero():
+    # over GF(5) the unformed operand's integer sums are 1*2 + 1*3 = 5, a
+    # nonzero multiple of p that must read as a zero, and 2*2 + 1*3 = 7,
+    # which must read as 2
+    _reads_as_formed(F5, "compose", [
+        lazy(LinMap(F5, 2, 2, [1, 1, 2, 1])).compose(LinMap(F5, 2, 1, [2, 3])),
+        LinMap(F5, 1, 2, [1, 3])],
+        [LinMap(F5, 2, 1, [0, 2]), LinMap(F5, 1, 2, [1, 3])], ())
 
 
 def _sides_sharing(body, s, x, w, t):
@@ -873,8 +896,7 @@ def _sides_sharing(body, s, x, w, t):
             lazy(s()).pair_compose(x, s(), x, 1))
 
 
-@pytest.mark.parametrize(
-    "body", ("compose", "compose_kron", "kron_compose", "pair_compose"))
+@pytest.mark.parametrize("body", BODIES)
 @given(st.data())
 def test_a_map_in_several_slots_reads_as_equal_copies_would(body, data):
     # one stored map in several operand slots of one product and on both

@@ -517,6 +517,21 @@ def test_full_bialgebra_battery_axiom_ids():
                            "eq5", "eq6", "eq7", "eq7111", "eq7112"]
 
 
+def test_alpha_psi_commute_fails_where_the_twists_do_not_commute():
+    # alpha psi e_0 = 2 e_0 + e_1 but psi alpha e_0 = e_0 + e_1; a check
+    # that read alpha psi on both sides would pass here
+    al = LinMap.from_rows(QQ, [[1, 1], [0, 1]])
+    ps = LinMap.from_rows(QQ, [[1, 0], [1, 1]])
+    rep = check_hom_bialgebra(HomBialgebra(QQ, group_mul_cube(2),
+                                           group_comul_cube(2), al, ps))
+    assert rep.axiom_status["alpha-psi-commute"] is False
+    assert [v for v in rep.violations if v.axiom == "alpha-psi-commute"] == [
+        Violation("alpha-psi-commute", (0,), (((0,), 2), ((1,), 1)),
+                  (((0,), 1), ((1,), 1))),
+        Violation("alpha-psi-commute", (1,), (((0,), 1), ((1,), 1)),
+                  (((0,), 1), ((1,), 2)))]
+
+
 def test_bialgebra_holds_its_algebra_and_coalgebra_once():
     H = z2_bialgebra()
     assert H.algebra is H.algebra and H.coalgebra is H.coalgebra

@@ -15,7 +15,9 @@ from conftest import (
 )
 
 from homcat import exact_tensor
-from homcat.exact_tensor import GF, QQ, LinMap, diag, flip_map, identity
+from homcat.exact_tensor import (
+    GF, QQ, LinMap, diag, flip_map, identity, zero_map,
+)
 from homcat.hom_structures import HomBialgebra, check_hom_bialgebra
 from homcat.qt_braiding import (
     RMatrix, _braiding_elementwise, b_from_qt, braiding_from_r,
@@ -489,6 +491,38 @@ def test_scaled_flips_always_satisfy_classical_relation(data):
     B = monomial_map(entries, d)
     rep = check_hom_ybe(B, identity(d))
     assert rep.axiom_status["eq145"] is True
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ybe_checks_store_no_map_above_d2_by_d2(d):
+    # both sides of the braid relation are d^3 x d^3; the middle Kronecker
+    # factor and its product with the first factor are read as operands,
+    # one factor at a time, and never stored
+    B = LinMap.from_rows(QQ, [[(i * j + i + 2 * j) % 3 - 1
+                               for j in range(d * d)] for i in range(d * d)])
+    a = LinMap.from_rows(QQ, [[int(i <= j) for j in range(d)]
+                              for i in range(d)])
+    f = flip_map(d, d)
+    with map_sizes() as sizes:
+        assert check_hom_ybe(f, a).ok
+        check_hom_ybe(B, a)
+        assert check_mixed_hom_ybe(f, f, f, a, a, a).ok
+        check_mixed_hom_ybe(B, f, B, a, identity(d), a)
+    assert max(sizes, default=0) <= d ** 4
+
+
+def test_ybe_refused_at_d23_before_allocating():
+    # the middle factor of eq145 and hYBeB would be 12167 x 12167, above
+    # the cap: refused as kron refused it when it was stored, before any
+    # map is built
+    B, a = zero_map(23 ** 2, 23 ** 2), identity(23)
+    for check, args in ((check_hom_ybe, (B, a)),
+                        (check_mixed_hom_ybe, (B, B, B, a, a, a))):
+        with map_sizes() as sizes, pytest.raises(ValueError, match=(
+                "^kron output 12167x12167 exceeds the cap of 134217728 "
+                "entries per map$")):
+            check(*args)
+        assert sizes == []
 
 
 def test_mixed_ybe_with_flips():

@@ -23,8 +23,6 @@ inverted: its inverse is assembled from the inverses of the components.
 
 from __future__ import annotations
 
-from math import prod
-
 from .exact_tensor import check_size, identity, kron, kron_all, lazy
 from .hom_structures import _run, require
 from .yetter_drinfeld import (
@@ -87,11 +85,16 @@ class ConstraintFamily:
         return self
 
     def dim(self, obj):
-        # component(obj).rows with no kron formed, refused alike
+        # component(obj).rows with no kron formed, refused alike: the
+        # factors' dims first, then each product as kron checked it
         if not isinstance(obj, tuple):
             return self.component(obj).rows
         dims = [self.dim(o) for o in obj]
-        return dims[0] * prod(dims[1:])
+        n = dims[0]
+        for d in dims[1:]:
+            n *= d
+            check_size(n, n, "kron")
+        return n
 
     def component(self, obj):
         """Component map of a label or of a tuple of objects."""

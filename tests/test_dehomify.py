@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import cube, z2_bialgebra
+from conftest import cube, map_sizes, z2_bialgebra
 
 from homcat.exact_tensor import (
     QQ, LinMap, diag, flip_map, identity, kron, zero_map,
@@ -202,6 +202,28 @@ def test_family_validation():
     fam.add_module("V", identity(3))
     with pytest.raises(ValueError, match="must swap"):
         fam.add_pair_map("U", "V", flip_map(3, 3))
+
+
+@pytest.mark.parametrize("obj", [
+    "U", ("U",), ("U", "V"), (("U", "V"), "U"), ("O", "B", "B"), (),
+    ("U", ()), ("U", "Y"), ("B", "B"), ("B", "U", "B"), (("B", "B"), "Y"),
+])
+def test_dim_builds_no_map_and_is_refused_as_component_is(obj):
+    # component(obj).rows, or the exception component raises: an empty
+    # tuple, a missing label, or the first Kronecker product above the cap
+    # ((200 * 200)^2 and (200 * 2 * 200)^2 entries), with no map built
+    def outcome(read):
+        try:
+            return read()
+        except (IndexError, ValueError) as exc:
+            return type(exc), str(exc)
+    fam = ConstraintFamily(QQ)
+    fam.add_module("U", identity(2)).add_module("V", identity(3))
+    fam.add_module("O", identity(0)).add_module("B", identity(200))
+    with map_sizes() as sizes:
+        got = outcome(lambda: fam.dim(obj))
+    assert sizes == []
+    assert got == outcome(lambda: fam.component(obj).rows)
 
 
 # ------------------------------------------------------- YD instantiation

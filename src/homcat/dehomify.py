@@ -64,8 +64,9 @@ class ConstraintFamily:
 
     Atomic modules are registered by label with one square component map
     (the Theta of an associator family, the Phi of a braiding family).
-    Composite objects are tuples of objects; their components and dims
-    come from kron, never from user input. Braiding sources d are stored
+    Composite objects are tuples of objects; their components come from
+    kron and their dims are the product of the factor dims, checked
+    against the kron cap, never from user input. Braiding sources d are stored
     per ordered object pair and validated against the object dims.
     """
 

@@ -181,13 +181,14 @@ def _failed_axioms(check, *args):
     return tuple(check(*args).failed_axioms)
 
 
-def coerce_rows(field, coerce):
-    """row -> tuple of coerce's images of its entries, coerce called once per
-    distinct entry in the returned function's life, keyed by type and value
-    (by value alone, 0.5 would pass as Fraction(1, 2)); an entry of the
-    field's scalar type, whose hash costs more, is coerced where it is, and
-    a row with an unhashable entry, which coerce refuses, entry by entry."""
-    memo, scalar = lru_cache(maxsize=None, typed=True)(coerce), type(field.zero)
+def coerce_rows(field):
+    """row -> tuple of field.coerce's images of its entries, each distinct
+    entry coerced once in the returned function's life, keyed by type and
+    value (by value alone, 0.5 would pass as Fraction(1, 2)); an entry of
+    the field's scalar type, whose hash costs more, is coerced where it is,
+    and a row with an unhashable entry, which coerce refuses, by entry."""
+    coerce, scalar = field.coerce, type(field.zero)
+    memo = lru_cache(maxsize=None, typed=True)(coerce)
 
     def row_in(row):
         try:
@@ -201,9 +202,9 @@ def coerce_rows(field, coerce):
 def coerce_cube(field, cube, shape=None, row_in=None):
     """cube as nested tuples of field scalars, of shape (d0, d1, d2) or dim^3
     for dim = len(cube): the one shape check of every cube, each distinct
-    entry coerced once by row_in (default coerce_rows with field.coerce)."""
+    entry coerced once by row_in (default coerce_rows(field))."""
     d0, d1, d2 = shape or (len(cube),) * 3
-    row_in, seq = row_in or coerce_rows(field, field.coerce), (list, tuple)
+    row_in, seq = row_in or coerce_rows(field), (list, tuple)
     if not isinstance(cube, seq) or len(cube) != d0:
         got = len(cube) if isinstance(cube, seq) else "?"
         raise ValueError(f"cube outer length {got} != {d0}")

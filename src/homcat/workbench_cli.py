@@ -84,8 +84,6 @@ class _Scalars(dict):
     (_scalar_in); row(r) decodes a row in C. Other entries are checked on
     each lookup and never stored, so True is refused even after a 1."""
 
-    __slots__ = ("field",)
-
     def __init__(self, field):
         self.field = field
 

@@ -783,8 +783,10 @@ def test_pair_compose_admits_what_only_the_unfused_formula_stores():
 
 # ------------------------------------------------------ unformed operands
 
-def _operand(draw, field, rows, cols, top,
-             kinds=("map", "product", "kron", "permutation")):
+KINDS = ("map", "product", "kron", "permutation")
+
+
+def _operand(draw, field, rows, cols, top, kinds=KINDS):
     # (operand, its formed map) of shape rows x cols, of one of kinds: a
     # stored map, an unformed product of two drawn maps, an unformed x (x) y
     # after the identity (the middle factor of qt_braiding._braid_sides),
@@ -814,8 +816,9 @@ def _operand(draw, field, rows, cols, top,
 @st.composite
 def _unformed_products(draw, field, body):
     # (operands, their formed maps, extra arguments) of one lazy product
-    # body over field, each operand drawn by _operand, m unformed in
-    # compose_kron as in qt_braiding._braid_sides
+    # body over field, each operand drawn by _operand, m of compose_kron
+    # an unformed product or Kronecker operand (the shape of
+    # qt_braiding._braid_sides) twice as often as a stored map or a flip
     side = st.sampled_from((1, 2, 3, 0))
     tops = iter(draw(st.permutations(DENOMINATORS)))
     extra = ()
@@ -829,8 +832,8 @@ def _unformed_products(draw, field, body):
         shapes = {"compose": [(n, m), (m, k)],
                   "compose_kron": [(n, m * k), (m, l), (k, o)],
                   "kron_compose": [(n, m), (k, l), (m * l, o)]}[body]
-    drawn = [_operand(draw, field, r, c, next(tops), *(
-        [("product", "kron")] if body == "compose_kron" and not i else []))
+    drawn = [_operand(draw, field, r, c, next(tops), KINDS + (
+        ("product", "kron") if body == "compose_kron" and not i else ()))
         for i, (r, c) in enumerate(shapes)]
     return [op for op, _ in drawn], [f for _, f in drawn], extra
 

@@ -15,19 +15,47 @@ checks then confirm Mac Lane pentagon and hexagon coherence exactly, and
 the cross check ties the builders to the Yetter-Drinfeld rebracketing and
 quasi-braiding (axiom ids eq3333c and eq9999d, see docs/formats.md).
 
-A Kronecker product composed only once (Phi_V^-1 (x) Phi_U^-1 in c, a
-constraint beside an identity in the pentagon and hexagons) goes through
-compose_kron or kron_compose and is never stored. No associator is
-inverted: its inverse is assembled from the inverses of the components.
+A ConstraintFamily stores none of these Kronecker products: its maps are
+unformed products (lazy(m).kron, kron_compose) read one factor at a
+time; build_b and build_c return theirs formed. Only atoms are inverted:
+a composite's inverse is the Kronecker product of its atoms' inverses,
+and b(U, V, W)'s is Theta_U (x) id_V (x) Theta_W^-1.
 """
 
 from __future__ import annotations
 
-from .exact_tensor import check_size, identity, kron, kron_all, lazy
+from functools import reduce
+
+from .exact_tensor import Permutation, lazy
 from .hom_structures import _run, require
 from .yetter_drinfeld import (
     _cached_inverse, b_yd, check_yd, quasi_braiding_yd, yd_associator,
 )
+
+
+def _b(invert, u, theta_w, dv):
+    # build_b's and assoc's body: invert(u) (x) id_v (x) theta_w, unformed
+    try:
+        inv = invert(u)
+    except ValueError:
+        raise ValueError("build_b needs invertible theta_u") from None
+    return lazy(inv).kron(lazy(Permutation(inv.field, (dv,))).kron(theta_w))
+
+
+def _c(invert, u, v, du, dv, d):
+    # build_c's and braid's body: (invert(v) (x) invert(u)) after d, unformed
+    if d.cols != du * dv or d.rows != dv * du:
+        raise ValueError("d must map U (x) V to V (x) U")
+    try:
+        iu, iv = invert(u), invert(v)
+    except ValueError:
+        raise ValueError("build_c needs invertible component maps") from None
+    return lazy(iv).kron_compose(iu, d)
+
+
+def _kron(parts):
+    # parts[0] (x) parts[1] (x) ..., unformed; IndexError for no parts
+    return reduce(lambda a, b: lazy(a).kron(b), parts[1:], parts[0])
 
 
 def build_b(theta_u, theta_w, dims):
@@ -37,11 +65,7 @@ def build_b(theta_u, theta_w, dims):
         raise ValueError("theta_u must be square of the first dim")
     if theta_w.rows != dw or theta_w.cols != dw:
         raise ValueError("theta_w must be square of the third dim")
-    try:
-        inv = _cached_inverse(theta_u)
-    except ValueError:
-        raise ValueError("build_b needs invertible theta_u") from None
-    return kron(inv, kron(identity(dv, theta_u.field), theta_w))
+    return _b(_cached_inverse, theta_u, theta_w, dv).form()
 
 
 def build_c(phi_u, phi_v, d):
@@ -49,25 +73,18 @@ def build_c(phi_u, phi_v, d):
     du, dv = phi_u.rows, phi_v.rows
     if phi_u.cols != du or phi_v.cols != dv:
         raise ValueError("component maps must be square")
-    if d.cols != du * dv or d.rows != dv * du:
-        raise ValueError("d must map U (x) V to V (x) U")
-    try:
-        iu = _cached_inverse(phi_u)
-        iv = _cached_inverse(phi_v)
-    except ValueError:
-        raise ValueError("build_c needs invertible component maps") from None
-    return iv.kron_compose(iu, d)
+    return _c(_cached_inverse, phi_u, phi_v, du, dv, d).form()
 
 
 class ConstraintFamily:
-    """Named component maps plus derived coherence maps.
+    """Named component maps plus derived coherence maps, all unformed.
 
     Atomic modules are registered by label with one square component map
     (the Theta of an associator family, the Phi of a braiding family).
-    Composite objects are tuples of objects; their components come from
-    kron and their dims are the product of the factor dims, checked
-    against the kron cap, never from user input. Braiding sources d are stored
-    per ordered object pair and validated against the object dims.
+    Composite objects are tuples of objects; their components are unformed
+    Kronecker products, refused above the kron cap, never user input.
+    Braiding sources d are stored per ordered object pair and validated
+    against the object dims. .form() stores a component, assoc or braid.
     """
 
     def __init__(self, field):
@@ -86,29 +103,24 @@ class ConstraintFamily:
         return self
 
     def dim(self, obj):
-        # component(obj).rows with no kron formed, refused alike: the
-        # factors' dims first, then each product as kron checked it
-        if not isinstance(obj, tuple):
-            return self.component(obj).rows
-        dims = [self.dim(o) for o in obj]
-        n = dims[0]
-        for d in dims[1:]:
-            n *= d
-            check_size(n, n, "kron")
-        return n
+        return self.component(obj).rows
 
     def component(self, obj):
         """Component map of a label or of a tuple of objects."""
         if isinstance(obj, tuple):
-            parts = [self.component(o) for o in obj]
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = kron(acc, p)
-            return acc
+            return _kron([self.component(o) for o in obj])
         try:
             return self._components[obj]
         except KeyError:
             raise ValueError(f"missing family entry: {obj!r}") from None
+
+    def _inverse(self, obj):
+        # component(obj)'s inverse from its atoms' inverses, unformed; a
+        # 0x0 component is its own, whatever its atoms
+        c = self.component(obj)
+        if not isinstance(obj, tuple):
+            return _cached_inverse(c)
+        return _kron([self._inverse(o) for o in obj]) if c.rows else c
 
     def add_pair_map(self, u, v, d):
         du, dv = self.dim(u), self.dim(v)
@@ -126,45 +138,25 @@ class ConstraintFamily:
             raise ValueError(f"missing family entry: pair {(u, v)!r}") from None
 
     def assoc(self, u, v, w):
-        return build_b(self.component(u), self.component(w),
-                       (self.dim(u), self.dim(v), self.dim(w)))
-
-    def _inverse_component(self, obj):
-        """The inverse of component(obj); ValueError if it is singular.
-
-        A composite's inverse is the Kronecker product of its atoms'
-        inverses, so no map larger than an atomic component is inverted.
-        """
-        if isinstance(obj, tuple) and self.dim(obj):
-            return kron_all(*(self._inverse_component(o) for o in obj))
-        return _cached_inverse(self.component(obj))
+        """build_b(Theta_u, Theta_w, dims), refused alike: u's entry first."""
+        self.component(u)
+        return _b(self._inverse, u, self.component(w), self.dim(v))
 
     def assoc_inverse(self, u, v, w):
-        """assoc(u, v, w).inverse() = Theta_u (x) id_v (x) Theta_w^-1.
+        """assoc's inverse Theta_u (x) id_v (x) Theta_w^-1, by assoc's body.
 
-        Built from the atoms' inverses, with assoc's refusals in its order
-        (a missing entry, a singular Theta_u, an output above the cap),
-        then inverse's "map is singular" for a singular Theta_w unless the
-        associator is 0x0.
+        assoc's refusals come first; then, unless the associator is 0x0,
+        inverse's "map is singular" for a singular Theta_w.
         """
-        theta_u, theta_w = self.component(u), self.component(w)
-        dv = self.dim(v)
-        try:
-            _cached_inverse(theta_u)
-        except ValueError:
-            raise ValueError("build_b needs invertible theta_u") from None
-        side = dv * theta_w.rows
-        size = theta_u.rows * side
-        check_size(side, side, "kron")
-        check_size(size, size, "kron")
-        if not size:
-            return identity(0, self.field)
-        return kron(theta_u, kron(identity(dv, self.field),
-                                  self._inverse_component(w)))
+        b = self.assoc(u, v, w)
+        if not b.rows:
+            return b
+        return _b(self.component, u, self._inverse(w), self.dim(v))
 
     def braid(self, u, v):
-        return build_c(self.component(u), self.component(v),
-                       self.pair_map(u, v))
+        """build_c(Phi_u, Phi_v, pair_map(u, v)), refused alike."""
+        return _c(self._inverse, u, v, self.dim(u), self.dim(v),
+                  self.pair_map(u, v))
 
 
 def check_pentagon(b_family, U, V, W, X):
@@ -172,10 +164,10 @@ def check_pentagon(b_family, U, V, W, X):
     du, dv = b_family.dim(U), b_family.dim(V)
     dw, dx = b_family.dim(W), b_family.dim(X)
     field = b_family.field
-    lhs = lazy(identity(du, field)).kron_compose(
+    lhs = lazy(Permutation(field, (du,))).kron_compose(
         b_family.assoc(V, W, X),
-        b_family.assoc(U, (V, W), X).compose_kron(
-            b_family.assoc(U, V, W), identity(dx, field)))
+        lazy(b_family.assoc(U, (V, W), X)).compose_kron(
+            b_family.assoc(U, V, W), Permutation(field, (dx,))))
     rhs = lazy(b_family.assoc(U, V, (W, X))).compose(b_family.assoc((U, V), W, X))
     return _run([("pentagon", lhs, rhs,
                   (du, dv, dw, dx), (du, dv, dw, dx))])
@@ -190,22 +182,20 @@ def check_hexagons(b_family, c_family, U, V, W):
           = (c(U,W) (x) id) b(U,W,V)^-1 (id (x) c(V,W))
     """
     du, dv, dw = b_family.dim(U), b_family.dim(V), b_family.dim(W)
-    field = b_family.field
-    idu, idv, idw = (identity(d, field) for d in (du, dv, dw))
+    idu, idv, idw = (Permutation(b_family.field, (d,)) for d in (du, dv, dw))
 
     def checks():
-        lhs1 = lazy(b_family.assoc(V, W, U).compose(
+        lhs1 = lazy(lazy(b_family.assoc(V, W, U)).compose(
             c_family.braid(U, (V, W)))).compose(b_family.assoc(U, V, W))
         rhs1 = lazy(idv).kron_compose(
-            c_family.braid(U, W),
-            b_family.assoc(V, U, W).compose_kron(c_family.braid(U, V), idw))
+            c_family.braid(U, W), lazy(b_family.assoc(V, U, W)).compose_kron(
+                c_family.braid(U, V), idw))
         yield ("hex1", lhs1, rhs1, (du, dv, dw), (dv, dw, du))
-        lhs2 = lazy(b_family.assoc_inverse(W, U, V).compose(
+        lhs2 = lazy(lazy(b_family.assoc_inverse(W, U, V)).compose(
             c_family.braid((U, V), W))).compose(
             b_family.assoc_inverse(U, V, W))
         rhs2 = lazy(c_family.braid(U, W)).kron_compose(
-            idv,
-            b_family.assoc_inverse(U, W, V).compose_kron(
+            idv, lazy(b_family.assoc_inverse(U, W, V)).compose_kron(
                 idu, c_family.braid(V, W)))
         yield ("hex2", lhs2, rhs2, (du, dv, dw), (dw, du, dv))
     return _run(checks())

@@ -13,25 +13,29 @@ stored; neither multiplies by a permutation matrix.
 
 Only this module knows how a LinMap is stored and when a sum of prime
 field scalars is reduced mod p; only entry, row_lists, columns,
-permute_rows, __eq__ and __hash__ read the layout. The rest (add, scale,
-kron, permute_cols, the elimination behind rank and inverse) and other
-modules build a map from (row, col, value) terms with LinMap.from_terms
-and read it as sparse columns with columns(); row_lists is the dense
-reader of the codec and the elimination.
+permute_rows, __eq__ and __hash__ read the layout, and only __init__,
+from_terms, permute_rows and Product.form (so every product, kron among
+them) write it. The rest (add, scale, permute_cols, the elimination behind rank and
+inverse) and other modules build a map from (row, col, value) terms with
+LinMap.from_terms and read it as sparse columns with columns(); row_lists
+is the dense reader of the codec and the elimination.
 Every stored zero over Q is the one object field.zero: Field.coerce
 returns it for any zero, from_terms for a zero term or a cancelled sum,
-and kron and Product.form store it. So columns() finds the nonzeros in C,
+and Product.form stores it. So columns() finds the nonzeros in C,
 by identity with field.zero over Q and by truth over F_p, and runs Python
 once per nonzero, never once per entry.
 
-All arithmetic is exact, never tolerance based. add, sub, scale, kron
-and the reduction mod p in from_terms work only on nonzero entries.
+All arithmetic is exact, never tolerance based. add, sub, scale and the
+reduction mod p in from_terms work only on nonzero entries.
 
 Each product has one body, a method of lazy(m) returning an unformed
 Product: compose, compose_kron (m after b (x) c), kron_compose (m (x) c
 after a) and pair_compose (a tensor-square element applied one factor at
-a time, as in the product of H (x) H, tensor modules, R-braidings and the
-Yetter-Drinfeld maps). It reads each operand, m among them, through its
+a time, as in the product of H (x) H, tensor modules, R-braidings and
+the Yetter-Drinfeld maps). The Kronecker product m (x) c is
+lazy(m).kron(c), kron_compose after the identity, which LinMap.kron
+forms; it alone refuses a Kronecker product above the cap, and at once.
+A body reads each operand, m among them, through its
 _int_columns(reads): nonzero columns as integer numerators over one
 denominator, of a stored LinMap, an unformed Product (reduced over F_p)
 or a Permutation. reads is a read table, one per comparison and per
@@ -40,8 +44,8 @@ however many operand slots, or sides, it fills. A body never reads a
 Kronecker product and yields one column of integer sums at a time, one
 multiply-add per tuple of nonzeros that meet. Product.form stores the
 nonzero sums, reduced mod p or, over Q, each distinct one made one
-rational. compare_columns compares two sides, stored or unformed, without
-forming a scalar outside the columns that differ.
+rational. compare_columns compares two sides, stored or unformed,
+without forming a scalar outside the columns that differ.
 
 A product refuses operands over different fields, then shapes that do not
 fit, and, when formed or read as an operand, an output above
@@ -299,6 +303,10 @@ class LinMap(Frozen):
             out[k % c].append((k // c, data[k]))
         return out
 
+    def form(self):
+        """The map itself, stored already, as Product.form() stores one."""
+        return self
+
     def compose(self, other):
         """self after other: (self.compose(f))(v) = self(f(v))."""
         return lazy(self).compose(other).form()
@@ -359,21 +367,7 @@ class LinMap(Frozen):
             (i, j, v) for j, t in enumerate(targets) for i, v in cols[t]))
 
     def kron(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch in kron")
-        rows, cols = self.rows * other.rows, self.cols * other.cols
-        check_size(rows, cols, "kron")
-        # one product per pair of nonzeros, at row flat(i, k), col flat(j, l)
-        br, bc, p = other.rows, other.cols, self.field.char
-        bnz = [(k * cols + l, v)
-               for l, col in enumerate(other.columns()) for k, v in col]
-        flat = [self.field.zero] * (rows * cols)
-        for j, acol in enumerate(self.columns()):
-            for i, av in acol:
-                base = i * br * cols + j * bc
-                for x, bv in bnz:
-                    flat[base + x] = av * bv % p if p else av * bv
-        return LinMap._wrap(self.field, rows, cols, tuple(flat))
+        return lazy(self).kron(other).form()
 
     def add(self, other):
         if self.field != other.field:
@@ -603,6 +597,14 @@ class lazy(NamedTuple):
                             out[base + m] += w * cv
                 yield out
         return Product(b.field, rows, a.cols, "compose", sums)
+
+    def kron(self, c):
+        """m (x) c, unformed: kron_compose after the identity, refused as
+        LinMap.kron is, the cap included, before an operand is read."""
+        m = self.m
+        k = self.kron_compose(c, Permutation(m.field, (m.cols * c.cols,)))
+        check_size(k.rows, k.cols, "kron")
+        return k
 
     def pair_compose(self, g, b, c, p):
         """m and g applied factorwise to b (x) c, storing no kron.

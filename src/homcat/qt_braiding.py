@@ -9,7 +9,8 @@ routes must agree; they share no assembly code, so each guards the other
 against indexing mistakes. braiding_from_r returns the braiding as a
 plain LinMap; the hexagons never store one (see check_hexagon_instances),
 and the braid relations eq145 and hYBeB store no Kronecker product
-(_braid_sides applies each one factor at a time).
+(_braid_sides reads each as an unformed operand); nor do eq30 and eq31,
+which apply psi to R's left or right legs first, never psi (x) psi.
 
 Identity vocabulary (formulas, the contraction sides' among them, in
 docs/formats.md):
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .exact_tensor import Frozen, LinMap, Permutation, check_size, \
-    identity, kron, lazy
+from .exact_tensor import Frozen, LinMap, Permutation, identity, lazy
 from .hom_structures import (
     CheckReport, _contract, _cube_terms, _intertwining, _map_terms, _run,
     check_hom_bialgebra, require,
@@ -129,15 +129,17 @@ def _r_condition_checks(H, R, terms):
     yield ("eq38", *_contract_eq38(H, terms), (n,), (n, n))
 
     # coproduct-splitting laws, matrix route: R (x) R acting factorwise,
-    # psi (x) psi on the left legs of its two copies and the product on
-    # their right legs (eq30), or the product on the left legs and
-    # psi (x) psi, flipped, on the right legs (eq31)
-    pp = kron(ps, ps)
+    # psi applied first to R's left (eq30) or right (eq31) legs, stored as
+    # one n^2 x 1 vector, then the product on the other legs, and the psi
+    # legs kept (eq30) or flipped (eq31)
+    f, one = H.field, Permutation(H.field, (n,))
+    keep, flip = (Permutation(f, (n, n), p) for p in ((0, 1), (1, 0)))
+    left, right = (lazy(ps).kron_compose(one, rv).form(),
+                   lazy(one).kron_compose(ps, rv).form())
     yield ("eq30", lazy(D).kron_compose(al, rv),
-           lazy(pp).pair_compose(M, rv, rv, n), (), (n, n, n))
-    pp_flip = pp.permute_rows((n, n), (1, 0))
+           lazy(keep).pair_compose(M, left, left, n), (), (n, n, n))
     yield ("eq31", lazy(al).kron_compose(D, rv),
-           lazy(M).pair_compose(pp_flip, rv, rv, n), (), (n, n, n))
+           lazy(M).pair_compose(flip, right, right, n), (), (n, n, n))
 
     # coproduct-splitting laws, contraction route
     yield from _contract_coproduct_splitting(H, terms, ("eq39", "eq60"), al,
@@ -289,16 +291,12 @@ def check_hom_ybe(B, alpha):
 
 def _braid_sides(b_uv, b_uw, b_vw, a_u, a_v, a_w):
     # both composites of hYBeB, unformed and storing nothing: the middle
-    # factor is m (x) c applied one factor at a time, after the identity,
-    # and its product with the first factor is read as an operand
-    def middle(m, c):
-        k = lazy(m).kron_compose(c, Permutation(m.field, (m.cols * c.cols,)))
-        check_size(k.rows, k.cols, "kron")  # refused as kron(m, c) was
-        return lazy(k)
+    # factor is an unformed Kronecker operand, and its product with the
+    # first factor is read as an operand
     lhs = lazy(a_w).kron_compose(
-        b_uv, middle(b_uw, a_v).compose_kron(a_u, b_vw))
+        b_uv, lazy(lazy(b_uw).kron(a_v)).compose_kron(a_u, b_vw))
     rhs = lazy(b_vw).kron_compose(
-        a_u, middle(a_v, b_uw).compose_kron(b_uv, a_w))
+        a_u, lazy(lazy(a_v).kron(b_uw)).compose_kron(b_uv, a_w))
     return lhs, rhs
 
 

@@ -162,14 +162,14 @@ def test_assoc_inverse_is_the_inverted_associator(triple):
     # (200 * 200)^2 and (200 * 2 * 200)^2 entries exceed the cap
     fam.add_module("B", identity(200))
     fam.add_module("Z", zero_map(200, 200, QQ))
-    assert (_outcome(lambda: fam.assoc_inverse(*triple))
-            == _outcome(lambda: fam.assoc(*triple).inverse()))
+    assert (_outcome(lambda: fam.assoc_inverse(*triple).form())
+            == _outcome(lambda: fam.assoc(*triple).form().inverse()))
 
 
 def test_hexagons_invert_no_map_larger_than_a_component(H, pool,
                                                         monkeypatch):
     # the dim-4 YD tensor, cubed: each associator is 64x64, its components
-    # 4x4 and, for a pair of objects, 16x16
+    # 4x4 and, for a pair of objects, 16x16; only the 4x4 atom is inverted
     T = yd_tensor(H, pool["A"], pool["B"])
     fam = ConstraintFamily(QQ)
     fam.add_module("T", T.alpha)
@@ -189,7 +189,62 @@ def test_hexagons_invert_no_map_larger_than_a_component(H, pool,
     monkeypatch.undo()
     cached_inverse.cache_clear()
     assert rep.axiom_status == {"hex1": True, "hex2": True}
-    assert sizes and max(sizes) <= fam.dim(("T", "T")) ** 2 == 256
+    assert sizes and max(sizes) <= fam.dim("T") ** 2 == 16
+
+
+def _yd_cube_family(H, pool):
+    # T, the dim-4 YD tensor of A and B, beside A, B and Z, with T's braids
+    T = yd_tensor(H, pool["A"], pool["B"])
+    fam = ConstraintFamily(QQ)
+    for name in "ABZ":
+        fam.add_module(name, pool[name].alpha)
+    fam.add_module("T", T.alpha)
+    TT = yd_tensor(H, T, T)
+    fam.add_pair_map("T", "T", b_yd(H, T, T))
+    fam.add_pair_map("T", ("T", "T"), b_yd(H, T, TT))
+    fam.add_pair_map(("T", "T"), "T", b_yd(H, TT, T))
+    return fam
+
+
+def test_pentagon_and_hexagons_store_no_map_above_an_atom(H, pool):
+    # the largest atomic component, T's 4x4, bounds every map the checks
+    # store; the associators (32x32 and 64x64), composite components and
+    # their inverses stay unformed
+    fam = _yd_cube_family(H, pool)
+    atom = max(fam.dim(x) ** 2 for x in "ABTZ")
+    cached_inverse.cache_clear()
+    with map_sizes() as sizes:
+        pent = check_pentagon(fam, "A", "B", "T", "Z")
+        hexes = check_hexagons(fam, fam, "T", "T", "T")
+    assert pent.ok and hexes.ok
+    assert sizes and max(sizes) <= atom == 16
+
+
+@pytest.mark.parametrize("u, v", [("U", "V"), (("U", "V"), "W"),
+                                  ("W", ("V", "U")), (("V", "W"), ("U", "V"))])
+def test_family_maps_form_the_public_builders(u, v):
+    # distinct non-scalar components, so a factor swapped or an inverse
+    # misplaced changes the map; each builder also against the textbook
+    # Kronecker formula
+    fam = ConstraintFamily(QQ)
+    fam.add_module("U", LinMap.from_rows(QQ, [[1, 1], [0, 2]]))
+    fam.add_module("V", LinMap.from_rows(QQ, [[2, 1], [1, 1]]))
+    fam.add_module("W", LinMap.from_rows(QQ, [[3, 0, 1], [0, 1, 0],
+                                              [1, 0, 1]]))
+    du, dv = fam.dim(u), fam.dim(v)
+    d = LinMap.from_terms(QQ, dv * du, du * dv, (
+        (i, j, i + 2 * j + 1) for i in range(dv * du) for j in range(du * dv)
+        if (i + j) % 3))
+    fam.add_pair_map(u, v, d)
+    phi_u, phi_v = fam.component(u).form(), fam.component(v).form()
+    c = build_c(phi_u, phi_v, d)
+    assert fam.braid(u, v).form() == c
+    assert c == kron(phi_v.inverse(), phi_u.inverse()).compose(d)
+    theta_w = fam.component("W").form()
+    b = build_b(phi_u, theta_w, (du, dv, 3))
+    assert fam.assoc(u, v, "W").form() == b
+    assert b == kron(phi_u.inverse(), kron(identity(dv), theta_w))
+    assert fam.assoc_inverse(u, v, "W").form() == b.inverse()
 
 
 def test_family_validation():

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import FROZEN, drinfeld_double_s3, freeze_matrix
+from conftest import FROZEN, drinfeld_double_s3, freeze_matrix, map_reads
 
 from homcat import _kernels_py, exact_tensor
 from homcat.exact_tensor import (
@@ -788,8 +788,9 @@ KINDS = ("map", "product", "kron", "permutation")
 
 def _operand(draw, field, rows, cols, top, kinds=KINDS):
     # (operand, its formed map) of shape rows x cols, of one of kinds: a
-    # stored map, an unformed product of two drawn maps, an unformed x (x) y
-    # after the identity (the middle factor of qt_braiding._braid_sides),
+    # stored map, an unformed product of two drawn maps, an unformed
+    # Kronecker operand lazy(x).kron(y) (the middle factor of
+    # qt_braiding._braid_sides, dehomify's components and associators),
     # or, for a square shape, the flip of two tensor factors (of 1 and rows
     # if rows is prime) as an index list
     kind = draw(st.sampled_from(kinds))
@@ -798,8 +799,10 @@ def _operand(draw, field, rows, cols, top, kinds=KINDS):
                 for n in (rows, cols))
         x = _draw_sparse_map(draw, field, rows // r, cols // c, top)
         y = _draw_sparse_map(draw, field, r, c, 13)
-        return (lazy(x).kron_compose(y, Permutation(field, (cols,))),
-                kron(x, y))
+        # formed by the reference kernel, not by lazy.kron itself
+        return lazy(x).kron(y), LinMap(field, rows, cols, _kernels_py.kron(
+            x.data, x.rows, x.cols, y.data, y.rows, y.cols, field.zero,
+            field.modulus))
     if kind == "product":
         inner = draw(st.sampled_from((1, 2, 3, 0)))
         x = _draw_sparse_map(draw, field, rows, inner, top)
@@ -883,6 +886,20 @@ def test_an_unformed_operand_reads_a_multiple_of_p_as_zero():
         lazy(LinMap(F5, 2, 2, [1, 1, 2, 1])).compose(LinMap(F5, 2, 1, [2, 3])),
         LinMap(F5, 1, 2, [1, 3])],
         [LinMap(F5, 2, 1, [0, 2]), LinMap(F5, 1, 2, [1, 3])], ())
+
+
+def test_an_unformed_kron_operand_is_refused_before_it_reads():
+    # above the cap at once, whether its operands are stored or unformed,
+    # with no map read; then operands over two fields
+    row = zero_map(1, 2 ** 14)
+    with map_reads() as reads:
+        for m in (row, lazy(identity(1)).compose(row)):
+            with pytest.raises(ValueError, match=(
+                    "^kron output 1x268435456 exceeds the cap of ")):
+                lazy(m).kron(row)
+    assert reads == []
+    with pytest.raises(ValueError, match="^field mismatch in kron$"):
+        lazy(identity(2)).kron(identity(2, F5))
 
 
 def _sides_sharing(body, s, x, w, t):
